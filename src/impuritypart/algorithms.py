@@ -29,7 +29,13 @@ from .errors import (
     MaskBudgetExceeded,
 )
 from .impurity import ImpuritySpec
-from .prob import JointDistribution, Partition, PartitionStats, compute_stats
+from .prob import (
+    JointDistribution,
+    Partition,
+    PartitionStats,
+    aggregate,
+    compute_stats,
+)
 
 DEFAULT_MASK_BUDGET = 1 << 20
 DEFAULT_ORACLE_CAP = 2_000_000
@@ -55,17 +61,6 @@ class AlgoResult:
     trace: Optional[list] = None
 
 
-def _e_value(p: np.ndarray, assignment: np.ndarray, k: int) -> float:
-    """Sum over labels of the largest accumulated class mass.
-
-    Mirrors the accumulation in compute_stats exactly so values compare
-    bitwise across call sites.
-    """
-    pxz = np.zeros((k, p.shape[1]))
-    np.add.at(pxz, assignment, p)
-    return float(pxz.max(axis=1).sum())
-
-
 def projection_masks(n: int, k: int):
     """Candidate class masks: binary length-n vectors with min(k, n) ones.
 
@@ -80,14 +75,6 @@ def projection_masks(n: int, k: int):
         mask = np.zeros(n, dtype=bool)
         mask[list(cols)] = True
         yield mask
-
-
-def _weighted_impurity(vec: np.ndarray, f: ImpuritySpec) -> float:
-    """mass * sum_i f(vec_i / mass) for one partition's joint row."""
-    s = float(vec.sum())
-    if s <= 0.0:
-        return 0.0
-    return s * float(f.f_values(vec / s).sum())
 
 
 def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
@@ -121,7 +108,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
         # argmax over the mask's columns; a point whose surviving entries are
         # all zero lands on the lowest-index active class.
         local = np.argmax(p[:, mask], axis=1)
-        e = _e_value(p, local, k)
+        e = float(aggregate(p, local, k).max(axis=1).sum())
         if e > best_e:
             best_e = e
             best_assignment = local
@@ -174,7 +161,6 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
                       "impurity": stats.impurity})
         next_label += 1
     part = Partition(assignment, k)
-    stats = compute_stats(jd, part, f)
     return AlgoResult(part, stats, e_max_achieved=stats.e_q,
                       masks_evaluated=base.masks_evaluated, trace=trace)
 
@@ -199,20 +185,16 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     count = int(used.size)
     trace = [{"event": "init", "impurity": base.stats.impurity}]
     while count > k:
-        pxz = np.zeros((count, n))
-        np.add.at(pxz, assignment, jd.p)
-        own = [_weighted_impurity(pxz[i], f) for i in range(count)]
-        evaluated = []
-        best_pair = None
-        best_delta = math.inf
-        for i in range(count - 1):
-            for j in range(i + 1, count):
-                delta = _weighted_impurity(pxz[i] + pxz[j], f) - own[i] - own[j]
-                evaluated.append((i, j, float(delta)))
-                if delta < best_delta:
-                    best_delta = float(delta)
-                    best_pair = (i, j)
-        i, j = best_pair
+        pxz = aggregate(jd.p, assignment, count)
+        own = f.weighted(pxz)
+        # pairs in (i, j) lexicographic order, so argmin keeps the first
+        # lowest-loss pair
+        rows, cols = np.triu_indices(count, 1)
+        deltas = f.weighted(pxz[rows] + pxz[cols]) - own[rows] - own[cols]
+        best = int(np.argmin(deltas))
+        i, j = int(rows[best]), int(cols[best])
+        best_delta = float(deltas[best])
+        evaluated = list(zip(rows.tolist(), cols.tolist(), deltas.tolist()))
         assignment = np.where(assignment == j, i, assignment)
         assignment = np.where(assignment > j, assignment - 1, assignment)
         count -= 1
@@ -226,26 +208,28 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
 
 
 def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray:
-    """Point-to-centroid divergence matrix matched to the impurity.
+    """M x K score ranking each centroid row of q for each point row of cond.
 
-    Entropy uses the KL divergence (base 2), Gini the squared Euclidean
-    distance. Other impurities use the linearization score induced by f with
-    a finite-difference derivative, which ranks centroids identically to the
-    matching divergence for smooth f.
+    The score is the Bregman divergence of the convex -sum f, less a term
+    that depends on the point alone:
+
+        D(c, q) + sum_i f(c_i) = sum_i [f(q_i) - f'(q_i) q_i] + c . f'(q)
+
+    one (M x N) @ (N x K) product, O(M*K) memory. For entropy D is the KL
+    divergence in bits (both rows sum to 1); for Gini it is the squared
+    Euclidean distance |c - q|^2. A centroid where f' is infinite (entropy
+    at q_i = 0) scores +inf for a point with c_i > 0, as KL does, and that
+    class adds nothing for a point with c_i = 0.
     """
-    if f.kind == "entropy":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(cond > 0.0, np.log2(np.where(cond > 0.0, cond, 1.0)), 0.0)
-            logq = np.log2(q)
-            raw = cond[:, None, :] * (logp[:, None, :] - logq[None, :, :])
-            return np.where(cond[:, None, :] > 0.0, raw, 0.0).sum(axis=2)
-    if f.kind == "gini":
-        return ((cond[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
-    h = 1e-6
-    hi = np.clip(q + h, 0.0, 1.0)
-    lo = np.clip(q - h, 0.0, 1.0)
-    fp = (f.f_values(hi) - f.f_values(lo)) / (hi - lo)
-    return (f.f_values(q) - fp * q).sum(axis=1)[None, :] + cond @ fp.T
+    fp = f.f_prime(q)
+    blocked = ~np.isfinite(fp)
+    fp = np.where(blocked, 0.0, fp)
+    score = cond @ fp.T
+    score += (f.f_values(q) - fp * q).sum(axis=1)
+    if blocked.any():
+        hit = cond @ blocked.T.astype(float) > 0.0
+        score[hit] = np.inf
+    return score
 
 
 def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
@@ -255,9 +239,10 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     Each pass computes the conditional class distribution of every nonempty
     partition and moves a point only when another nonempty partition has a
     strictly smaller divergence (ties keep the point in place; among strictly
-    better partitions the lowest label wins). Stops after a pass with no
-    moves or after `max_iters` passes. Impurity never increases between
-    passes for entropy and Gini.
+    better partitions the lowest label wins). The divergence is the Bregman
+    divergence of -sum f: KL for entropy, squared Euclidean for Gini (see
+    _divergences). Stops after a pass with no moves or after `max_iters`
+    passes. Impurity never increases between passes for entropy and Gini.
     """
     if start.assignment.shape[0] != jd.n_rows:
         raise DimensionMismatch(
@@ -319,11 +304,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec,
         for label in range(k):
             sub = (digits == label).astype(float) @ p
             e_vals += sub.max(axis=1)
-            s = sub.sum(axis=1)
-            occupied = s > 0.0
-            if occupied.any():
-                cond = sub[occupied] / s[occupied, None]
-                imps[occupied] += s[occupied] * f.f_values(cond).sum(axis=1)
+            imps += f.weighted(sub)
         local = int(np.argmin(imps))
         if imps[local] < best_imp:
             best_imp = float(imps[local])

@@ -68,21 +68,18 @@ def lower_bound(e: float, f: ImpuritySpec) -> float:
 
 
 def approximation_ratio(e_max: float, n: int, f: ImpuritySpec) -> float:
-    """The guarantee factor u(e_max) / l(e_max).
+    """The guarantee factor upper_bound(e_max, n) / lower_bound(e_max).
 
-    Gini evaluates to the exact quotient e_max + 1 - (1-e_max)/(n-1), which
-    never exceeds 1 + e_max <= 2. Entropy evaluates to
-    (H(e_max) + (1-e_max)*log2(n-1)) / (-log2(e_max)). Both bounds vanish at
-    e_max = 1, where the ratio is defined as 1 (the optimum is met exactly).
+    Requires the companion l. For Gini the quotient equals the identity
+    e_max + 1 - (1-e_max)/(n-1), which never exceeds 1 + e_max <= 2; for
+    entropy it equals (H(e_max) + (1-e_max)*log2(n-1)) / (-log2(e_max)).
+    Both bounds vanish at e_max = 1, where the ratio is defined as 1 (the
+    optimum is met exactly).
     """
     n = _check_n(n)
     e = _clamp_e(e_max, 1.0 / n, 1.0)
     if e >= 1.0:
         return 1.0
-    if f.kind == "gini":
-        return e + 1.0 - (1.0 - e) / (n - 1)
-    if f.kind == "entropy":
-        return (binary_entropy(e) + (1.0 - e) * math.log2(n - 1)) / (-math.log2(e))
     return upper_bound(e, n, f) / lower_bound(e, f)
 
 

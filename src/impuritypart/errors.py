@@ -18,6 +18,15 @@ class NegativeEntry(ImpurityPartError, ValueError):
         super().__init__(f"negative entry {value!r} at index {index}")
 
 
+class NonFinite(ImpurityPartError, ValueError):
+    """A probability or count entry is NaN or infinite."""
+
+    def __init__(self, index, value):
+        self.index = index
+        self.value = value
+        super().__init__(f"non-finite entry {value!r} at index {index}")
+
+
 class ZeroTotal(ImpurityPartError, ValueError):
     """The matrix has no mass to normalize."""
 

@@ -33,6 +33,11 @@ def _entropy_f_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _entropy_f_prime(x: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):  # +inf at x = 0
+        return -np.log2(x) - 1.0 / math.log(2.0)
+
+
 def _gini_f(x):
     return x * (1.0 - x)
 
@@ -54,12 +59,39 @@ class ImpuritySpec:
     l: Optional[Callable[[float], float]] = None
     _f_arr: Callable[[np.ndarray], np.ndarray] = field(
         default=None, repr=False, compare=False)
+    _f_prime_arr: Callable[[np.ndarray], np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     def f_values(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f elementwise on an array of probabilities."""
-        if self._f_arr is None:  # hand-built spec: fall back to elementwise f
+        if self._f_arr is None:  # custom spec: fall back to elementwise f
             object.__setattr__(self, "_f_arr", np.vectorize(self.f, otypes=[float]))
         return self._f_arr(x)
+
+    def f_prime(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate f' elementwise; +inf where the slope diverges.
+
+        Entropy has -log2(x) - 1/ln 2 (+inf at 0) and Gini 1 - 2x. Other f
+        use a central difference with step 1e-6, its ends clipped to [0, 1].
+        """
+        if self._f_prime_arr is not None:
+            return self._f_prime_arr(x)
+        h = 1e-6
+        hi = np.clip(x + h, 0.0, 1.0)
+        lo = np.clip(x - h, 0.0, 1.0)
+        return (self.f_values(hi) - self.f_values(lo)) / (hi - lo)
+
+    def weighted(self, joint: np.ndarray) -> np.ndarray:
+        """mass * sum_i f(row_i / mass) for each row of a joint matrix.
+
+        mass is the row sum; a row with zero mass contributes 0.
+        """
+        mass = joint.sum(axis=1)
+        out = np.zeros(mass.shape)
+        occupied = mass > 0.0
+        m = mass[occupied]
+        out[occupied] = m * self.f_values(joint[occupied] / m[:, None]).sum(axis=1)
+        return out
 
     def l_value(self, x: float) -> float:
         """Evaluate l, raising MissingL when no companion was supplied."""
@@ -75,6 +107,7 @@ def entropy_spec() -> ImpuritySpec:
         f=_entropy_f_scalar,
         l=lambda x: -math.log2(x),
         _f_arr=_entropy_f_array,
+        _f_prime_arr=_entropy_f_prime,
     )
 
 
@@ -85,6 +118,7 @@ def gini_spec() -> ImpuritySpec:
         f=_gini_f,
         l=lambda x: 1.0 - x,
         _f_arr=_gini_f,
+        _f_prime_arr=lambda x: 1.0 - 2.0 * x,
     )
 
 
@@ -107,9 +141,4 @@ def custom_spec(f: Callable[[float], float],
         if lhs < rhs - _CONCAVITY_TOL:
             raise ConcavityViolation(float(ai), float(bi), float(li),
                                      float(rhs - lhs))
-    return ImpuritySpec(
-        kind="custom",
-        f=f,
-        l=l,
-        _f_arr=np.vectorize(f, otypes=[float]),
-    )
+    return ImpuritySpec(kind="custom", f=f, l=l)

@@ -5,8 +5,9 @@ Three input formats:
   counts          same layout, nonnegative counts, normalized by the total
   sparse_triplets lines "row,col,value" (0-based), missing entries are zero
 
-Rows with zero total mass are dropped with an IngestWarning carrying their
-0-based indices. A dense CSV written by `emit` reads back bit-exactly.
+NaN or infinite entries are rejected. Rows with zero total mass are dropped
+with an IngestWarning carrying their 0-based indices. A dense CSV written by
+`emit` reads back bit-exactly.
 """
 
 import warnings
@@ -20,7 +21,7 @@ from .errors import (
     ParseError,
     ZeroTotal,
 )
-from .prob import NORMALIZATION_TOL, JointDistribution
+from .prob import NORMALIZATION_TOL, JointDistribution, check_entries
 
 FORMATS = ("dense_csv", "counts", "sparse_triplets")
 
@@ -84,7 +85,8 @@ def ingest(path, input_format: str = "dense_csv") -> JointDistribution:
 
     Values already summing to 1 (within 1e-9) are taken verbatim so emitted
     files round-trip bit-exactly; otherwise the matrix is divided by its
-    total. Zero-mass rows are dropped with an IngestWarning.
+    total. NaN/inf entries raise NonFinite; zero-mass rows are dropped with an
+    IngestWarning.
     """
     if input_format not in FORMATS:
         raise ValueError(f"unknown format {input_format!r}, expected one of {FORMATS}")
@@ -94,10 +96,7 @@ def ingest(path, input_format: str = "dense_csv") -> JointDistribution:
         arr = _read_dense(path)
     if arr.shape[1] < 2:
         raise DimensionMismatch(f"need at least 2 columns, got {arr.shape[1]}")
-    neg = np.argwhere(arr < 0.0)
-    if neg.size:
-        j, i = neg[0]
-        raise NegativeEntry((int(j), int(i)), float(arr[j, i]))
+    check_entries(arr)
     keep = arr.sum(axis=1) > 0.0
     dropped = np.flatnonzero(~keep)
     if dropped.size:

@@ -16,6 +16,7 @@ from .errors import (
     KTooSmall,
     LabelOutOfRange,
     NegativeEntry,
+    NonFinite,
     ZeroRow,
     ZeroTotal,
 )
@@ -29,12 +30,34 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_entries(arr: np.ndarray) -> None:
+    """Reject NaN/inf entries, then negative ones, naming the first (row, col)."""
+    for bad, error in ((~np.isfinite(arr), NonFinite), (arr < 0.0, NegativeEntry)):
+        hits = np.argwhere(bad)
+        if hits.size:
+            j, i = hits[0]
+            raise error((int(j), int(i)), float(arr[j, i]))
+
+
+def aggregate(p: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """k x N matrix whose row z sums the rows p[j] with assignment[j] == z.
+
+    An unused label gets a zero row. One weighted bincount per column; each
+    adds the rows one by one in row order, so the sums are reproducible bit
+    for bit and equal a sequential scatter-add.
+    """
+    out = np.empty((k, p.shape[1]))
+    for i in range(p.shape[1]):
+        out[:, i] = np.bincount(assignment, weights=p[:, i], minlength=k)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """An M x N joint probability matrix with strictly positive row masses.
 
-    Invariants enforced at construction: all entries >= 0, the total is 1
-    within 1e-9, every row mass is positive, and N >= 2.
+    Invariants enforced at construction: all entries finite and >= 0, the
+    total is 1 within 1e-9, every row mass is positive, and N >= 2.
     """
 
     p: np.ndarray
@@ -48,10 +71,7 @@ class JointDistribution:
             raise DimensionMismatch("need at least one data point row")
         if n < 2:
             raise DimensionMismatch(f"need at least two class columns, got {n}")
-        neg = np.argwhere(p < 0.0)
-        if neg.size:
-            j, i = neg[0]
-            raise NegativeEntry((int(j), int(i)), float(p[j, i]))
+        check_entries(p)
         total = float(p.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidDistribution(
@@ -88,8 +108,8 @@ class JointDistribution:
 def build_joint(raw) -> JointDistribution:
     """Normalize a nonnegative count or weight matrix into a JointDistribution.
 
-    Rejects negative entries, an all-zero matrix, and any all-zero row, naming
-    the offending index in each case.
+    Rejects NaN/inf and negative entries, an all-zero matrix, and any all-zero
+    row, naming the offending index in each case.
     """
     arr = np.array(raw, dtype=float)
     if arr.ndim != 2:
@@ -97,10 +117,7 @@ def build_joint(raw) -> JointDistribution:
     if arr.shape[0] < 1 or arr.shape[1] < 2:
         raise DimensionMismatch(
             f"need at least 1 row and 2 columns, got shape {arr.shape}")
-    neg = np.argwhere(arr < 0.0)
-    if neg.size:
-        j, i = neg[0]
-        raise NegativeEntry((int(j), int(i)), float(arr[j, i]))
+    check_entries(arr)
     total = float(arr.sum())
     if total <= 0.0:
         raise ZeroTotal("matrix total is zero")
@@ -172,15 +189,12 @@ def compute_stats(jd: JointDistribution, part: Partition,
     if a.shape[0] != jd.n_rows:
         raise DimensionMismatch(
             f"assignment length {a.shape[0]} != {jd.n_rows} data points")
-    k, n = part.k, jd.n_cols
-    pxz = np.zeros((k, n))
-    np.add.at(pxz, a, jd.p)
+    pxz = aggregate(jd.p, a, part.k)
     pz = pxz.sum(axis=1)
     nonempty = pz > 0.0
     px_given_z = np.zeros_like(pxz)
     px_given_z[nonempty] = pxz[nonempty] / pz[nonempty, None]
-    per = np.zeros(k)
-    per[nonempty] = pz[nonempty] * f.f_values(px_given_z[nonempty]).sum(axis=1)
+    per = f.weighted(pxz)
     return PartitionStats(
         pz=_frozen(pz),
         pxz=_frozen(pxz),

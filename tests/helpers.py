@@ -50,6 +50,29 @@ def stats_reference(p, assignment, k, f_scalar):
     return impurity, e
 
 
+def divergence_reference(cond, q, kind):
+    """M x K divergence of each point row of cond to each centroid row of q.
+
+    KL in bits for kind "entropy" (+inf where q is 0 under positive mass),
+    squared Euclidean distance for kind "gini". Builds the full M x K x N
+    tensor, so keep instances small.
+    """
+    c = cond[:, None, :]
+    if kind == "entropy":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logc = np.log2(np.where(c > 0.0, c, 1.0))
+            raw = c * (logc - np.log2(q)[None, :, :])
+        return np.where(c > 0.0, raw, 0.0).sum(axis=2)
+    return ((c - q[None, :, :]) ** 2).sum(axis=2)
+
+
+def sparse_rows(rng, m, n, density=0.3):
+    """m x n nonnegative rows with many exact zeros, normalized to sum to 1."""
+    raw = rng.random((m, n)) * (rng.random((m, n)) < density)
+    raw[np.arange(m), rng.integers(0, n, size=m)] += rng.random(m) + 0.01
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
 def mutual_information_uniform(channel) -> float:
     """I(X;Z) in bits for a column-stochastic channel under uniform input."""
     a = np.asarray(channel, dtype=float)

@@ -25,13 +25,16 @@ from impuritypart import (
     max_likelihood_partition,
     projection_masks,
 )
+from impuritypart.algorithms import _divergences
 
 from helpers import (
     all_assignment_e_values,
+    divergence_reference,
     dyadic_joint,
     leq,
     random_joint,
     random_partition,
+    sparse_rows,
 )
 
 ENT = entropy_spec()
@@ -358,6 +361,35 @@ class TestIterativeRefine:
                                           b.partition.assignment)
             imps = trace_impurities(a)
             assert all(leq(y, x) for x, y in zip(imps, imps[1:]))
+
+
+class TestBregmanScore:
+    @pytest.mark.parametrize("spec", [ENT, GINI], ids=["entropy", "gini"])
+    def test_picks_reference_centroid_on_sparse_instances(self, spec):
+        rng = np.random.default_rng(58)
+        compared = blocked = 0
+        for _ in range(40):
+            m, n, k = (int(rng.integers(lo, hi))
+                       for lo, hi in ((5, 60), (2, 9), (1, 8)))
+            cond = sparse_rows(rng, m, n)
+            q = sparse_rows(rng, k, n, density=0.4)
+            score = _divergences(cond, q, spec)
+            ref = divergence_reference(cond, q, spec.kind)
+            assert score.shape == (m, k)
+            assert not np.isnan(score).any()
+            # centroids with q = 0 under a point's positive mass score +inf
+            np.testing.assert_array_equal(np.isinf(score), np.isinf(ref))
+            assert (score[np.isinf(score)] > 0).all()
+            blocked += int(np.isinf(ref).sum())
+            for row_score, row_ref in zip(score, ref):
+                order = np.sort(row_ref)
+                if np.isinf(order[0]) or (k > 1 and order[1] - order[0] <= 1e-9):
+                    continue
+                assert np.argmin(row_score) == np.argmin(row_ref)
+                compared += 1
+        assert compared > 200
+        if spec is ENT:
+            assert blocked > 0
 
 
 class TestExhaustiveOracle:

@@ -229,6 +229,15 @@ class TestMainExitCodes:
                      "--output", str(out)])
         assert code == 3
 
+    def test_non_finite_input_is_3(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1,1\nnan,1\n")
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--format", "counts", "--k", "2",
+                     "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+
     def test_all_failed_is_4(self, tmp_path):
         data = tmp_path / "data.csv"
         write_counts(data, np.eye(3, dtype=int))

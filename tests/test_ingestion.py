@@ -1,11 +1,14 @@
 """File ingestion formats, round-tripping, and error reporting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from impuritypart import (
     IngestWarning,
     NegativeEntry,
+    NonFinite,
     ParseError,
     ZeroTotal,
     emit,
@@ -75,6 +78,24 @@ class TestZeroRows:
         with pytest.warns(IngestWarning):
             with pytest.raises(ZeroTotal):
                 ingest(path, "counts")
+
+
+class TestNonFinite:
+    def test_nan_row_rejected_not_dropped(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("1,1\nnan,1\n2,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IngestWarning)
+            with pytest.raises(NonFinite) as info:
+                ingest(path, "counts")
+        assert info.value.index == (1, 0)
+
+    def test_inf_triplet_rejected(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("0,0,1\n1,1,inf\n")
+        with pytest.raises(NonFinite) as info:
+            ingest(path, "sparse_triplets")
+        assert info.value.index == (1, 1)
 
 
 class TestErrors:

@@ -10,6 +10,7 @@ from impuritypart import (
     KTooSmall,
     LabelOutOfRange,
     NegativeEntry,
+    NonFinite,
     Partition,
     ZeroRow,
     ZeroTotal,
@@ -18,6 +19,7 @@ from impuritypart import (
     entropy_spec,
     gini_spec,
 )
+from impuritypart.prob import aggregate
 
 from helpers import leq, random_joint, random_partition, stats_reference
 
@@ -50,6 +52,26 @@ class TestBuildJoint:
             build_joint([[1], [2]])  # one column
         with pytest.raises(DimensionMismatch):
             build_joint([1, 2, 3])  # not 2-D
+
+
+class TestNonFiniteInput:
+    def test_nan_entry_names_the_index(self):
+        with pytest.raises(NonFinite) as info:
+            build_joint([[1, np.nan], [1, 1]])
+        assert info.value.index == (0, 1)
+
+    def test_inf_entry_is_not_reported_as_zero_row(self):
+        with pytest.raises(NonFinite) as info:
+            build_joint([[1, np.inf], [1, 1]])
+        assert info.value.index == (0, 1)
+        with pytest.raises(NonFinite):
+            build_joint([[1, 1], [-np.inf, 1]])
+
+    def test_joint_distribution_rejects_nan(self):
+        # a NaN joint would reach the algorithms and report impurity 0.0
+        with pytest.raises(NonFinite) as info:
+            JointDistribution(np.array([[0.5, 0.25], [np.nan, 0.25]]))
+        assert info.value.index == (1, 0)
 
 
 class TestJointDistribution:
@@ -145,6 +167,25 @@ class TestComputeStats:
                            - stats.per_partition_impurity.sum()) <= 1e-9
                 assert 1.0 / n - 1e-12 <= stats.e_q <= 1.0 + 1e-12
                 assert stats.impurity >= 0.0
+
+
+class TestAggregate:
+    def test_bitwise_equal_to_add_at(self):
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            m = int(rng.integers(1, 300))
+            n = int(rng.integers(2, 9))
+            used = rng.choice(12, size=int(rng.integers(1, 6)), replace=False)
+            labels = rng.choice(used, size=m)
+            # labels come from a subset of 0..11, so some stay empty, and k
+            # runs up to three past the largest label
+            k = int(labels.max()) + 1 + trial % 4
+            p = rng.random((m, n)) ** 3
+            expected = np.zeros((k, n))
+            np.add.at(expected, labels, p)
+            got = aggregate(p, labels, k)
+            assert got.shape == (k, n)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestMergeSplitMonotonicity:
