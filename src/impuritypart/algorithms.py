@@ -10,6 +10,11 @@ Traces, when present, are lists of dict events. Every event carries
 moved points, and whether the single-point fallback fired. Merge events add
 the merged pair, its loss, and the full list of evaluated (i, j, loss)
 candidates. Refinement events add the number of reassigned points.
+
+greedy_split and greedy_merge run the generators split_states and
+merge_states to k. Their decisions do not depend on k, so one trajectory
+serves a whole sweep of k, and each round updates only the partitions it
+touches, bitwise equal to recomputing the statistics from scratch.
 """
 
 import itertools
@@ -35,6 +40,7 @@ from .prob import (
     PartitionStats,
     aggregate,
     compute_stats,
+    stats_from_pxz,
 )
 
 DEFAULT_MASK_BUDGET = 1 << 20
@@ -118,6 +124,161 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
                       masks_evaluated=n_masks)
 
 
+@dataclass(frozen=True, eq=False)
+class GreedyState:
+    """One step of a greedy split or merge trajectory.
+
+    `assignment` labels every point in [0, labels); `pxz` holds the labels'
+    joint rows and `own` their weighted impurities, bitwise what
+    compute_stats gives for the same assignment. Split states may carry empty
+    labels; merge states never do. `event` is the trace event that produced
+    the state, without its "impurity". The arrays belong to the generator and
+    may change when it resumes: copy what must outlive the next step.
+    """
+
+    assignment: np.ndarray
+    pxz: np.ndarray
+    own: np.ndarray
+    event: dict
+
+    @property
+    def labels(self) -> int:
+        return self.pxz.shape[0]
+
+    def result(self, k: int, f: ImpuritySpec, masks_evaluated: int,
+               trace: Optional[list] = None) -> AlgoResult:
+        """The state as a k-label result (k >= labels); its statistics are
+        those of pxz zero-padded to k rows, as compute_stats gives them."""
+        pxz = np.zeros((k, self.pxz.shape[1]))
+        pxz[:self.labels] = self.pxz
+        stats = stats_from_pxz(pxz, f)
+        return AlgoResult(Partition(self.assignment, k), stats,
+                          e_max_achieved=stats.e_q,
+                          masks_evaluated=masks_evaluated, trace=trace)
+
+
+def _padded_total(own: np.ndarray, k: int) -> float:
+    """own summed as compute_stats sums a k-label partition's impurity."""
+    per = np.zeros(k)
+    per[:own.size] = own
+    return float(per.sum())
+
+
+def check_split_k(n: int, k: int) -> None:
+    """Raise KNotGreaterThanN unless greedy_split serves k, that is k > n."""
+    if k <= n:
+        raise KNotGreaterThanN(f"need k > {n} classes, got k={k}")
+
+
+def check_merge_k(n: int, k: int) -> None:
+    """Raise KNotLessThanN unless greedy_merge serves k, that is k < n."""
+    if k >= n:
+        raise KNotLessThanN(f"need k < {n} classes, got k={k}")
+
+
+def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
+    """Generate the greedy split trajectory from the likelihood result `base`.
+
+    The first state is base itself with its n labels, then each round adds
+    one label (see greedy_split for the rule). The decisions do not depend on
+    a target k, so one trajectory serves every k. When no partition has two
+    points, a final "stop" state repeats the last partition and the
+    generator ends. A round re-aggregates only the source partition's
+    members and rescores two rows: O(|source| N) plus an O(M) label scan.
+    `assignment` is updated in place; pxz and own are new arrays each round.
+    """
+    p = jd.p
+    assignment = np.array(base.partition.assignment)
+    pxz = np.array(base.stats.pxz)
+    own = np.array(base.stats.per_partition_impurity)
+    counts = np.bincount(assignment, minlength=pxz.shape[0])
+    yield GreedyState(assignment, pxz, own, {"event": "init"})
+    while True:
+        order = np.argsort(-own, kind="stable")
+        source = next((int(c) for c in order if counts[c] >= 2), None)
+        if source is None:
+            yield GreedyState(assignment, pxz, own,
+                              {"event": "stop",
+                               "reason": "no partition with 2+ points"})
+            return
+        # the row sum as stats_from_pxz takes it, so cond is bitwise its
+        # px_given_z row
+        cond = pxz[source] / pxz[source:source + 1].sum(axis=1)[0]
+        j_star = int(np.argmax(cond))
+        members = np.flatnonzero(assignment == source)
+        attribution = p[members, j_star] / jd.row_masses[members]
+        move = attribution > cond[j_star]
+        fallback = not bool(move.any())
+        if fallback:
+            move[int(np.argmax(attribution))] = True
+        target = pxz.shape[0]
+        assignment[members[move]] = target
+        halves = aggregate(p[members], move, 2)
+        pxz = np.vstack([pxz, halves[1:]])
+        pxz[source] = halves[0]
+        own = np.append(own, 0.0)
+        own[[source, target]] = f.weighted(halves)
+        moved = int(move.sum())
+        counts = np.append(counts, moved)
+        counts[source] -= moved
+        yield GreedyState(assignment, pxz, own,
+                          {"event": "split", "source": source, "target": target,
+                           "moved": moved, "fallback": fallback})
+
+
+def _pair_losses(pxz: np.ndarray, own: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, f: ImpuritySpec) -> np.ndarray:
+    """Impurity loss of merging partitions rows[t] < cols[t], for each t."""
+    return f.weighted(pxz[rows] + pxz[cols]) - own[rows] - own[cols]
+
+
+def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
+    """Generate the greedy merge trajectory from the likelihood result `base`.
+
+    The first state is base with its nonempty labels renumbered densely; each
+    further state merges the cheapest pair (see greedy_merge for the rule),
+    down to a single partition. Merge events carry "losses", the count x
+    count matrix of pair losses the merge chose from (+inf off the upper
+    triangle). Scoring every pair costs O(count^2 N) once. After a merge
+    only the merged partition's members are re-aggregated and only its row
+    and column of losses are rescored, O(count N); the relabelling is O(M)
+    and the argmin and matrix deletions touch O(count^2) floats.
+    """
+    p = jd.p
+    used = np.flatnonzero(np.bincount(base.partition.assignment,
+                                      minlength=base.partition.k) > 0)
+    remap = np.full(base.partition.k, -1, dtype=np.intp)
+    remap[used] = np.arange(used.size)
+    assignment = remap[base.partition.assignment]
+    pxz = base.stats.pxz[used]
+    own = base.stats.per_partition_impurity[used]
+    count = int(used.size)
+    losses = np.full((count, count), np.inf)
+    rows, cols = np.triu_indices(count, 1)
+    losses[rows, cols] = _pair_losses(pxz, own, rows, cols, f)
+    yield GreedyState(assignment, pxz, own, {"event": "init"})
+    while count > 1:
+        # row-major argmin over the upper triangle keeps the first
+        # lowest-loss pair in (i, j) lexicographic order
+        i, j = divmod(int(np.argmin(losses)), count)
+        event = {"event": "merge", "merged": [i, j],
+                 "delta": float(losses[i, j]), "losses": losses}
+        assignment = np.where(assignment == j, i, assignment)
+        assignment = np.where(assignment > j, assignment - 1, assignment)
+        count -= 1
+        members = np.flatnonzero(assignment == i)
+        pxz = np.delete(pxz, j, axis=0)
+        pxz[i] = aggregate(p[members], np.zeros(members.size, dtype=np.intp), 1)[0]
+        own = np.delete(own, j)
+        own[i] = f.weighted(pxz[i:i + 1])[0]
+        losses = np.delete(np.delete(losses, j, axis=0), j, axis=1)
+        before = np.arange(i)
+        after = np.arange(i + 1, count)
+        losses[before, i] = _pair_losses(pxz, own, before, np.full(i, i), f)
+        losses[i, after] = _pair_losses(pxz, own, np.full(after.size, i), after, f)
+        yield GreedyState(assignment, pxz, own, event)
+
+
 def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     """Likelihood partition followed by k - n impurity-guided splits (k > n).
 
@@ -127,42 +288,19 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     the partition's own conditional into a fresh label. When the threshold
     moves nothing, the single member with the largest conditional moves
     instead; when no partition has two points, the remaining labels stay
-    empty. Total impurity never increases across rounds.
+    empty. Total impurity never increases across rounds. Runs split_states
+    to k labels: one likelihood run, then per round O(|source| N) work and an
+    O(M) label scan.
     """
     n = jd.n_cols
-    if k <= n:
-        raise KNotGreaterThanN(f"need k > {n} classes, got k={k}")
+    check_split_k(n, k)
     base = max_likelihood_partition(jd, n, f)
-    assignment = np.array(base.partition.assignment)
-    stats = compute_stats(jd, Partition(assignment, k), f)
-    trace = [{"event": "init", "impurity": stats.impurity}]
-    next_label = n
-    for _ in range(k - n):
-        counts = np.bincount(assignment, minlength=k)
-        order = np.argsort(-stats.per_partition_impurity, kind="stable")
-        source = next((int(c) for c in order if counts[c] >= 2), None)
-        if source is None:
-            trace.append({"event": "stop", "reason": "no partition with 2+ points",
-                          "impurity": stats.impurity})
+    trace = []
+    for state in split_states(jd, base, f):
+        trace.append({**state.event, "impurity": _padded_total(state.own, k)})
+        if state.labels == k:
             break
-        j_star = int(np.argmax(stats.px_given_z[source]))
-        members = np.flatnonzero(assignment == source)
-        attribution = jd.p[members, j_star] / jd.row_masses[members]
-        threshold = float(stats.px_given_z[source, j_star])
-        move = attribution > threshold
-        fallback = not bool(move.any())
-        if fallback:
-            move = np.zeros(members.size, dtype=bool)
-            move[int(np.argmax(attribution))] = True
-        assignment[members[move]] = next_label
-        stats = compute_stats(jd, Partition(assignment, k), f)
-        trace.append({"event": "split", "source": source, "target": next_label,
-                      "moved": int(move.sum()), "fallback": fallback,
-                      "impurity": stats.impurity})
-        next_label += 1
-    part = Partition(assignment, k)
-    return AlgoResult(part, stats, e_max_achieved=stats.e_q,
-                      masks_evaluated=base.masks_evaluated, trace=trace)
+    return state.result(k, f, base.masks_evaluated, trace)
 
 
 def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
@@ -171,40 +309,28 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     Every pair of current nonempty partitions is scored by the impurity loss
     of merging them (nonnegative by concavity); the pair with the smallest
     loss merges, labels are renumbered densely, and the process repeats until
-    at most k nonempty partitions remain. Linear in the data size, quadratic
-    in the partition count, no approximation guarantee.
+    at most k nonempty partitions remain. Runs merge_states down to k: all
+    pairs are scored once, O(count^2 N), then each merge rescores O(count)
+    pairs, O(count N), and relabels in O(M). No approximation guarantee.
     """
     n = jd.n_cols
-    if k >= n:
-        raise KNotLessThanN(f"need k < {n} classes, got k={k}")
+    check_merge_k(n, k)
     base = max_likelihood_partition(jd, n, f)
-    used = np.flatnonzero(np.bincount(base.partition.assignment, minlength=n) > 0)
-    remap = np.full(n, -1, dtype=np.intp)
-    remap[used] = np.arange(used.size)
-    assignment = remap[base.partition.assignment]
-    count = int(used.size)
-    trace = [{"event": "init", "impurity": base.stats.impurity}]
-    while count > k:
-        pxz = aggregate(jd.p, assignment, count)
-        own = f.weighted(pxz)
-        # pairs in (i, j) lexicographic order, so argmin keeps the first
-        # lowest-loss pair
-        rows, cols = np.triu_indices(count, 1)
-        deltas = f.weighted(pxz[rows] + pxz[cols]) - own[rows] - own[cols]
-        best = int(np.argmin(deltas))
-        i, j = int(rows[best]), int(cols[best])
-        best_delta = float(deltas[best])
-        evaluated = list(zip(rows.tolist(), cols.tolist(), deltas.tolist()))
-        assignment = np.where(assignment == j, i, assignment)
-        assignment = np.where(assignment > j, assignment - 1, assignment)
-        count -= 1
-        after = compute_stats(jd, Partition(assignment, count), f)
-        trace.append({"event": "merge", "merged": [i, j], "delta": best_delta,
-                      "evaluated": evaluated, "impurity": after.impurity})
-    part = Partition(assignment, k)
-    stats = compute_stats(jd, part, f)
-    return AlgoResult(part, stats, e_max_achieved=stats.e_q,
-                      masks_evaluated=base.masks_evaluated, trace=trace)
+    trace = []
+    for state in merge_states(jd, base, f):
+        if state.event["event"] == "init":
+            trace.append({"event": "init", "impurity": base.stats.impurity})
+        else:
+            losses = state.event["losses"]
+            rows, cols = np.triu_indices(losses.shape[0], 1)
+            trace.append({"event": "merge", "merged": state.event["merged"],
+                          "delta": state.event["delta"],
+                          "evaluated": list(zip(rows.tolist(), cols.tolist(),
+                                                losses[rows, cols].tolist())),
+                          "impurity": float(state.own.sum())})
+        if state.labels <= k:
+            break
+    return state.result(k, f, base.masks_evaluated, trace)
 
 
 def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray:

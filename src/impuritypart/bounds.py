@@ -117,16 +117,19 @@ def fano_bound(e_q: float, n: int) -> float:
 def boyd_chiang_bound(channel) -> float:
     """Capacity upper bound log2(sum over outputs of the largest column entry).
 
-    `channel` is a K x N matrix with entry (k, i) = p(z_k | x_i); each column
-    (an input's transition law) must sum to 1 within 1e-9. The bound assumes a
-    uniform input and dominates the uniform-input mutual information.
+    `channel` is a K x N matrix with entry (k, i) = p(z_k | x_i); entries
+    must be finite and nonnegative, and each column (an input's transition
+    law) must sum to 1 within 1e-9. The bound assumes a uniform input and
+    dominates the uniform-input mutual information.
     """
     a = np.asarray(channel, dtype=float)
     if a.ndim != 2:
         raise NotAChannel(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if (a < 0.0).any():
-        k, i = np.argwhere(a < 0.0)[0]
-        raise NotAChannel(f"negative entry at ({int(k)}, {int(i)})")
+    for bad, what in ((~np.isfinite(a), "non-finite"), (a < 0.0, "negative")):
+        hits = np.argwhere(bad)
+        if hits.size:
+            k, i = hits[0]
+            raise NotAChannel(f"{what} entry at ({int(k)}, {int(i)})")
     col = a.sum(axis=0)
     bad = np.flatnonzero(np.abs(col - 1.0) > _DOMAIN_TOL)
     if bad.size:

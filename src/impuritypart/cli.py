@@ -18,11 +18,17 @@ from dataclasses import dataclass
 
 from .algorithms import (
     DEFAULT_MASK_BUDGET,
+    check_merge_k,
+    check_split_k,
     exhaustive_oracle,
-    greedy_merge,
-    greedy_split,
+    # not called here; perfbench/tracing.py patches cli.greedy_merge and
+    # cli.greedy_split by name, so they stay importable from this module
+    greedy_merge,  # noqa: F401
+    greedy_split,  # noqa: F401
     iterative_refine,
     max_likelihood_partition,
+    merge_states,
+    split_states,
 )
 from .bounds import approximation_ratio, fano_bound, lower_bound, upper_bound
 from .errors import ImpurityPartError, IngestWarning
@@ -73,25 +79,75 @@ class RunConfig:
             raise ValueError("mask_budget must be >= 1")
 
 
-def _dispatch(config: RunConfig, jd, k, f):
-    """Resolve 'auto' and run the chosen algorithm, returning (name, result)."""
-    name = config.algorithm
-    if name == "auto":
-        if k > jd.n_cols:
-            name = "greedy_split"
-        elif k == jd.n_cols:
-            name = "ml"
-        else:
-            name = "greedy_merge"
-    if name == "ml":
-        result = max_likelihood_partition(jd, k, f, mask_budget=config.mask_budget)
-    elif name == "greedy_split":
-        result = greedy_split(jd, k, f)
-    elif name == "greedy_merge":
-        result = greedy_merge(jd, k, f)
-    else:
-        result = exhaustive_oracle(jd, k, f)
-    return name, result
+def _resolve(algorithm, k, n):
+    """The algorithm that serves k: 'auto' picks by k against the n classes."""
+    if algorithm != "auto":
+        return algorithm
+    if k > n:
+        return "greedy_split"
+    return "ml" if k == n else "greedy_merge"
+
+
+def _walk(states, ks, reached):
+    """Advance one greedy trajectory through ks in order, yielding (k, state)
+    with the first state that reached(state, k), or the last state if the
+    trajectory ends first."""
+    state = next(states)
+    for k in ks:
+        while not reached(state, k):
+            following = next(states, None)
+            if following is None:
+                break
+            state = following
+        yield k, state
+
+
+def _outcomes(config: RunConfig, jd, f):
+    """Yield (k, algorithm name, AlgoResult or the ImpurityPartError raised)
+    once for every k of the sweep, in the order they are computed.
+
+    ml and oracle run once per k. The greedy k share one trajectory per
+    algorithm: merge walks down and split walks up from one likelihood run
+    at k = N, which also serves an 'auto' record at k = N.
+    """
+    lo, hi = config.k
+    n = jd.n_cols
+    likelihood = {}
+
+    def ml(k):
+        if k not in likelihood:
+            likelihood[k] = max_likelihood_partition(
+                jd, k, f, mask_budget=config.mask_budget)
+        return likelihood[k]
+
+    merge_ks, split_ks = [], []
+    for k in range(lo, hi + 1):
+        name = _resolve(config.algorithm, k, n)
+        try:
+            if name == "ml":
+                result = ml(k)
+            elif name == "oracle":
+                result = exhaustive_oracle(jd, k, f)
+            elif name == "greedy_merge":
+                check_merge_k(n, k)
+                merge_ks.append(k)
+                continue
+            else:
+                check_split_k(n, k)
+                split_ks.append(k)
+                continue
+        except ImpurityPartError as exc:
+            result = exc
+        yield k, name, result
+    for name, states, ks, reached in (
+            ("greedy_merge", merge_states, merge_ks[::-1],
+             lambda state, k: state.labels <= k),
+            ("greedy_split", split_states, split_ks,
+             lambda state, k: state.labels >= k)):
+        if ks:
+            base = ml(n)
+            for k, state in _walk(states(jd, base, f), ks, reached):
+                yield k, name, state.result(k, f, base.masks_evaluated)
 
 
 def _empty_record(k):
@@ -100,11 +156,15 @@ def _empty_record(k):
     return record
 
 
-def _record_for_k(config: RunConfig, jd, k, f):
+def _record(config: RunConfig, jd, f, k, name, result):
+    """The report record of one k, refining the result first if asked.
+
+    wall_ms is left for the caller to fill in.
+    """
     record = _empty_record(k)
-    start = time.perf_counter()
     try:
-        name, result = _dispatch(config, jd, k, f)
+        if isinstance(result, ImpurityPartError):
+            raise result
         e_max = result.e_max_achieved
         masks = result.masks_evaluated
         if config.refine:
@@ -114,7 +174,6 @@ def _record_for_k(config: RunConfig, jd, k, f):
             name += "+refine"
     except ImpurityPartError as exc:
         record["error"] = f"{type(exc).__name__}: {exc}"
-        record["wall_ms"] = (time.perf_counter() - start) * 1000.0
         return record
     stats = result.stats
     n = jd.n_cols
@@ -129,7 +188,6 @@ def _record_for_k(config: RunConfig, jd, k, f):
         "fano": fano_bound(stats.e_q, n) if f.kind == "entropy" else None,
         "masks_evaluated": masks,
         "n_nonempty": stats.n_nonempty,
-        "wall_ms": (time.perf_counter() - start) * 1000.0,
     })
     if config.emit_assignment:
         record["assignment"] = [int(label) for label in result.partition.assignment]
@@ -168,7 +226,15 @@ def run(config: RunConfig) -> dict:
             dropped.extend(item.message.dropped_rows)
     f = entropy_spec() if config.impurity == "entropy" else gini_spec()
     lo, hi = config.k
-    records = [_record_for_k(config, jd, k, f) for k in range(lo, hi + 1)]
+    records = []
+    mark = time.perf_counter()
+    for k, name, result in _outcomes(config, jd, f):
+        record = _record(config, jd, f, k, name, result)
+        now = time.perf_counter()
+        record["wall_ms"] = (now - mark) * 1000.0
+        mark = now
+        records.append(record)
+    records.sort(key=lambda record: record["k"])
     report = {
         "schema": SCHEMA,
         "config": {

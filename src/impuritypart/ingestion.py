@@ -10,6 +10,7 @@ with an IngestWarning carrying their 0-based indices. A dense CSV written by
 `emit` reads back bit-exactly.
 """
 
+import array
 import warnings
 
 import numpy as np
@@ -27,8 +28,10 @@ FORMATS = ("dense_csv", "counts", "sparse_triplets")
 
 
 def _read_dense(path):
-    rows = []
+    # one flat buffer of doubles (8 B per value), reshaped once at the end
+    values = array.array("d")
     width = None
+    n_rows = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -36,18 +39,18 @@ def _read_dense(path):
                 continue
             tokens = line.split(",")
             try:
-                values = [float(tok) for tok in tokens]
+                values.extend(map(float, tokens))
             except ValueError:
                 raise ParseError(lineno, f"not a number in {line!r}") from None
             if width is None:
-                width = len(values)
-            elif len(values) != width:
+                width = len(tokens)
+            elif len(tokens) != width:
                 raise ParseError(lineno,
-                                 f"expected {width} columns, got {len(values)}")
-            rows.append(values)
-    if not rows:
+                                 f"expected {width} columns, got {len(tokens)}")
+            n_rows += 1
+    if not n_rows:
         raise ParseError(0, "file contains no data rows")
-    return np.array(rows, dtype=float)
+    return np.frombuffer(values, dtype=float).reshape(n_rows, width)
 
 
 def _read_triplets(path):

@@ -178,18 +178,13 @@ class PartitionStats:
         return int(np.count_nonzero(self.nonempty))
 
 
-def compute_stats(jd: JointDistribution, part: Partition,
-                  f: ImpuritySpec) -> PartitionStats:
-    """Aggregate a partition into its statistics under impurity f.
+def stats_from_pxz(pxz: np.ndarray, f: ImpuritySpec) -> PartitionStats:
+    """Statistics of a partition given its k x N joint p(x, z).
 
-    Accumulation runs in row order so results are reproducible bit-for-bit
-    for a fixed input.
+    Every quantity is computed from pxz row by row, except the totals impurity
+    and e_q, whose sums run over all k rows (zero rows included). pxz itself
+    becomes the read-only `pxz` field of the result.
     """
-    a = part.assignment
-    if a.shape[0] != jd.n_rows:
-        raise DimensionMismatch(
-            f"assignment length {a.shape[0]} != {jd.n_rows} data points")
-    pxz = aggregate(jd.p, a, part.k)
     pz = pxz.sum(axis=1)
     nonempty = pz > 0.0
     px_given_z = np.zeros_like(pxz)
@@ -204,3 +199,17 @@ def compute_stats(jd: JointDistribution, part: Partition,
         impurity=float(per.sum()),
         e_q=float(pxz.max(axis=1).sum()),
     )
+
+
+def compute_stats(jd: JointDistribution, part: Partition,
+                  f: ImpuritySpec) -> PartitionStats:
+    """Aggregate a partition into its statistics under impurity f.
+
+    Accumulation runs in row order so results are reproducible bit-for-bit
+    for a fixed input.
+    """
+    a = part.assignment
+    if a.shape[0] != jd.n_rows:
+        raise DimensionMismatch(
+            f"assignment length {a.shape[0]} != {jd.n_rows} data points")
+    return stats_from_pxz(aggregate(jd.p, a, part.k), f)

@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 
-from impuritypart import JointDistribution, Partition, build_joint
+from impuritypart import (
+    JointDistribution,
+    Partition,
+    build_joint,
+    compute_stats,
+    max_likelihood_partition,
+)
+from impuritypart.prob import aggregate
 
 
 def random_joint(rng, m, n) -> JointDistribution:
@@ -64,6 +71,69 @@ def divergence_reference(cond, q, kind):
             raw = c * (logc - np.log2(q)[None, :, :])
         return np.where(c > 0.0, raw, 0.0).sum(axis=2)
     return ((c - q[None, :, :]) ** 2).sum(axis=2)
+
+
+def greedy_reference(jd, k, f, algorithm):
+    """(assignment, stats, trace) of greedy_split or greedy_merge, from scratch.
+
+    The plain loops the incremental trajectories replace: every split round
+    recomputes the statistics of the whole partition, and every merge round
+    aggregates all points and scores every pair again. The valid k ranges are
+    assumed (k > N to split, k < N to merge).
+    """
+    n = jd.n_cols
+    base = max_likelihood_partition(jd, n, f)
+    if algorithm == "greedy_split":
+        assignment = np.array(base.partition.assignment)
+        stats = compute_stats(jd, Partition(assignment, k), f)
+        trace = [{"event": "init", "impurity": stats.impurity}]
+        next_label = n
+        for _ in range(k - n):
+            counts = np.bincount(assignment, minlength=k)
+            order = np.argsort(-stats.per_partition_impurity, kind="stable")
+            source = next((int(c) for c in order if counts[c] >= 2), None)
+            if source is None:
+                trace.append({"event": "stop",
+                              "reason": "no partition with 2+ points",
+                              "impurity": stats.impurity})
+                break
+            j_star = int(np.argmax(stats.px_given_z[source]))
+            members = np.flatnonzero(assignment == source)
+            attribution = jd.p[members, j_star] / jd.row_masses[members]
+            move = attribution > float(stats.px_given_z[source, j_star])
+            fallback = not bool(move.any())
+            if fallback:
+                move = np.zeros(members.size, dtype=bool)
+                move[int(np.argmax(attribution))] = True
+            assignment[members[move]] = next_label
+            stats = compute_stats(jd, Partition(assignment, k), f)
+            trace.append({"event": "split", "source": source,
+                          "target": next_label, "moved": int(move.sum()),
+                          "fallback": fallback, "impurity": stats.impurity})
+            next_label += 1
+        return assignment, stats, trace
+    used = np.flatnonzero(np.bincount(base.partition.assignment, minlength=n) > 0)
+    remap = np.full(n, -1, dtype=np.intp)
+    remap[used] = np.arange(used.size)
+    assignment = remap[base.partition.assignment]
+    count = int(used.size)
+    trace = [{"event": "init", "impurity": base.stats.impurity}]
+    while count > k:
+        pxz = aggregate(jd.p, assignment, count)
+        own = f.weighted(pxz)
+        rows, cols = np.triu_indices(count, 1)
+        deltas = f.weighted(pxz[rows] + pxz[cols]) - own[rows] - own[cols]
+        best = int(np.argmin(deltas))
+        i, j = int(rows[best]), int(cols[best])
+        evaluated = list(zip(rows.tolist(), cols.tolist(), deltas.tolist()))
+        assignment = np.where(assignment == j, i, assignment)
+        assignment = np.where(assignment > j, assignment - 1, assignment)
+        count -= 1
+        after = compute_stats(jd, Partition(assignment, count), f)
+        trace.append({"event": "merge", "merged": [i, j],
+                      "delta": float(deltas[best]), "evaluated": evaluated,
+                      "impurity": after.impurity})
+    return assignment, compute_stats(jd, Partition(assignment, k), f), trace
 
 
 def sparse_rows(rng, m, n, density=0.3):

@@ -1,6 +1,7 @@
 """Partitioning algorithms against oracles and structural properties."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     all_assignment_e_values,
     divergence_reference,
     dyadic_joint,
+    greedy_reference,
     leq,
     random_joint,
     random_partition,
@@ -39,6 +41,7 @@ from helpers import (
 
 ENT = entropy_spec()
 GINI = gini_spec()
+SQRT = custom_spec(lambda x: math.sqrt(x) - x)
 
 
 def trace_impurities(result):
@@ -299,6 +302,64 @@ class TestGreedyMerge:
                 merged_imps.append(compute_stats(jd, Partition(a, 3), ENT).impurity)
             assert leq(res.stats.impurity, max(merged_imps))
             assert abs(res.stats.impurity - min(merged_imps)) <= 1e-9
+
+
+class TestGreedyTrajectories:
+    """The incremental split and merge trajectories against the from-scratch
+    loops of tests/helpers.greedy_reference: equal bit for bit."""
+
+    @staticmethod
+    def check(jd, k, spec, algorithm):
+        run = greedy_split if algorithm == "greedy_split" else greedy_merge
+        res = run(jd, k, spec)
+        assignment, stats, trace = greedy_reference(jd, k, spec, algorithm)
+        assert res.partition.k == k
+        assert res.partition.assignment.tolist() == assignment.tolist()
+        for name in ("pz", "pxz", "px_given_z", "nonempty",
+                     "per_partition_impurity"):
+            ours, theirs = getattr(res.stats, name), getattr(stats, name)
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes(), name
+        assert res.stats.impurity == stats.impurity
+        assert res.stats.e_q == stats.e_q == res.e_max_achieved
+        assert res.trace == trace
+        return res
+
+    def instances(self):
+        rng = np.random.default_rng(52)
+        for _ in range(6):
+            m = int(rng.integers(8, 60))
+            n = int(rng.integers(3, 7))
+            raw = rng.random((m, n)) ** 4 * (rng.random((m, n)) < 0.7)
+            raw[np.arange(m), rng.integers(0, n, size=m)] += 0.05
+            raw[:, 0] *= 1e-3  # class 0 rarely wins an argmax: unused labels
+            yield build_joint(raw)
+        # replicated rows: thresholds tie, so splits fall back to one point
+        yield build_joint(np.vstack([rng.integers(1, 9, size=(4, 3))] * 3))
+        yield build_joint(np.ones((5, 2)))
+        # three points cannot fill many labels: the split trajectory stops
+        yield build_joint([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+
+    @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
+    def test_split_and_merge_equal_reference(self, spec):
+        seen = set()
+        for jd in self.instances():
+            n = jd.n_cols
+            base = max_likelihood_partition(jd, n, spec)
+            if np.bincount(base.partition.assignment, minlength=n).min() == 0:
+                seen.add("unused class")
+            for k in range(1, n):
+                res = self.check(jd, k, spec, "greedy_merge")
+                if len(res.trace) == 1:  # k >= the base's nonempty count
+                    seen.add("no merge needed")
+            for k in range(n + 1, n + 12):
+                res = self.check(jd, k, spec, "greedy_split")
+                events = [e["event"] for e in res.trace]
+                if "stop" in events:
+                    seen.add("stop")
+                if any(e.get("fallback") for e in res.trace):
+                    seen.add("fallback")
+        assert seen == {"unused class", "no merge needed", "stop", "fallback"}
 
 
 class TestIterativeRefine:

@@ -1,6 +1,7 @@
 """Closed-form bounds, ratios, and capacity bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,14 @@ class TestBoydChiang:
             boyd_chiang_bound([[0.5, 0.5], [0.2, 0.2]])
         with pytest.raises(NotAChannel):
             boyd_chiang_bound([[1.5, 1.0], [-0.5, 0.0]])
+
+    def test_rejects_non_finite_entries(self):
+        # NaN passes both the sign and the column-sum comparisons
+        for channel, where in (([[math.nan, 0.5], [math.nan, 0.5]], "(0, 0)"),
+                               ([[1.0, 0.5], [0.0, math.inf]], "(1, 1)"),
+                               ([[1.0, -math.inf], [0.0, 0.5]], "(0, 1)")):
+            with pytest.raises(NotAChannel, match=re.escape(where)):
+                boyd_chiang_bound(channel)
 
 
 class TestDomainEdges:

@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from impuritypart import (
+    ImpurityPartError,
     RunConfig,
+    approximation_ratio,
     entropy_spec,
     exhaustive_oracle,
+    fano_bound,
+    gini_spec,
     greedy_merge,
     greedy_split,
+    ingest,
+    iterative_refine,
+    lower_bound,
     main,
     max_likelihood_partition,
     run,
+    upper_bound,
 )
 from impuritypart.cli import _parse_k
 
@@ -98,6 +106,64 @@ class TestRun:
             assert record["algorithm_used"] == name
             assert record["impurity"] == result.stats.impurity
             assert record["e_q"] == result.stats.e_q
+
+    @pytest.mark.parametrize("algorithm", ["auto", "greedy_split", "greedy_merge"])
+    @pytest.mark.parametrize("impurity", ["entropy", "gini"])
+    @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+    def test_sweep_records_match_per_k_calls(self, tmp_path, algorithm,
+                                             impurity, refine):
+        # one trajectory per sweep gives every k what a call for that k gives
+        rng = np.random.default_rng(75)
+        matrix = np.floor(60 * rng.random((300, 6)) ** 4).astype(int)
+        matrix[np.arange(300), rng.integers(1, 6, size=300)] += 1
+        matrix[:, 0] //= 4  # class 0 rarely wins an argmax
+        data = tmp_path / "data.csv"
+        write_counts(data, matrix)
+        config = RunConfig(input_path=str(data),
+                           output_path=str(tmp_path / "report.json"),
+                           input_format="counts", impurity=impurity, k=(1, 15),
+                           algorithm=algorithm, refine=refine, max_iters=20,
+                           emit_assignment=refine)
+        records = run(config)["records"]
+        jd = ingest(data, "counts")
+        f = entropy_spec() if impurity == "entropy" else gini_spec()
+        n = jd.n_cols
+        calls = {"ml": max_likelihood_partition, "greedy_split": greedy_split,
+                 "greedy_merge": greedy_merge}
+        assert [record["k"] for record in records] == list(range(1, 16))
+        columns = ("k", "algorithm_used", "impurity", "e_q", "e_max_achieved",
+                   "upper_u", "lower_l", "ratio_r", "fano", "masks_evaluated",
+                   "n_nonempty", "error")
+        for record in records:
+            del record["wall_ms"]
+            k = record["k"]
+            name = algorithm
+            if name == "auto":
+                name = "ml" if k == n else "greedy_split" if k > n else "greedy_merge"
+            expected = dict.fromkeys(columns, None)
+            expected["k"] = k
+            try:
+                result = calls[name](jd, k, f)
+            except ImpurityPartError as exc:
+                expected["error"] = f"{type(exc).__name__}: {exc}"
+                assert record == expected
+                continue
+            e_max, masks = result.e_max_achieved, result.masks_evaluated
+            if refine:
+                result = iterative_refine(jd, result.partition, f, 20)
+                name += "+refine"
+            stats = result.stats
+            expected.update({
+                "algorithm_used": name, "impurity": stats.impurity,
+                "e_q": stats.e_q, "e_max_achieved": e_max,
+                "upper_u": upper_bound(stats.e_q, n, f),
+                "lower_l": lower_bound(stats.e_q, f),
+                "ratio_r": approximation_ratio(e_max, n, f),
+                "fano": fano_bound(stats.e_q, n) if impurity == "entropy" else None,
+                "masks_evaluated": masks, "n_nonempty": stats.n_nonempty})
+            if refine:
+                expected["assignment"] = result.partition.assignment.tolist()
+            assert record == expected
 
     def test_oracle_and_refine_paths(self, tmp_path):
         rng = np.random.default_rng(72)

@@ -14,6 +14,7 @@ from impuritypart import (
     emit,
     ingest,
 )
+from impuritypart.ingestion import _read_dense
 
 from helpers import random_joint
 
@@ -105,6 +106,24 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             ingest(path, "dense_csv")
         assert info.value.line == 2
+
+    def test_dense_reader_values_and_messages(self, tmp_path):
+        # every value as float() parses its token; blank lines still count
+        # toward the line number in a ParseError
+        text = "0.1,1e-300,5e-324\n\n 2.5 ,0.30000000000000004,7\n"
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        expected = [[float(tok) for tok in line.split(",")]
+                    for line in text.splitlines() if line.strip()]
+        arr = _read_dense(path)
+        assert arr.shape == (2, 3)
+        assert arr.tobytes() == np.array(expected).tobytes()
+        for body, message in (("1,1\n\n1,oops\n", "line 3: not a number in '1,oops'"),
+                              ("1,1\n\n1,1,1\n", "line 3: expected 2 columns, got 3")):
+            path.write_text(body)
+            with pytest.raises(ParseError) as info:
+                ingest(path, "dense_csv")
+            assert str(info.value) == message
 
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "in.csv"
