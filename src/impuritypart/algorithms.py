@@ -47,6 +47,7 @@ DEFAULT_MASK_BUDGET = 1 << 20
 DEFAULT_ORACLE_CAP = 2_000_000
 
 _ORACLE_BLOCK = 1 << 16
+_TABLE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +95,16 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
     over the surviving entries, e is evaluated on the unprojected joint, and
     the best mask wins (first found on ties). Cost grows with C(n, k), capped
     by `mask_budget`.
+
+    Masks come in lexicographic order, so consecutive masks share a prefix
+    of columns. For each prefix depth the scan keeps every point's running
+    maximum and its label, and a mask recomputes only the depths past the
+    prefix it shares with the previous one. Its e then takes 1 + (n - k)
+    bincounts: one of each point's chosen entry, which gives every label its
+    own column's sum, and one per column outside the mask. The other columns
+    inside the mask can be skipped: each of their entries is at most the
+    chosen one in every point of the label, and rounded addition is
+    monotone, so their sums never exceed that label's own. Memory is O(k M).
     """
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
@@ -110,14 +121,35 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
             f"C({n}, {k}) = {n_masks} masks exceed budget {mask_budget}")
     best_e = -math.inf
     best_assignment = None
-    for mask in projection_masks(n, k):
-        # argmax over the mask's columns; a point whose surviving entries are
-        # all zero lands on the lowest-index active class.
-        local = np.argmax(p[:, mask], axis=1)
-        e = float(aggregate(p, local, k).max(axis=1).sum())
+    # row d: each point's largest entry among the mask's first d + 1 columns,
+    # and the position of its first occurrence (a point whose entries are all
+    # zero there keeps position 0, the lowest-index active class)
+    chosen = np.empty((k, jd.n_rows))
+    label = np.empty((k, jd.n_rows), dtype=np.intp)
+    previous = ()
+    for cols in itertools.combinations(range(n), k):
+        depth = next((d for d, (a, b) in enumerate(zip(previous, cols))
+                      if a != b), 0)
+        for d in range(depth, k):
+            column = p[:, cols[d]]
+            if d == 0:
+                chosen[0] = column
+                label[0] = 0
+                continue
+            # strict >: on ties the earlier column keeps the point
+            label[d] = np.where(column > chosen[d - 1], d, label[d - 1])
+            np.maximum(chosen[d - 1], column, out=chosen[d])
+        previous = cols
+        local = label[k - 1]
+        row_max = np.bincount(local, weights=chosen[k - 1], minlength=k)
+        for j in range(n):
+            if j not in cols:
+                np.maximum(row_max, np.bincount(local, weights=p[:, j], minlength=k),
+                           out=row_max)
+        e = float(row_max.sum())
         if e > best_e:
             best_e = e
-            best_assignment = local
+            best_assignment = local.copy()
     part = Partition(best_assignment, k)
     stats = compute_stats(jd, part, f)
     return AlgoResult(part, stats, e_max_achieved=stats.e_q,
@@ -410,6 +442,12 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec,
     order on ties) and reports the global maximum e over every assignment in
     e_max_achieved. Assignments are enumerated lexicographically with point 0
     as the most significant digit. Refuses instances with k**m above `cap`.
+
+    A label's impurity and e depend only on the subset of points it holds,
+    so both are tabulated once for all 2**m subsets (see _subset_tables):
+    O(2**m N) work and two tables of 2**m floats. Each assignment then costs
+    k lookups in each table. For k == 1 the single assignment is scored
+    directly, with no table.
     """
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
@@ -417,28 +455,83 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec,
     total = k ** m
     if total > cap:
         raise InstanceTooLarge(f"{k}**{m} = {total} assignments exceed cap {cap}")
-    p = jd.p
-    pows = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    if k == 1:
+        part = Partition(np.zeros(m, dtype=np.intp), 1)
+        stats = compute_stats(jd, part, f)
+        return AlgoResult(part, stats, e_max_achieved=stats.e_q,
+                          masks_evaluated=1)
+    weighted, top = _subset_tables(jd.p, f)
+    # a block fixes the labels of the leading points and runs through every
+    # labelling of the last `tail` ones; a label's subset is its bits among
+    # the trailing points plus its bits among the leading ones
+    tail = 1
+    while tail < m and k ** (tail + 1) <= _ORACLE_BLOCK:
+        tail += 1
+    trailing = _label_bits(k, range(m - tail, m))
+    leading = _label_bits(k, range(m - tail))
+    size = trailing.shape[1]
     best_imp = math.inf
     best_imp_idx = -1
     best_e = -math.inf
-    for begin in range(0, total, _ORACLE_BLOCK):
-        idx = np.arange(begin, min(begin + _ORACLE_BLOCK, total), dtype=np.int64)
-        digits = (idx[:, None] // pows[None, :]) % k
-        e_vals = np.zeros(idx.size)
-        imps = np.zeros(idx.size)
+    for block in range(leading.shape[1]):
+        e_vals = np.zeros(size)
+        imps = np.zeros(size)
         for label in range(k):
-            sub = (digits == label).astype(float) @ p
-            e_vals += sub.max(axis=1)
-            imps += f.weighted(sub)
+            subset = trailing[label] + leading[label, block]
+            e_vals += top[subset]
+            imps += weighted[subset]
         local = int(np.argmin(imps))
         if imps[local] < best_imp:
             best_imp = float(imps[local])
-            best_imp_idx = begin + local
-        block_e = float(e_vals.max())
-        if block_e > best_e:
-            best_e = block_e
+            best_imp_idx = block * size + local
+        best_e = max(best_e, float(e_vals.max()))
+    pows = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
     part = Partition((best_imp_idx // pows) % k, k)
     stats = compute_stats(jd, part, f)
     return AlgoResult(part, stats, e_max_achieved=best_e,
                       masks_evaluated=total)
+
+
+def _subset_tables(p: np.ndarray, f: ImpuritySpec):
+    """f.weighted and the largest entry of the row sum of every subset of p.
+
+    Entry S of both tables describes the rows x with bit x set in S. Each
+    sum adds its rows one by one in increasing row order, starting from 0,
+    as an indicator-matrix product does. The sums of subsets of the first
+    `low` rows are built once by doubling, T[2**x : 2**(x+1)] =
+    T[:2**x] + p[x]; each further chunk adds the later rows of one subset
+    to that table. Only one chunk of sums, about _TABLE_CHUNK floats, exists
+    at a time, beside the two 2**m tables.
+    """
+    m, n = p.shape
+    low = min(m, max(0, (_TABLE_CHUNK // n).bit_length() - 1))
+    sums = np.zeros((1 << low, n))
+    for x in range(low):
+        np.add(sums[:1 << x], p[x], out=sums[1 << x:2 << x])
+    weighted = np.empty(1 << m)
+    top = np.empty(1 << m)
+    chunk = np.empty_like(sums)
+    for high in range(1 << (m - low)):
+        rows = sums
+        for x in range(low, m):
+            if high >> (x - low) & 1:
+                np.add(rows, p[x], out=chunk)
+                rows = chunk
+        span = slice(high << low, (high + 1) << low)
+        weighted[span] = f.weighted(rows)
+        top[span] = rows.max(axis=1)
+    return weighted, top
+
+
+def _label_bits(k: int, points) -> np.ndarray:
+    """k x k**len(points) int64 table of the labellings of `points`.
+
+    Column t is the labelling whose digits, most significant first, give
+    the points' labels in order; entry [c, t] sets bit x for every point x
+    with label c.
+    """
+    bits = np.zeros((k, 1), dtype=np.int64)
+    for x in points:
+        bits = (bits[:, :, None] + (np.eye(k, dtype=np.int64) << x)[:, None, :]
+                ).reshape(k, -1)
+    return bits

@@ -1,5 +1,6 @@
 """Shared instance generators and independent reference computations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -134,6 +135,58 @@ def greedy_reference(jd, k, f, algorithm):
                       "delta": float(deltas[best]), "evaluated": evaluated,
                       "impurity": after.impurity})
     return assignment, compute_stats(jd, Partition(assignment, k), f), trace
+
+
+def likelihood_reference(jd, k, f):
+    """(assignment, e_max_achieved, masks_evaluated) of the k < N mask search.
+
+    The plain loop the prefix-shared scan replaces: every mask copies its
+    columns, takes a row argmax and aggregates all N columns.
+    """
+    p = jd.p
+    best_e = -math.inf
+    best_assignment = None
+    masks = 0
+    for cols in itertools.combinations(range(jd.n_cols), k):
+        local = np.argmax(p[:, list(cols)], axis=1)
+        e = float(aggregate(p, local, k).max(axis=1).sum())
+        if e > best_e:
+            best_e = e
+            best_assignment = local
+        masks += 1
+    stats = compute_stats(jd, Partition(best_assignment, k), f)
+    return best_assignment, stats.e_q, masks
+
+
+def oracle_reference(jd, k, f, block=1 << 16):
+    """(assignment, e_max_achieved, assignments) of the exhaustive oracle.
+
+    The plain enumeration the subset tables replace: blocks of `block`
+    assignments in lexicographic order (point 0 most significant), each
+    label's rows summed by an indicator matrix product.
+    """
+    p = jd.p
+    m = jd.n_rows
+    total = k ** m
+    pows = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    best_imp = math.inf
+    best_idx = -1
+    best_e = -math.inf
+    for begin in range(0, total, block):
+        idx = np.arange(begin, min(begin + block, total), dtype=np.int64)
+        digits = (idx[:, None] // pows[None, :]) % k
+        e_vals = np.zeros(idx.size)
+        imps = np.zeros(idx.size)
+        for label in range(k):
+            sub = (digits == label).astype(float) @ p
+            e_vals += sub.max(axis=1)
+            imps += f.weighted(sub)
+        local = int(np.argmin(imps))
+        if imps[local] < best_imp:
+            best_imp = float(imps[local])
+            best_idx = begin + local
+        best_e = max(best_e, float(e_vals.max()))
+    return (best_idx // pows) % k, best_e, total
 
 
 def sparse_rows(rng, m, n, density=0.3):

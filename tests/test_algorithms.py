@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from impuritypart import (
     max_likelihood_partition,
     projection_masks,
 )
+from impuritypart import algorithms
 from impuritypart.algorithms import _divergences
 
 from helpers import (
@@ -34,6 +36,8 @@ from helpers import (
     dyadic_joint,
     greedy_reference,
     leq,
+    likelihood_reference,
+    oracle_reference,
     random_joint,
     random_partition,
     sparse_rows,
@@ -488,6 +492,129 @@ class TestExhaustiveOracle:
             exhaustive_oracle(jd, 2, ENT)
         with pytest.raises(KTooSmall):
             exhaustive_oracle(jd, 0, ENT)
+
+
+class TestExactSearchReference:
+    """The prefix-shared mask scan and the subset-table oracle against the
+    per-candidate loops of tests/helpers: equal bit for bit."""
+
+    @staticmethod
+    def check(res, jd, k, spec, reference):
+        assignment, e_max, evaluated = reference
+        assert res.partition.k == k
+        assert res.partition.assignment.tolist() == assignment.tolist()
+        assert res.e_max_achieved == e_max
+        assert res.masks_evaluated == evaluated
+        stats = compute_stats(jd, Partition(assignment, k), spec)
+        for name in ("pz", "pxz", "px_given_z", "nonempty",
+                     "per_partition_impurity"):
+            assert getattr(res.stats, name).tobytes() == getattr(stats, name).tobytes()
+        assert res.stats.impurity == stats.impurity
+        assert res.stats.e_q == stats.e_q
+
+    @staticmethod
+    def instances(rng, m_range, n_range):
+        """Continuous, tie-heavy and degenerate instances."""
+        for case in range(8):
+            m = int(rng.integers(*m_range))
+            n = int(rng.integers(*n_range))
+            raw = rng.random((m, n)) ** 3
+            if case % 4 == 1:  # small integer counts: many exact ties
+                raw = rng.integers(0, 3, size=(m, n)).astype(float)
+            elif case % 4 == 2:  # a duplicate and a zero column
+                raw[:, n - 1] = raw[:, 0]
+                raw[:, 1] = 0.0
+            elif case % 4 == 3:  # one class per row: all zero in most masks
+                raw = np.zeros((m, n))
+                raw[np.arange(m), rng.integers(0, n, size=m)] = rng.random(m) + 0.1
+            raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+            yield build_joint(raw)
+        yield dyadic_joint(rng, int(rng.integers(*m_range)), n_range[1] - 1)
+        # replicated rows: every assignment ties with its relabelled copies
+        yield build_joint(np.vstack([rng.integers(1, 5, size=(2, 3))] * 3))
+
+    @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
+    def test_mask_scan_equals_reference(self, spec):
+        rng = np.random.default_rng(57)
+        for jd in self.instances(rng, (5, 120), (3, 11)):
+            for k in range(1, jd.n_cols):
+                res = max_likelihood_partition(jd, k, spec)
+                self.check(res, jd, k, spec, likelihood_reference(jd, k, spec))
+
+    def test_mask_scan_with_many_labels(self):
+        # k >= 8 sums e over k labels along numpy's pairwise path
+        rng = np.random.default_rng(58)
+        jd = random_joint(rng, 300, 11)
+        for k in (8, 9, 10):
+            res = max_likelihood_partition(jd, k, ENT)
+            self.check(res, jd, k, ENT, likelihood_reference(jd, k, ENT))
+
+    @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
+    def test_oracle_equals_reference(self, spec):
+        rng = np.random.default_rng(59)
+        for jd in self.instances(rng, (2, 8), (2, 6)):
+            for k in range(2, 5):
+                if k ** jd.n_rows > 20_000:
+                    continue
+                res = exhaustive_oracle(jd, k, spec)
+                # 1000-assignment reference blocks: a final block is partial
+                self.check(res, jd, k, spec, oracle_reference(jd, k, spec, block=1000))
+
+    def test_oracle_with_many_labels_and_a_partial_block(self):
+        rng = np.random.default_rng(60)
+        jd = random_joint(rng, 5, 9)  # 9 classes: pairwise row sums in weighted
+        for k in (8, 9):
+            res = exhaustive_oracle(jd, k, GINI)
+            self.check(res, jd, k, GINI, oracle_reference(jd, k, GINI))
+        # 3**11 = 2 * 65536 + 46075: the reference's last block is partial
+        jd = random_joint(rng, 11, 4)
+        res = exhaustive_oracle(jd, 3, ENT)
+        self.check(res, jd, 3, ENT, oracle_reference(jd, 3, ENT))
+
+    @pytest.mark.parametrize("chunk", [1, 40, 300])
+    def test_oracle_tables_built_in_chunks(self, monkeypatch, chunk):
+        # small chunks fix several of the later rows per chunk of sums
+        monkeypatch.setattr(algorithms, "_TABLE_CHUNK", chunk)
+        rng = np.random.default_rng(64)
+        for m, n, k in ((9, 5, 2), (7, 9, 3), (6, 3, 4)):
+            jd = random_joint(rng, m, n)
+            for spec in (ENT, GINI, SQRT):
+                res = exhaustive_oracle(jd, k, spec)
+                self.check(res, jd, k, spec, oracle_reference(jd, k, spec))
+
+    @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
+    def test_oracle_single_label_closed_form(self, spec):
+        rng = np.random.default_rng(61)
+        jd = random_joint(rng, 9, 5)
+        res = exhaustive_oracle(jd, 1, spec)
+        col_masses = jd.col_masses
+        assert res.partition.assignment.tolist() == [0] * 9
+        assert res.stats.impurity == spec.weighted(col_masses[None, :])[0]
+        assert res.e_max_achieved == col_masses.max()
+        assert res.masks_evaluated == 1
+
+    def test_oracle_single_label_builds_no_subset_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("k == 1 must not tabulate subsets")
+
+        monkeypatch.setattr(algorithms, "_subset_tables", refuse)
+        rng = np.random.default_rng(62)
+        jd = random_joint(rng, 5000, 4)
+        res = exhaustive_oracle(jd, 1, ENT)
+        assert res.masks_evaluated == 1
+        assert res.e_max_achieved == jd.col_masses.max()
+
+    def test_oracle_memory_stays_bounded(self):
+        rng = np.random.default_rng(63)
+        jd = random_joint(rng, 20, 64)
+        tracemalloc.start()
+        try:
+            res = exhaustive_oracle(jd, 2, ENT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.masks_evaluated == 2 ** 20
+        assert peak <= 96 * 2 ** 20
 
 
 class TestApproximationGuarantee:

@@ -5,6 +5,7 @@ crash, so every name the tracer lists must keep resolving.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,3 +52,26 @@ def test_traced_sweep_runs_one_likelihood_step(tmp_path):
     assert layers["prob.compute_stats.calls"] == 1
     assert all(getattr(OWNERS[owner], attr) is original
                for (owner, attr), original in originals.items())
+
+
+def test_traced_exact_search_counts_candidates(tmp_path):
+    tracing = load_tracing()
+    rng = np.random.default_rng(77)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, rng.integers(1, 50, size=(7, 5)), fmt="%d", delimiter=",")
+    runs = [("ml", (2, 3)), ("oracle", (2, 2))]
+    tracer = tracing.Tracer(OWNERS)
+    with tracer.installed():
+        for op, (algorithm, k) in enumerate(runs):
+            tracer.op = op
+            config = RunConfig(input_path=str(data),
+                               output_path=str(tmp_path / f"{algorithm}.json"),
+                               input_format="counts", k=k, algorithm=algorithm)
+            report = cli.run(config)
+            assert all(record["error"] is None for record in report["records"])
+    ml = tracer.op_layers(0, 1.0)
+    assert ml["algorithms.max_likelihood_partition.calls"] == 2
+    assert ml["algorithms.max_likelihood_partition.masks"] == math.comb(5, 2) + math.comb(5, 3)
+    oracle = tracer.op_layers(1, 1.0)
+    assert oracle["algorithms.exhaustive_oracle.calls"] == 1
+    assert oracle["algorithms.exhaustive_oracle.assignments"] == 2 ** 7
