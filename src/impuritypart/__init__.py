@@ -15,7 +15,6 @@ from .algorithms import (
     greedy_split,
     iterative_refine,
     max_likelihood_partition,
-    projection_masks,
 )
 from .bounds import (
     BoundsReport,
@@ -114,7 +113,6 @@ __all__ = [
     "main",
     "max_likelihood_partition",
     "n_min",
-    "projection_masks",
     "run",
     "s_value",
     "upper_bound",

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmptyStart,
     InstanceTooLarge,
     KNotGreaterThanN,
@@ -66,22 +65,6 @@ class AlgoResult:
     e_max_achieved: float
     masks_evaluated: int
     trace: Optional[list] = None
-
-
-def projection_masks(n: int, k: int):
-    """Candidate class masks: binary length-n vectors with min(k, n) ones.
-
-    For k >= n there is a single all-ones mask; otherwise all C(n, k)
-    masks are yielded in index-lexicographic order (the deterministic
-    tie-break order for the likelihood search).
-    """
-    if k >= n:
-        yield np.ones(n, dtype=bool)
-        return
-    for cols in itertools.combinations(range(n), k):
-        mask = np.zeros(n, dtype=bool)
-        mask[list(cols)] = True
-        yield mask
 
 
 def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
@@ -402,10 +385,6 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     _divergences). Stops after a pass with no moves or after `max_iters`
     passes. Impurity never increases between passes for entropy and Gini.
     """
-    if start.assignment.shape[0] != jd.n_rows:
-        raise DimensionMismatch(
-            f"start assignment length {start.assignment.shape[0]} != "
-            f"{jd.n_rows} data points")
     assignment = np.array(start.assignment)
     k = start.k
     stats = compute_stats(jd, Partition(assignment, k), f)

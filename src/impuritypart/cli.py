@@ -44,12 +44,17 @@ _CSV_COLUMNS = ("k", "algorithm_used", "impurity", "e_q", "e_max_achieved",
                 "n_nonempty", "wall_ms", "error")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Everything one invocation needs; mirrors the CLI flags."""
+    """Everything one invocation needs: one keyword-only field per CLI flag.
+
+    The fields are in flag order, and each flag's dest is its field name.
+    The parser sets no defaults, so `RunConfig(**vars(args))` builds the
+    config and every default lives here. The report's "config" block lists
+    every field but csv_path, in this order.
+    """
 
     input_path: str
-    output_path: str
     input_format: str = "dense_csv"
     impurity: str = "entropy"
     k: tuple = (2, 2)
@@ -58,6 +63,7 @@ class RunConfig:
     max_iters: int = 100
     mask_budget: int = DEFAULT_MASK_BUDGET
     seed: int = 0
+    output_path: str
     emit_assignment: bool = False
     csv_path: str = None
 
@@ -150,18 +156,12 @@ def _outcomes(config: RunConfig, jd, f):
                 yield k, name, state.result(k, f, base.masks_evaluated)
 
 
-def _empty_record(k):
-    record = {col: None for col in _CSV_COLUMNS}
-    record["k"] = k
-    return record
-
-
 def _record(config: RunConfig, jd, f, k, name, result):
     """The report record of one k, refining the result first if asked.
 
     wall_ms is left for the caller to fill in.
     """
-    record = _empty_record(k)
+    record = dict.fromkeys(_CSV_COLUMNS) | {"k": k}
     try:
         if isinstance(result, ImpurityPartError):
             raise result
@@ -195,20 +195,11 @@ def _record(config: RunConfig, jd, f, k, name, result):
 
 
 def _write_csv(records, path):
+    # csv writes None as "" and a float as its repr
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for record in records:
-            row = []
-            for col in _CSV_COLUMNS:
-                value = record.get(col)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            writer.writerow(row)
+        writer = csv.DictWriter(fh, _CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(records)
 
 
 def run(config: RunConfig) -> dict:
@@ -225,7 +216,6 @@ def run(config: RunConfig) -> dict:
         if isinstance(item.message, IngestWarning):
             dropped.extend(item.message.dropped_rows)
     f = entropy_spec() if config.impurity == "entropy" else gini_spec()
-    lo, hi = config.k
     records = []
     mark = time.perf_counter()
     for k, name, result in _outcomes(config, jd, f):
@@ -237,19 +227,10 @@ def run(config: RunConfig) -> dict:
     records.sort(key=lambda record: record["k"])
     report = {
         "schema": SCHEMA,
-        "config": {
-            "input_path": str(config.input_path),
-            "input_format": config.input_format,
-            "impurity": config.impurity,
-            "k": [lo, hi],
-            "algorithm": config.algorithm,
-            "refine": config.refine,
-            "max_iters": config.max_iters,
-            "mask_budget": config.mask_budget,
-            "seed": config.seed,
-            "output_path": str(config.output_path),
-            "emit_assignment": config.emit_assignment,
-        },
+        "config": {name: (list(value) if name == "k"
+                          else str(value) if name.endswith("_path") else value)
+                   for name, value in vars(config).items()
+                   if name != "csv_path"},
         "input": {
             "n_rows": jd.n_rows,
             "n_cols": jd.n_cols,
@@ -274,26 +255,30 @@ def _parse_k(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag default: an absent flag leaves its RunConfig field's default
     parser = argparse.ArgumentParser(
         prog="impuritypart",
         description="Partition probability-weighted data points to minimize "
-                    "a concave impurity, with certified bounds.")
-    parser.add_argument("--input", required=True, help="input data file")
-    parser.add_argument("--format", choices=FORMATS, default="dense_csv")
-    parser.add_argument("--impurity", choices=IMPURITIES, default="entropy")
+                    "a concave impurity, with certified bounds.",
+        argument_default=argparse.SUPPRESS)
+    parser.add_argument("--input", dest="input_path", metavar="INPUT",
+                        required=True, help="input data file")
+    parser.add_argument("--format", dest="input_format", choices=FORMATS)
+    parser.add_argument("--impurity", choices=IMPURITIES)
     parser.add_argument("--k", type=_parse_k, required=True,
                         metavar="K|A:B", help="partition count or sweep range")
-    parser.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
+    parser.add_argument("--algorithm", choices=ALGORITHMS)
     parser.add_argument("--refine", action="store_true",
                         help="run iterative refinement after the algorithm")
-    parser.add_argument("--max-iters", type=int, default=100)
-    parser.add_argument("--mask-budget", type=int, default=DEFAULT_MASK_BUDGET)
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--max-iters", type=int)
+    parser.add_argument("--mask-budget", type=int)
+    parser.add_argument("--seed", type=int,
                         help="recorded in the report; algorithms are deterministic")
-    parser.add_argument("--output", required=True, help="JSON report path")
+    parser.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                        required=True, help="JSON report path")
     parser.add_argument("--emit-assignment", action="store_true",
                         help="include the per-point labels in each record")
-    parser.add_argument("--emit-csv", metavar="PATH", default=None,
+    parser.add_argument("--emit-csv", dest="csv_path", metavar="PATH",
                         help="also write a flat per-k CSV")
     return parser
 
@@ -305,20 +290,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = RunConfig(
-            input_path=args.input,
-            output_path=args.output,
-            input_format=args.format,
-            impurity=args.impurity,
-            k=args.k,
-            algorithm=args.algorithm,
-            refine=args.refine,
-            max_iters=args.max_iters,
-            mask_budget=args.mask_budget,
-            seed=args.seed,
-            emit_assignment=args.emit_assignment,
-            csv_path=args.emit_csv,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"impuritypart: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -108,8 +108,6 @@ def ingest(path, input_format: str = "dense_csv") -> JointDistribution:
     if arr.shape[0] == 0:
         raise ZeroTotal("no rows with positive mass")
     total = float(arr.sum())
-    if total <= 0.0:
-        raise ZeroTotal("matrix total is zero")
     if abs(total - 1.0) > NORMALIZATION_TOL:
         arr = arr / total
     return JointDistribution(arr)

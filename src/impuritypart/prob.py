@@ -121,9 +121,6 @@ def build_joint(raw) -> JointDistribution:
     total = float(arr.sum())
     if total <= 0.0:
         raise ZeroTotal("matrix total is zero")
-    zero = np.flatnonzero(arr.sum(axis=1) <= 0.0)
-    if zero.size:
-        raise ZeroRow(int(zero[0]))
     return JointDistribution(arr / total)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from impuritypart import (
+    DimensionMismatch,
     InstanceTooLarge,
     KNotGreaterThanN,
     KNotLessThanN,
@@ -25,7 +26,6 @@ from impuritypart import (
     greedy_split,
     iterative_refine,
     max_likelihood_partition,
-    projection_masks,
 )
 from impuritypart import algorithms
 from impuritypart.algorithms import _divergences
@@ -50,21 +50,6 @@ SQRT = custom_spec(lambda x: math.sqrt(x) - x)
 
 def trace_impurities(result):
     return [event["impurity"] for event in result.trace]
-
-
-class TestProjectionMasks:
-    def test_single_all_ones_when_k_at_least_n(self):
-        masks = list(projection_masks(3, 5))
-        assert len(masks) == 1
-        assert masks[0].all() and masks[0].size == 3
-
-    def test_all_size_k_masks_below_n(self):
-        masks = list(projection_masks(4, 2))
-        assert len(masks) == 6
-        assert all(m.sum() == 2 for m in masks)
-        assert len({tuple(m.tolist()) for m in masks}) == 6
-        # deterministic order: first mask keeps the lowest-index classes
-        np.testing.assert_array_equal(masks[0], [True, True, False, False])
 
 
 class TestMaxLikelihoodPartition:
@@ -404,6 +389,11 @@ class TestIterativeRefine:
                 imps = trace_impurities(res)
                 assert len(imps) - 1 <= 40
                 assert all(leq(b, a) for a, b in zip(imps, imps[1:]))
+
+    def test_wrong_length_start_rejected(self):
+        jd = build_joint(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            iterative_refine(jd, Partition(np.array([0, 1]), 2), ENT)
 
     def test_respects_max_iters(self):
         rng = np.random.default_rng(54)

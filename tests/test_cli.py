@@ -1,6 +1,8 @@
 """End-to-end CLI runs, report schema, determinism, exit codes."""
 
+import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from impuritypart import (
     run,
     upper_bound,
 )
-from impuritypart.cli import _parse_k
+from impuritypart.cli import _parse_k, build_parser
 
 
 def write_counts(path, matrix):
@@ -53,6 +55,11 @@ class TestRunConfig:
             RunConfig(input_path="x", output_path="y", impurity="mse")
         cfg = RunConfig(input_path="x", output_path="y", k=3)
         assert cfg.k == (3, 3)
+
+    def test_flag_dests_are_the_fields(self):
+        dests = [action.dest for action in build_parser()._actions
+                 if action.dest != "help"]
+        assert dests == [field.name for field in fields(RunConfig)]
 
 
 class TestRun:
@@ -259,6 +266,41 @@ class TestRun:
         assert lines[0].startswith("k,algorithm_used,impurity")
         assert len(lines) == 3
 
+    def test_csv_cells(self, tmp_path):
+        rng = np.random.default_rng(78)
+        data = tmp_path / "data.csv"
+        write_counts(data, rng.integers(1, 30, size=(9, 3)))
+        table = tmp_path / "report.csv"
+        # gini leaves fano empty; k = 3 and 4 fail, leaving their results empty
+        config = RunConfig(input_path=str(data),
+                           output_path=str(tmp_path / "report.json"),
+                           input_format="counts", impurity="gini", k=(2, 4),
+                           algorithm="greedy_merge", emit_assignment=True,
+                           csv_path=str(table))
+        records = run(config)["records"]
+        with open(table, "r", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["k", "algorithm_used", "impurity", "e_q",
+                          "e_max_achieved", "upper_u", "lower_l", "ratio_r",
+                          "fano", "masks_evaluated", "n_nonempty", "wall_ms",
+                          "error"]
+        assert len(rows) == len(records) == 3
+        kinds = set()
+        for row, record in zip(rows, records):
+            assert len(row) == len(header)
+            for col, cell in zip(header, row):
+                value = record[col]
+                if value is None:
+                    kinds.add("empty")
+                    assert cell == ""
+                elif isinstance(value, float):
+                    kinds.add("float")
+                    assert cell == repr(value)
+                    assert float(cell) == value
+                else:
+                    assert cell == str(value)
+        assert kinds == {"empty", "float"}
+
     def test_dropped_rows_counted(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("1,1\n0,0\n1,1\n")
@@ -311,3 +353,28 @@ class TestMainExitCodes:
         code = main(["--input", str(data), "--format", "counts", "--k", "4:5",
                      "--algorithm", "greedy_merge", "--output", str(out)])
         assert code == 4
+
+
+class TestMainFlags:
+    def test_every_flag_reaches_the_report(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_counts(data, np.eye(3, dtype=int) + 1)
+        out = tmp_path / "report.json"
+        table = tmp_path / "report.csv"
+        code = main(["--input", str(data), "--format", "counts",
+                     "--impurity", "gini", "--k", "2:3", "--algorithm", "ml",
+                     "--refine", "--max-iters", "7", "--mask-budget", "50",
+                     "--seed", "11", "--output", str(out),
+                     "--emit-assignment", "--emit-csv", str(table)])
+        assert code == 0
+        report = read_report(out)
+        assert list(report["config"].items()) == [
+            ("input_path", str(data)), ("input_format", "counts"),
+            ("impurity", "gini"), ("k", [2, 3]), ("algorithm", "ml"),
+            ("refine", True), ("max_iters", 7), ("mask_budget", 50),
+            ("seed", 11), ("output_path", str(out)),
+            ("emit_assignment", True)]
+        assert [record["algorithm_used"] for record in report["records"]] == [
+            "ml+refine", "ml+refine"]
+        assert all(len(record["assignment"]) == 3 for record in report["records"])
+        assert len(table.read_text().splitlines()) == 3
