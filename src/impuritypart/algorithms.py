@@ -67,6 +67,16 @@ class AlgoResult:
     trace: Optional[list] = None
 
 
+def _result(jd: JointDistribution, assignment, k: int, f: ImpuritySpec,
+            masks_evaluated: int, e_max: Optional[float] = None) -> AlgoResult:
+    """The k-label result of an assignment; e_max defaults to its own e_q."""
+    part = Partition(assignment, k)
+    stats = compute_stats(jd, part, f)
+    return AlgoResult(part, stats,
+                      e_max_achieved=stats.e_q if e_max is None else e_max,
+                      masks_evaluated=masks_evaluated)
+
+
 def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
                              mask_budget: int = DEFAULT_MASK_BUDGET) -> AlgoResult:
     """Partition by largest joint entry, maximizing the likelihood sum e.
@@ -94,10 +104,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
     n = jd.n_cols
     p = jd.p
     if k >= n:
-        part = Partition(np.argmax(p, axis=1), k)
-        stats = compute_stats(jd, part, f)
-        return AlgoResult(part, stats, e_max_achieved=stats.e_q,
-                          masks_evaluated=1)
+        return _result(jd, np.argmax(p, axis=1), k, f, masks_evaluated=1)
     n_masks = math.comb(n, k)
     if n_masks > mask_budget:
         raise MaskBudgetExceeded(
@@ -133,10 +140,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
         if e > best_e:
             best_e = e
             best_assignment = local.copy()
-    part = Partition(best_assignment, k)
-    stats = compute_stats(jd, part, f)
-    return AlgoResult(part, stats, e_max_achieved=stats.e_q,
-                      masks_evaluated=n_masks)
+    return _result(jd, best_assignment, k, f, masks_evaluated=n_masks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +164,12 @@ class GreedyState:
     def labels(self) -> int:
         return self.pxz.shape[0]
 
+    @property
+    def impurity(self) -> float:
+        """The total impurity: own summed over the nonempty labels, as
+        compute_stats sums it."""
+        return float(self.own[self.pxz.sum(axis=1) > 0.0].sum())
+
     def result(self, k: int, f: ImpuritySpec, masks_evaluated: int,
                trace: Optional[list] = None) -> AlgoResult:
         """The state as a k-label result (k >= labels); its statistics are
@@ -170,13 +180,6 @@ class GreedyState:
         return AlgoResult(Partition(self.assignment, k), stats,
                           e_max_achieved=stats.e_q,
                           masks_evaluated=masks_evaluated, trace=trace)
-
-
-def _padded_total(own: np.ndarray, k: int) -> float:
-    """own summed as compute_stats sums a k-label partition's impurity."""
-    per = np.zeros(k)
-    per[:own.size] = own
-    return float(per.sum())
 
 
 def check_split_k(n: int, k: int) -> None:
@@ -241,10 +244,18 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
                            "moved": moved, "fallback": fallback})
 
 
-def _pair_losses(pxz: np.ndarray, own: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray, f: ImpuritySpec) -> np.ndarray:
-    """Impurity loss of merging partitions rows[t] < cols[t], for each t."""
-    return f.weighted(pxz[rows] + pxz[cols]) - own[rows] - own[cols]
+def _merge_losses(pxz: np.ndarray, own: np.ndarray, i: int, start: int,
+                  f: ImpuritySpec) -> np.ndarray:
+    """Impurity loss of merging partition i with each partition j >= start.
+
+    The own impurity of the lower label of each pair is subtracted first,
+    so a pair's loss has the same bits whichever of its labels is i. O(N)
+    floats per partition scored.
+    """
+    lower = np.arange(start, own.size) < i
+    rest = own[start:]
+    return (f.weighted(pxz[start:] + pxz[i])
+            - np.where(lower, rest, own[i]) - np.where(lower, own[i], rest))
 
 
 def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
@@ -254,10 +265,12 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     further state merges the cheapest pair (see greedy_merge for the rule),
     down to a single partition. Merge events carry "losses", the count x
     count matrix of pair losses the merge chose from (+inf off the upper
-    triangle). Scoring every pair costs O(count^2 N) once. After a merge
-    only the merged partition's members are re-aggregated and only its row
-    and column of losses are rescored, O(count N); the relabelling is O(M)
-    and the argmin and matrix deletions touch O(count^2) floats.
+    triangle). Scoring every pair costs O(count^2 N) once, one partition
+    against the partitions after it at a time. After a merge only the
+    merged partition's members are re-aggregated and only its row and
+    column of losses are rescored, in one O(count N) call; the relabelling
+    is O(M) and the argmin and matrix deletions touch O(count^2) floats.
+    Memory is O(count N) beside the O(count^2) loss matrix.
     """
     p = jd.p
     used = np.flatnonzero(np.bincount(base.partition.assignment,
@@ -269,8 +282,8 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     own = base.stats.per_partition_impurity[used]
     count = int(used.size)
     losses = np.full((count, count), np.inf)
-    rows, cols = np.triu_indices(count, 1)
-    losses[rows, cols] = _pair_losses(pxz, own, rows, cols, f)
+    for i in range(count - 1):
+        losses[i, i + 1:] = _merge_losses(pxz, own, i, i + 1, f)
     yield GreedyState(assignment, pxz, own, {"event": "init"})
     while count > 1:
         # row-major argmin over the upper triangle keeps the first
@@ -287,10 +300,9 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         own = np.delete(own, j)
         own[i] = f.weighted(pxz[i:i + 1])[0]
         losses = np.delete(np.delete(losses, j, axis=0), j, axis=1)
-        before = np.arange(i)
-        after = np.arange(i + 1, count)
-        losses[before, i] = _pair_losses(pxz, own, before, np.full(i, i), f)
-        losses[i, after] = _pair_losses(pxz, own, np.full(after.size, i), after, f)
+        fresh = _merge_losses(pxz, own, i, 0, f)
+        losses[:i, i] = fresh[:i]
+        losses[i, i + 1:] = fresh[i + 1:]
         yield GreedyState(assignment, pxz, own, event)
 
 
@@ -312,7 +324,7 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     base = max_likelihood_partition(jd, n, f)
     trace = []
     for state in split_states(jd, base, f):
-        trace.append({**state.event, "impurity": _padded_total(state.own, k)})
+        trace.append({**state.event, "impurity": state.impurity})
         if state.labels == k:
             break
     return state.result(k, f, base.masks_evaluated, trace)
@@ -326,23 +338,22 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     loss merges, labels are renumbered densely, and the process repeats until
     at most k nonempty partitions remain. Runs merge_states down to k: all
     pairs are scored once, O(count^2 N), then each merge rescores O(count)
-    pairs, O(count N), and relabels in O(M). No approximation guarantee.
+    pairs, O(count N), and relabels in O(M). Scoring holds O(count N) floats
+    at a time beside the count x count losses; the trace's evaluated lists
+    add O(count^2) per merge. No approximation guarantee.
     """
     n = jd.n_cols
     check_merge_k(n, k)
     base = max_likelihood_partition(jd, n, f)
     trace = []
     for state in merge_states(jd, base, f):
-        if state.event["event"] == "init":
-            trace.append({"event": "init", "impurity": base.stats.impurity})
-        else:
-            losses = state.event["losses"]
+        event = dict(state.event)
+        losses = event.pop("losses", None)
+        if losses is not None:
             rows, cols = np.triu_indices(losses.shape[0], 1)
-            trace.append({"event": "merge", "merged": state.event["merged"],
-                          "delta": state.event["delta"],
-                          "evaluated": list(zip(rows.tolist(), cols.tolist(),
-                                                losses[rows, cols].tolist())),
-                          "impurity": float(state.own.sum())})
+            event["evaluated"] = list(zip(rows.tolist(), cols.tolist(),
+                                          losses[rows, cols].tolist()))
+        trace.append({**event, "impurity": state.impurity})
         if state.labels <= k:
             break
     return state.result(k, f, base.masks_evaluated, trace)
@@ -435,10 +446,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec,
     if total > cap:
         raise InstanceTooLarge(f"{k}**{m} = {total} assignments exceed cap {cap}")
     if k == 1:
-        part = Partition(np.zeros(m, dtype=np.intp), 1)
-        stats = compute_stats(jd, part, f)
-        return AlgoResult(part, stats, e_max_achieved=stats.e_q,
-                          masks_evaluated=1)
+        return _result(jd, np.zeros(m, dtype=np.intp), 1, f, masks_evaluated=1)
     weighted, top = _subset_tables(jd.p, f)
     # a block fixes the labels of the leading points and runs through every
     # labelling of the last `tail` ones; a label's subset is its bits among
@@ -465,10 +473,8 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec,
             best_imp_idx = block * size + local
         best_e = max(best_e, float(e_vals.max()))
     pows = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    part = Partition((best_imp_idx // pows) % k, k)
-    stats = compute_stats(jd, part, f)
-    return AlgoResult(part, stats, e_max_achieved=best_e,
-                      masks_evaluated=total)
+    return _result(jd, (best_imp_idx // pows) % k, k, f,
+                   masks_evaluated=total, e_max=best_e)
 
 
 def _subset_tables(p: np.ndarray, f: ImpuritySpec):

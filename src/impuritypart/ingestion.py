@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ZeroTotal,
 )
-from .prob import NORMALIZATION_TOL, JointDistribution, check_entries
+from .prob import JointDistribution, _normalized, check_entries
 
 FORMATS = ("dense_csv", "counts", "sparse_triplets")
 
@@ -88,8 +88,10 @@ def ingest(path, input_format: str = "dense_csv") -> JointDistribution:
 
     Values already summing to 1 (within 1e-9) are taken verbatim so emitted
     files round-trip bit-exactly; otherwise the matrix is divided by its
-    total. NaN/inf entries raise NonFinite; zero-mass rows are dropped with an
-    IngestWarning.
+    total. This is the rule of `build_joint`, which gives the same bytes for
+    the same matrix. NaN/inf entries raise NonFinite; zero-mass rows are
+    dropped with an IngestWarning; a total that overflows raises
+    InvalidDistribution.
     """
     if input_format not in FORMATS:
         raise ValueError(f"unknown format {input_format!r}, expected one of {FORMATS}")
@@ -100,17 +102,15 @@ def ingest(path, input_format: str = "dense_csv") -> JointDistribution:
     if arr.shape[1] < 2:
         raise DimensionMismatch(f"need at least 2 columns, got {arr.shape[1]}")
     check_entries(arr)
-    keep = arr.sum(axis=1) > 0.0
+    with np.errstate(over="ignore"):
+        keep = arr.sum(axis=1) > 0.0
     dropped = np.flatnonzero(~keep)
     if dropped.size:
         warnings.warn(IngestWarning(int(r) for r in dropped), stacklevel=2)
         arr = arr[keep]
     if arr.shape[0] == 0:
         raise ZeroTotal("no rows with positive mass")
-    total = float(arr.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        arr = arr / total
-    return JointDistribution(arr)
+    return _normalized(arr)
 
 
 def emit(jd: JointDistribution, path) -> None:

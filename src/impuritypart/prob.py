@@ -105,11 +105,35 @@ class JointDistribution:
         return self._col_masses
 
 
+def _normalized(arr: np.ndarray) -> JointDistribution:
+    """The JointDistribution of a checked, finite, nonnegative weight matrix.
+
+    A matrix whose total is already 1 within NORMALIZATION_TOL is kept
+    verbatim, so normalizing is idempotent and emitted files round-trip bit
+    for bit; any other matrix is divided by its total, in place: the caller
+    owns arr, and the distribution keeps a copy, so at most two M x N
+    matrices are alive. A total that overflows raises InvalidDistribution,
+    a zero total ZeroTotal.
+    """
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not np.isfinite(total):
+        raise InvalidDistribution("entries overflow to an infinite total")
+    if total <= 0.0:
+        raise ZeroTotal("matrix total is zero")
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        arr /= total
+    return JointDistribution(arr)
+
+
 def build_joint(raw) -> JointDistribution:
     """Normalize a nonnegative count or weight matrix into a JointDistribution.
 
     Rejects NaN/inf and negative entries, an all-zero matrix, and any all-zero
-    row, naming the offending index in each case.
+    row, naming the offending index in each case. A total within 1e-9 of 1 is
+    kept verbatim, as `ingest` keeps it, so build_joint(jd.p) has the bytes
+    of jd.p; any other matrix is divided by its total. A matrix whose total
+    overflows raises InvalidDistribution.
     """
     arr = np.array(raw, dtype=float)
     if arr.ndim != 2:
@@ -118,10 +142,7 @@ def build_joint(raw) -> JointDistribution:
         raise DimensionMismatch(
             f"need at least 1 row and 2 columns, got shape {arr.shape}")
     check_entries(arr)
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise ZeroTotal("matrix total is zero")
-    return JointDistribution(arr / total)
+    return _normalized(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +199,10 @@ class PartitionStats:
 def stats_from_pxz(pxz: np.ndarray, f: ImpuritySpec) -> PartitionStats:
     """Statistics of a partition given its k x N joint p(x, z).
 
-    Every quantity is computed from pxz row by row, except the totals impurity
-    and e_q, whose sums run over all k rows (zero rows included). pxz itself
-    becomes the read-only `pxz` field of the result.
+    Every quantity is computed from pxz row by row. The totals impurity and
+    e_q sum the nonempty rows only, so empty labels padding a partition leave
+    their bits unchanged. pxz itself becomes the read-only `pxz` field of the
+    result.
     """
     pz = pxz.sum(axis=1)
     nonempty = pz > 0.0
@@ -193,8 +215,8 @@ def stats_from_pxz(pxz: np.ndarray, f: ImpuritySpec) -> PartitionStats:
         px_given_z=_frozen(px_given_z),
         nonempty=_frozen(nonempty),
         per_partition_impurity=_frozen(per),
-        impurity=float(per.sum()),
-        e_q=float(pxz.max(axis=1).sum()),
+        impurity=float(per[nonempty].sum()),
+        e_q=float(pxz.max(axis=1)[nonempty].sum()),
     )
 
 

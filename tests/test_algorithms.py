@@ -28,7 +28,7 @@ from impuritypart import (
     max_likelihood_partition,
 )
 from impuritypart import algorithms
-from impuritypart.algorithms import _divergences
+from impuritypart.algorithms import _divergences, merge_states
 
 from helpers import (
     all_assignment_e_values,
@@ -291,6 +291,23 @@ class TestGreedyMerge:
                 merged_imps.append(compute_stats(jd, Partition(a, 3), ENT).impurity)
             assert leq(res.stats.impurity, max(merged_imps))
             assert abs(res.stats.impurity - min(merged_imps)) <= 1e-9
+
+
+class TestMergeMemory:
+    def test_first_scoring_memory_stays_bounded(self):
+        # scoring all count^2 / 2 pairs at once would hold O(count^2 N)
+        # floats: 187 MiB at N = 200
+        rng = np.random.default_rng(84)
+        jd = random_joint(rng, 800, 200)
+        base = max_likelihood_partition(jd, 200, ENT)
+        tracemalloc.start()
+        try:
+            state = next(merge_states(jd, base, ENT))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.labels > 190
+        assert peak <= 16 * 2 ** 20
 
 
 class TestGreedyTrajectories:

@@ -9,7 +9,6 @@ import pytest
 
 from impuritypart import (
     ImpurityPartError,
-    RunConfig,
     approximation_ratio,
     entropy_spec,
     exhaustive_oracle,
@@ -20,12 +19,10 @@ from impuritypart import (
     ingest,
     iterative_refine,
     lower_bound,
-    main,
     max_likelihood_partition,
-    run,
     upper_bound,
 )
-from impuritypart.cli import _parse_k, build_parser
+from impuritypart.cli import RunConfig, _parse_k, build_parser, main, run
 
 
 def write_counts(path, matrix):
@@ -344,6 +341,16 @@ class TestMainExitCodes:
         code = main(["--input", str(data), "--format", "counts", "--k", "2",
                      "--output", str(out)])
         assert code == 3
+        assert not out.exists()
+
+    def test_overflowing_total_is_3(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("1e308,1e308\n1,1\n")
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--format", "counts", "--k", "2",
+                     "--output", str(out)])
+        assert code == 3
+        assert "overflow" in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_failed_is_4(self, tmp_path):

@@ -1,5 +1,6 @@
 """File ingestion formats, round-tripping, and error reporting."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from impuritypart import (
     IngestWarning,
+    InvalidDistribution,
     NegativeEntry,
     NonFinite,
     ParseError,
     ZeroTotal,
+    build_joint,
     emit,
     ingest,
 )
@@ -62,6 +65,43 @@ class TestRoundTrip:
         emit(jd, path)
         back = ingest(path, "dense_csv")
         assert (back.p == jd.p).all()
+
+
+class TestOneNormalization:
+    """ingest normalizes by the rule of build_joint, so both give the same
+    bytes for the same matrix."""
+
+    def test_emitted_file_equals_build_joint(self, tmp_path):
+        rng = np.random.default_rng(83)
+        path = tmp_path / "out.csv"
+        for _ in range(50):
+            jd = random_joint(rng, int(rng.integers(1, 20)), int(rng.integers(2, 7)))
+            emit(jd, path)
+            back = ingest(path, "dense_csv")
+            loaded = build_joint(np.loadtxt(path, delimiter=",", ndmin=2))
+            assert back.p.tobytes() == loaded.p.tobytes() == jd.p.tobytes()
+
+    def test_holds_at_most_two_matrices(self, tmp_path):
+        # the file's buffer is divided in place; the distribution keeps a copy
+        path = tmp_path / "in.csv"
+        counts = np.random.default_rng(86).integers(0, 50, size=(20000, 10))
+        np.savetxt(path, counts, fmt="%d", delimiter=",")
+        tracemalloc.start()
+        try:
+            ingest(path, "counts")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * counts.size * 8
+
+    def test_overflowing_counts_total_is_named(self, tmp_path):
+        # the first row's sum overflows too; neither sum may warn
+        path = tmp_path / "in.csv"
+        path.write_text("1e308,1e308\n1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDistribution, match="overflow"):
+                ingest(path, "counts")
 
 
 class TestZeroRows:

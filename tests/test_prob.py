@@ -1,5 +1,7 @@
 """Joint distribution containers and partition statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,40 @@ class TestBuildJoint:
             build_joint([[1], [2]])  # one column
         with pytest.raises(DimensionMismatch):
             build_joint([1, 2, 3])  # not 2-D
+
+
+class TestOneNormalization:
+    """build_joint and ingest share one rule: a total within 1e-9 of 1 is kept
+    verbatim, any other is divided out, and an overflowing total is named."""
+
+    def test_build_joint_is_idempotent(self):
+        rng = np.random.default_rng(81)
+        for _ in range(100):
+            m = int(rng.integers(1, 30))
+            n = int(rng.integers(2, 8))
+            jd = random_joint(rng, m, n)
+            again = build_joint(jd.p)
+            assert again.p.tobytes() == jd.p.tobytes()
+
+    def test_total_within_tolerance_kept_verbatim(self):
+        raw = np.array([[0.5, 0.25], [0.25, 1e-10]])
+        assert build_joint(raw).p.tobytes() == raw.tobytes()
+
+    def test_holds_at_most_two_matrices(self):
+        raw = np.random.default_rng(85).random((20000, 10))
+        tracemalloc.start()
+        try:
+            build_joint(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * raw.nbytes
+
+    def test_overflowing_total_is_named(self):
+        # finite entries whose total overflows: no RuntimeWarning (tier-1
+        # turns those into errors) and no misleading "sum to 0.0"
+        with pytest.raises(InvalidDistribution, match="overflow"):
+            build_joint([[1e308, 1e308], [1, 1]])
 
 
 class TestNonFiniteInput:
@@ -167,6 +203,30 @@ class TestComputeStats:
                            - stats.per_partition_impurity.sum()) <= 1e-9
                 assert 1.0 / n - 1e-12 <= stats.e_q <= 1.0 + 1e-12
                 assert stats.impurity >= 0.0
+
+
+class TestEmptyLabelPadding:
+    """Empty labels add nothing to a partition's totals, bit for bit, however
+    many of them pad it and wherever they sit among the used labels."""
+
+    @pytest.mark.parametrize("spec", [entropy_spec(), gini_spec()],
+                             ids=["entropy", "gini"])
+    def test_totals_ignore_empty_labels(self, spec):
+        rng = np.random.default_rng(82)
+        for _ in range(40):
+            m = int(rng.integers(20, 60))
+            used = int(rng.integers(3, 12))
+            k = int(rng.integers(max(8, used + 1), 20))
+            jd = random_joint(rng, m, int(rng.integers(2, 6)))
+            dense = np.concatenate([np.arange(used),
+                                    rng.integers(0, used, size=m - used)])
+            labels = np.sort(rng.choice(k, size=used, replace=False))
+            dense_stats = compute_stats(jd, Partition(dense, used), spec)
+            for extra in (0, 1, 7, 30):
+                stats = compute_stats(jd, Partition(labels[dense], k + extra), spec)
+                assert stats.n_nonempty == used
+                assert stats.impurity == dense_stats.impurity
+                assert stats.e_q == dense_stats.e_q
 
 
 class TestAggregate:

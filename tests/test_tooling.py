@@ -6,11 +6,16 @@ crash, so every name the tracer lists must keep resolving.
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from impuritypart import ImpuritySpec, RunConfig, algorithms, cli
+import impuritypart
+from impuritypart import ImpuritySpec, algorithms, cli
+from impuritypart.cli import RunConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 OWNERS = {"cli": cli, "algorithms": algorithms, "ImpuritySpec": ImpuritySpec}
@@ -75,3 +80,17 @@ def test_traced_exact_search_counts_candidates(tmp_path):
     oracle = tracer.op_layers(1, 1.0)
     assert oracle["algorithms.exhaustive_oracle.calls"] == 1
     assert oracle["algorithms.exhaustive_oracle.assignments"] == 2 ** 7
+
+
+def test_package_import_loads_no_cli_modules():
+    # the benchmark's set-up time includes `import impuritypart`; the CLI's
+    # argparse, csv and json load only with impuritypart.cli
+    src = str(Path(impuritypart.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, impuritypart; "
+            "print(sorted({'argparse', 'csv', 'json', 'impuritypart.cli'} "
+            "& set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
