@@ -97,7 +97,18 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
     own column's sum, and one per column outside the mask. The other columns
     inside the mask can be skipped: each of their entries is at most the
     chosen one in every point of the label, and rounded addition is
-    monotone, so their sums never exceed that label's own. Memory is O(k M).
+    monotone, so their sums never exceed that label's own.
+
+    The same argument bounds the off-mask sums: with offmax each point's
+    largest entry outside the mask, one bincount of offmax is at least every
+    off-mask column's bincount, label by label, and summing
+    max(own, offmax sum) over the labels in the same order bounds e from
+    above, bit for bit. A mask whose bound is <= the best e so far cannot
+    win, since only a strictly larger e replaces the best, and it skips its
+    n - k off-mask bincounts. The skip needs no rounding margin, so the
+    partition and e_max_achieved are those of the full scan. Every mask is
+    still visited and counted in masks_evaluated. Each column read is
+    contiguous in the column-major joint. Memory is O(k M).
     """
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
@@ -116,6 +127,8 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
     # zero there keeps position 0, the lowest-index active class)
     chosen = np.empty((k, jd.n_rows))
     label = np.empty((k, jd.n_rows), dtype=np.intp)
+    # each point's largest entry outside the mask
+    offmax = np.empty(jd.n_rows)
     previous = ()
     for cols in itertools.combinations(range(n), k):
         depth = next((d for d, (a, b) in enumerate(zip(previous, cols))
@@ -132,10 +145,16 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
         previous = cols
         local = label[k - 1]
         row_max = np.bincount(local, weights=chosen[k - 1], minlength=k)
-        for j in range(n):
-            if j not in cols:
-                np.maximum(row_max, np.bincount(local, weights=p[:, j], minlength=k),
-                           out=row_max)
+        outside = [j for j in range(n) if j not in cols]
+        np.copyto(offmax, p[:, outside[0]])
+        for j in outside[1:]:
+            np.maximum(offmax, p[:, j], out=offmax)
+        bound = np.maximum(row_max, np.bincount(local, weights=offmax, minlength=k))
+        if float(bound.sum()) <= best_e:
+            continue
+        for j in outside:
+            np.maximum(row_max, np.bincount(local, weights=p[:, j], minlength=k),
+                       out=row_max)
         e = float(row_max.sum())
         if e > best_e:
             best_e = e
@@ -401,7 +420,9 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     stats = compute_stats(jd, Partition(assignment, k), f)
     if stats.n_nonempty == 0:
         raise EmptyStart("starting partition uses no label")
-    cond = jd.p / jd.row_masses[:, None]
+    # C-ordered: the GEMM in _divergences rounds differently when its
+    # left operand is column-major
+    cond = np.divide(jd.p, jd.row_masses[:, None], order="C")
     trace = [{"event": "init", "impurity": stats.impurity}]
     for _ in range(max_iters):
         labels = np.flatnonzero(stats.nonempty)

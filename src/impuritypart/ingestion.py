@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IngestWarning,
+    InvalidDistribution,
     NegativeEntry,
     ParseError,
     ZeroTotal,
@@ -54,8 +55,9 @@ def _read_dense(path):
 
 
 def _read_triplets(path):
-    entries = []
-    max_row = max_col = -1
+    rows = array.array("q")
+    cols = array.array("q")
+    values = array.array("d")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -72,14 +74,20 @@ def _read_triplets(path):
                 raise ParseError(lineno, f"negative index in {line!r}")
             if value < 0.0:
                 raise NegativeEntry((row, col), value)
-            entries.append((row, col, value))
-            max_row = max(max_row, row)
-            max_col = max(max_col, col)
-    if not entries:
+            rows.append(row)
+            cols.append(col)
+            values.append(value)
+    if not values:
         raise ParseError(0, "file contains no data rows")
-    arr = np.zeros((max_row + 1, max_col + 1))
-    for row, col, value in entries:
-        arr[row, col] += value
+    index = tuple(np.frombuffer(a, dtype=np.int64) for a in (rows, cols))
+    shape = (int(index[0].max()) + 1, int(index[1].max()) + 1)
+    weights = np.frombuffer(values, dtype=float)
+    # one bincount adds duplicates in line order from 0.0, as a scatter-add
+    # loop would, and without its overflow warning
+    arr = np.bincount(np.ravel_multi_index(index, shape), weights=weights,
+                      minlength=shape[0] * shape[1]).reshape(shape)
+    if np.isfinite(weights).all() and not np.isfinite(arr).all():
+        raise InvalidDistribution("entries overflow to an infinite total")
     return arr
 
 

@@ -31,7 +31,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def check_entries(arr: np.ndarray) -> None:
-    """Reject NaN/inf entries, then negative ones, naming the first (row, col)."""
+    """Reject NaN/inf entries, then negative ones, naming the first (row, col).
+
+    Two whole-matrix tests pass clean input; the indices are searched only
+    when one of them fails.
+    """
+    if np.isfinite(arr).all() and not (arr < 0.0).any():
+        return
     for bad, error in ((~np.isfinite(arr), NonFinite), (arr < 0.0, NegativeEntry)):
         hits = np.argwhere(bad)
         if hits.size:
@@ -58,31 +64,39 @@ class JointDistribution:
 
     Invariants enforced at construction: all entries finite and >= 0, the
     total is 1 within 1e-9, every row mass is positive, and N >= 2.
+
+    `p` is stored column-major (Fortran order), so each class column p[:, i]
+    is contiguous: every pass over the joint (aggregate, the mask scan, the
+    refine centroids) reads it one column at a time. The total and the row
+    and column masses are summed over the input in C order before that copy,
+    so their bits do not depend on the stored layout. A C-ordered float
+    input is copied once; any other is first made C-ordered.
     """
 
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        if p.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D matrix, got ndim={p.ndim}")
-        m, n = p.shape
+        src = np.asarray(self.p, dtype=float, order="C")
+        if src.ndim != 2:
+            raise DimensionMismatch(f"expected a 2-D matrix, got ndim={src.ndim}")
+        m, n = src.shape
         if m < 1:
             raise DimensionMismatch("need at least one data point row")
         if n < 2:
             raise DimensionMismatch(f"need at least two class columns, got {n}")
-        check_entries(p)
-        total = float(p.sum())
+        check_entries(src)
+        total = float(src.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidDistribution(
                 f"entries sum to {total!r}, expected 1 within {NORMALIZATION_TOL}")
-        row_masses = p.sum(axis=1)
+        row_masses = src.sum(axis=1)
         zero = np.flatnonzero(row_masses <= 0.0)
         if zero.size:
             raise ZeroRow(int(zero[0]))
-        object.__setattr__(self, "p", _frozen(p))
+        col_masses = src.sum(axis=0)
+        object.__setattr__(self, "p", _frozen(np.array(src, order="F")))
         object.__setattr__(self, "_row_masses", _frozen(row_masses))
-        object.__setattr__(self, "_col_masses", _frozen(p.sum(axis=0)))
+        object.__setattr__(self, "_col_masses", _frozen(col_masses))
 
     @property
     def n_rows(self) -> int:
@@ -135,7 +149,7 @@ def build_joint(raw) -> JointDistribution:
     of jd.p; any other matrix is divided by its total. A matrix whose total
     overflows raises InvalidDistribution.
     """
-    arr = np.array(raw, dtype=float)
+    arr = np.array(raw, dtype=float, order="C")
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 2:

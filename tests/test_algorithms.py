@@ -624,6 +624,109 @@ class TestExactSearchReference:
         assert peak <= 96 * 2 ** 20
 
 
+class _CountingNumpy:
+    """numpy with a count of bincount calls, patched in as algorithms.np."""
+
+    def __init__(self):
+        self.bincounts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, *args, **kwargs):
+        self.bincounts += 1
+        return np.bincount(*args, **kwargs)
+
+
+class TestMaskScanPruning:
+    """The k < N scan skips a mask when its bound cannot beat the best e.
+
+    A visited mask takes two bincounts (its own column and the off-mask
+    maximum) and n - k more when it is not skipped, so the number skipped
+    follows from the bincount count. Results equal the unpruned reference
+    bit for bit, whatever is skipped."""
+
+    @staticmethod
+    def scan(monkeypatch, jd, k, spec=GINI):
+        """The checked result and the number of masks skipped."""
+        counting = _CountingNumpy()
+        monkeypatch.setattr(algorithms, "np", counting)
+        res = max_likelihood_partition(jd, k, spec)
+        monkeypatch.setattr(algorithms, "np", np)
+        masks = math.comb(jd.n_cols, k)
+        exact = (counting.bincounts - 2 * masks) // (jd.n_cols - k)
+        TestExactSearchReference.check(res, jd, k, spec,
+                                       likelihood_reference(jd, k, spec))
+        return res, masks - exact
+
+    @staticmethod
+    def one_class_per_row(weights):
+        """Rows with one nonzero entry each: row j holds weights[j] in
+        class j % 3 and the weights must sum to 1 (within 1e-9)."""
+        raw = np.zeros((len(weights), 3))
+        raw[np.arange(len(weights)), np.arange(len(weights)) % 3] = weights
+        return build_joint(raw)
+
+    def test_flat_data_prunes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        jd = build_joint(rng.random((400, 9)))
+        for k in range(1, 5):
+            assert self.scan(monkeypatch, jd, k)[1] == 0
+
+    def test_skewed_data_prunes(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        jd = build_joint(np.floor(rng.pareto(1.2, size=(400, 9)) * 3) + 1)
+        for k, spec in zip(range(4, 9), itertools.cycle((ENT, GINI, SQRT))):
+            assert self.scan(monkeypatch, jd, k, spec)[1] > 0
+
+    def test_later_equal_mask_never_wins(self, monkeypatch):
+        # dyadic counts with a duplicate column: every sum is exact, and at
+        # k = n - 1 each bound equals its mask's e, so a later mask that ties
+        # the best is skipped on bound == best
+        rng = np.random.default_rng(68)
+        for _ in range(4):
+            counts = rng.integers(1, 50, size=(40, 6)).astype(float)
+            counts[:, 5] = counts[:, 0]
+            total = counts.sum()
+            counts[0, 1] += 2.0 ** math.ceil(math.log2(total)) - total
+            jd = build_joint(counts)
+            winners = set()
+            for cols in itertools.combinations(range(6), 5):
+                local = np.argmax(jd.p[:, list(cols)], axis=1)
+                e = compute_stats(jd, Partition(local, 5), GINI).e_q
+                winners.add((e, local.tobytes()))
+            best = max(e for e, _ in winners)
+            assert sum(e == best for e, _ in winners) >= 2
+            assert self.scan(monkeypatch, jd, 5)[1] >= 1
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["later-wins", "earlier-wins"])
+    def test_near_tie_is_decided_exactly(self, monkeypatch, sign):
+        # class masses a = 1/2, b = 1/4, c = 1/4 + sign * 2**-53 at k = 2:
+        # e(0,1) = a + b and e(0,2) = a + c differ by about 1.1e-16
+        delta = sign * 2.0 ** -53
+        jd = self.one_class_per_row([0.25, 0.125, 0.125, 0.25, 0.125, 0.125 + delta])
+        res, skipped = self.scan(monkeypatch, jd, 2)
+        assert 0.75 + delta != 0.75
+        assert res.e_max_achieved == max(0.75, 0.75 + delta)
+        # (1, 2) ties (0, 2) and is skipped, and so is (0, 2) when it loses
+        assert skipped == (1 if sign > 0 else 2)
+
+    def test_memory_is_k_columns(self):
+        # 2k + 5 vectors of M floats; a copy of p or of the mask's columns
+        # would exceed the bound
+        rng = np.random.default_rng(69)
+        m, n = 20000, 12
+        jd = random_joint(rng, m, n)
+        for k in (2, 3):
+            tracemalloc.start()
+            try:
+                max_likelihood_partition(jd, k, GINI)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (2 * k + 6) * 8 * m
+
+
 class TestApproximationGuarantee:
     @pytest.mark.parametrize("spec", [ENT, GINI], ids=["entropy", "gini"])
     def test_ratio_certified_on_small_instances(self, spec):

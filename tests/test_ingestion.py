@@ -204,6 +204,25 @@ class TestErrors:
         jd = ingest(path, "sparse_triplets")
         np.testing.assert_array_equal(jd.p, [[0.5, 0.0], [0.0, 0.5]])
 
+    def test_triplet_duplicates_add_in_line_order(self, tmp_path):
+        # 1 + 1e-16 + 1e-16 is 1 in line order, not 1 + 2e-16
+        path = tmp_path / "in.txt"
+        path.write_text("0,0,1\n0,0,1e-16\n0,0,1e-16\n1,1,0.5\n1,1,1e-16\n")
+        jd = ingest(path, "sparse_triplets")
+        total = (1.0 + 1e-16 + 1e-16) + (0.5 + 1e-16)
+        assert jd.p.tobytes() == (np.array([[1.0 + 1e-16 + 1e-16, 0.0],
+                                            [0.0, 0.5 + 1e-16]]) / total).tobytes()
+
+    def test_overflowing_triplet_duplicates_are_named(self, tmp_path):
+        # every value is finite; only their sum overflows
+        path = tmp_path / "in.txt"
+        path.write_text("0,0,1e308\n0,0,1e308\n1,1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDistribution,
+                               match="entries overflow to an infinite total"):
+                ingest(path, "sparse_triplets")
+
     def test_single_column_rejected(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("1\n2\n")

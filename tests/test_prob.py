@@ -127,6 +127,37 @@ class TestJointDistribution:
             jd.p[0, 0] = 0.3
 
 
+class TestColumnMajorLayout:
+    """p is stored column-major; its masses are the C-order sums."""
+
+    def test_columns_are_contiguous(self):
+        rng = np.random.default_rng(87)
+        for raw in (rng.random((50, 12)), np.asfortranarray(rng.random((50, 12))),
+                    rng.random((12, 50))[:, ::3].T, [[1, 2], [3, 4]]):
+            jd = build_joint(raw)
+            assert jd.p.flags.f_contiguous
+            assert jd.p[:, 1].flags.contiguous
+            assert JointDistribution(jd.p).p.flags.f_contiguous
+
+    def test_masses_are_c_order_sums(self):
+        # at N >= 8 a column-major sum(axis=1) rounds differently
+        rng = np.random.default_rng(88)
+        for m, n in ((10000, 20), (300, 9), (7, 2)):
+            c = rng.random((m, n))
+            c /= c.sum()
+            for src in (c, np.asfortranarray(c)):
+                jd = JointDistribution(src)
+                assert jd.p.tobytes() == c.tobytes()
+                assert jd.row_masses.tobytes() == c.sum(axis=1).tobytes()
+                assert jd.col_masses.tobytes() == c.sum(axis=0).tobytes()
+
+    def test_input_is_copied(self):
+        c = np.full((2, 2), 0.25)
+        jd = JointDistribution(c)
+        c[0, 0] = 0.5
+        assert jd.p[0, 0] == 0.25
+
+
 class TestPartition:
     def test_label_validation(self):
         with pytest.raises(LabelOutOfRange):
