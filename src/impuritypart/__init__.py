@@ -31,7 +31,6 @@ from .bounds import (
 from .errors import (
     ConcavityViolation,
     DimensionMismatch,
-    EmptyStart,
     EOutOfRange,
     ImpurityPartError,
     IngestWarning,
@@ -70,7 +69,6 @@ __all__ = [
     "DEFAULT_ORACLE_CAP",
     "DimensionMismatch",
     "EOutOfRange",
-    "EmptyStart",
     "ImpurityPartError",
     "ImpuritySpec",
     "IngestWarning",

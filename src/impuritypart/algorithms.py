@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    EmptyStart,
     InstanceTooLarge,
     KNotGreaterThanN,
     KNotLessThanN,
@@ -170,8 +169,7 @@ class GreedyState:
     joint rows and `own` their weighted impurities, bitwise what
     compute_stats gives for the same assignment. Split states may carry empty
     labels; merge states never do. `event` is the trace event that produced
-    the state, without its "impurity". The arrays belong to the generator and
-    may change when it resumes: copy what must outlive the next step.
+    the state, without its "impurity". No later step writes to its arrays.
     """
 
     assignment: np.ndarray
@@ -221,8 +219,8 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     a target k, so one trajectory serves every k. When no partition has two
     points, a final "stop" state repeats the last partition and the
     generator ends. A round re-aggregates only the source partition's
-    members and rescores two rows: O(|source| N) plus an O(M) label scan.
-    `assignment` is updated in place; pxz and own are new arrays each round.
+    members and rescores two rows: O(|source| N) plus an O(M) label scan and
+    an O(M) copy. assignment, pxz and own are new arrays each round.
     """
     p = jd.p
     assignment = np.array(base.partition.assignment)
@@ -249,6 +247,7 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         if fallback:
             move[int(np.argmax(attribution))] = True
         target = pxz.shape[0]
+        assignment = assignment.copy()
         assignment[members[move]] = target
         halves = aggregate(p[members], move, 2)
         pxz = np.vstack([pxz, halves[1:]])
@@ -418,8 +417,6 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     assignment = np.array(start.assignment)
     k = start.k
     stats = compute_stats(jd, Partition(assignment, k), f)
-    if stats.n_nonempty == 0:
-        raise EmptyStart("starting partition uses no label")
     # C-ordered: the GEMM in _divergences rounds differently when its
     # left operand is column-major
     cond = np.divide(jd.p, jd.row_masses[:, None], order="C")

@@ -35,9 +35,9 @@ from .errors import ImpurityPartError, IngestWarning
 from .impurity import entropy_spec, gini_spec
 from .ingestion import FORMATS, ingest
 
-SCHEMA = "impuritypart/1"
+SCHEMA = "impuritypart/2"
 ALGORITHMS = ("ml", "greedy_split", "greedy_merge", "auto", "oracle")
-IMPURITIES = ("entropy", "gini")
+IMPURITIES = {"entropy": entropy_spec, "gini": gini_spec}
 
 _CSV_COLUMNS = ("k", "algorithm_used", "impurity", "e_q", "e_max_achieved",
                 "upper_u", "lower_l", "ratio_r", "fano", "masks_evaluated",
@@ -62,7 +62,6 @@ class RunConfig:
     refine: bool = False
     max_iters: int = 100
     mask_budget: int = DEFAULT_MASK_BUDGET
-    seed: int = 0
     output_path: str
     emit_assignment: bool = False
     csv_path: str = None
@@ -162,19 +161,16 @@ def _record(config: RunConfig, jd, f, k, name, result):
     wall_ms is left for the caller to fill in.
     """
     record = dict.fromkeys(_CSV_COLUMNS) | {"k": k}
-    try:
-        if isinstance(result, ImpurityPartError):
-            raise result
-        e_max = result.e_max_achieved
-        masks = result.masks_evaluated
-        if config.refine:
-            # impurity/e_q describe the refined partition; the e certificate
-            # stays with the main algorithm, where the ratio is meaningful
-            result = iterative_refine(jd, result.partition, f, config.max_iters)
-            name += "+refine"
-    except ImpurityPartError as exc:
-        record["error"] = f"{type(exc).__name__}: {exc}"
+    if isinstance(result, ImpurityPartError):
+        record["error"] = f"{type(result).__name__}: {result}"
         return record
+    e_max = result.e_max_achieved
+    masks = result.masks_evaluated
+    if config.refine:
+        # impurity/e_q describe the refined partition; the e certificate
+        # stays with the main algorithm, where the ratio is meaningful
+        result = iterative_refine(jd, result.partition, f, config.max_iters)
+        name += "+refine"
     stats = result.stats
     n = jd.n_cols
     record.update({
@@ -215,7 +211,7 @@ def run(config: RunConfig) -> dict:
     for item in caught:
         if isinstance(item.message, IngestWarning):
             dropped.extend(item.message.dropped_rows)
-    f = entropy_spec() if config.impurity == "entropy" else gini_spec()
+    f = IMPURITIES[config.impurity]()
     records = []
     mark = time.perf_counter()
     for k, name, result in _outcomes(config, jd, f):
@@ -272,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run iterative refinement after the algorithm")
     parser.add_argument("--max-iters", type=int)
     parser.add_argument("--mask-budget", type=int)
-    parser.add_argument("--seed", type=int,
-                        help="recorded in the report; algorithms are deterministic")
     parser.add_argument("--output", dest="output_path", metavar="OUTPUT",
                         required=True, help="JSON report path")
     parser.add_argument("--emit-assignment", action="store_true",

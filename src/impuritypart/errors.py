@@ -85,10 +85,6 @@ class KNotLessThanN(ImpurityPartError, ValueError):
     """Merging requires fewer partitions than classes (k < n)."""
 
 
-class EmptyStart(ImpurityPartError, ValueError):
-    """The starting partition uses no label at all."""
-
-
 class MaskBudgetExceeded(ImpurityPartError, ValueError):
     """The number of candidate class masks exceeds the configured budget."""
 

@@ -5,9 +5,10 @@ Three input formats:
   counts          same layout, nonnegative counts, normalized by the total
   sparse_triplets lines "row,col,value" (0-based), missing entries are zero
 
-NaN or infinite entries are rejected. Rows with zero total mass are dropped
-with an IngestWarning carrying their 0-based indices. A dense CSV written by
-`emit` reads back bit-exactly.
+A leading UTF-8 byte-order mark is skipped. NaN or infinite entries are
+rejected. Rows with zero total mass are dropped with an IngestWarning
+carrying their 0-based indices. A dense CSV written by `emit` reads back
+bit-exactly.
 """
 
 import array
@@ -33,7 +34,7 @@ def _read_dense(path):
     values = array.array("d")
     width = None
     n_rows = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -58,7 +59,7 @@ def _read_triplets(path):
     rows = array.array("q")
     cols = array.array("q")
     values = array.array("d")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -28,7 +28,7 @@ from impuritypart import (
     max_likelihood_partition,
 )
 from impuritypart import algorithms
-from impuritypart.algorithms import _divergences, merge_states
+from impuritypart.algorithms import _divergences, merge_states, split_states
 
 from helpers import (
     all_assignment_e_values,
@@ -366,6 +366,26 @@ class TestGreedyTrajectories:
                 if any(e.get("fallback") for e in res.trace):
                     seen.add("fallback")
         assert seen == {"unused class", "no merge needed", "stop", "fallback"}
+
+    @pytest.mark.parametrize("spec", [ENT, GINI], ids=["entropy", "gini"])
+    def test_kept_states_stay_valid(self, spec):
+        # states are checked only after the walk has stopped. A split
+        # trajectory that ends has at most M + 1 states; the cap also cuts
+        # the one on replicated rows, which never ends: rounding can let
+        # every member of a group pass the threshold and move together
+        for jd in self.instances():
+            base = max_likelihood_partition(jd, jd.n_cols, spec)
+            for algorithm, states in (("greedy_split", split_states),
+                                      ("greedy_merge", merge_states)):
+                kept = list(itertools.islice(states(jd, base, spec), jd.n_rows + 1))
+                for state in kept:
+                    k = state.labels
+                    assignment, stats, _ = greedy_reference(jd, k, spec, algorithm)
+                    assert state.assignment.tolist() == assignment.tolist()
+                    ours = state.result(k, spec, base.masks_evaluated).stats
+                    for name in ("pxz", "px_given_z", "per_partition_impurity"):
+                        assert (getattr(ours, name).tobytes()
+                                == getattr(stats, name).tobytes()), name
 
 
 class TestIterativeRefine:

@@ -67,7 +67,7 @@ class TestRun:
         config = RunConfig(input_path=str(data), output_path=str(out),
                            input_format="counts", k=3, algorithm="ml")
         report = run(config)
-        assert report["schema"] == "impuritypart/1"
+        assert report["schema"] == "impuritypart/2"
         record = report["records"][0]
         assert record["impurity"] == 0.0
         assert record["e_q"] == 1.0
@@ -328,6 +328,18 @@ class TestMainExitCodes:
         code = main(["--input", str(data), "--k", "nope", "--output", str(out)])
         assert code == 2
 
+    def test_seed_is_not_a_setting(self, tmp_path, capsys):
+        # the algorithms are deterministic, so there is nothing to seed
+        data = tmp_path / "data.csv"
+        write_counts(data, np.eye(2, dtype=int))
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--k", "2", "--seed", "1",
+                     "--output", str(out)])
+        assert code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(fields(RunConfig)) == 11
+
     def test_input_error_is_3(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["--input", str(tmp_path / "missing.csv"), "--k", "2",
@@ -371,7 +383,7 @@ class TestMainFlags:
         code = main(["--input", str(data), "--format", "counts",
                      "--impurity", "gini", "--k", "2:3", "--algorithm", "ml",
                      "--refine", "--max-iters", "7", "--mask-budget", "50",
-                     "--seed", "11", "--output", str(out),
+                     "--output", str(out),
                      "--emit-assignment", "--emit-csv", str(table)])
         assert code == 0
         report = read_report(out)
@@ -379,7 +391,7 @@ class TestMainFlags:
             ("input_path", str(data)), ("input_format", "counts"),
             ("impurity", "gini"), ("k", [2, 3]), ("algorithm", "ml"),
             ("refine", True), ("max_iters", 7), ("mask_budget", 50),
-            ("seed", 11), ("output_path", str(out)),
+            ("output_path", str(out)),
             ("emit_assignment", True)]
         assert [record["algorithm_used"] for record in report["records"]] == [
             "ml+refine", "ml+refine"]

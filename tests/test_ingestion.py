@@ -56,6 +56,24 @@ class TestFormats:
         with pytest.raises(ValueError):
             ingest(path, "parquet")
 
+    @pytest.mark.parametrize("input_format", ["dense_csv", "counts",
+                                              "sparse_triplets"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, input_format):
+        if input_format == "sparse_triplets":
+            text = "0,0,2\n1,1,2.5\n0,1,1\n"
+        else:
+            emitted = tmp_path / "emitted.csv"
+            emit(random_joint(np.random.default_rng(62), 5, 3), emitted)
+            text = emitted.read_text(encoding="utf-8")
+            assert not text.startswith("\ufeff")
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        a = ingest(plain, input_format)
+        b = ingest(marked, input_format)
+        assert a.p.tobytes() == b.p.tobytes()
+
 
 class TestRoundTrip:
     def test_dense_csv_bit_exact(self, tmp_path):

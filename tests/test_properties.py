@@ -1,0 +1,106 @@
+"""Property tests over generated instances, beside the seeded tests.
+
+Hypothesis draws small count matrices, with zeros and tied entries, and
+partitions of them. The runs are derandomized and keep no example database,
+so every run of the same source checks the same examples. (Hypothesis still
+caches the constants of local source files under .hypothesis/.)
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from impuritypart import (
+    Partition,
+    build_joint,
+    compute_stats,
+    entropy_spec,
+    exhaustive_oracle,
+    gini_spec,
+    greedy_merge,
+    greedy_split,
+    iterative_refine,
+    lower_bound,
+    max_likelihood_partition,
+    upper_bound,
+)
+
+from helpers import leq, stats_reference
+
+SPECS = st.sampled_from([entropy_spec(), gini_spec()])
+PROPERTY = settings(max_examples=60, derandomize=True, database=None,
+                    deadline=None)
+
+
+@st.composite
+def joints(draw, max_m=8, max_n=5):
+    """A joint distribution from m x n counts in [0, 16], every row nonzero."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(2, max_n))
+    cells = st.lists(st.integers(0, 16), min_size=m * n, max_size=m * n)
+    counts = np.array(draw(cells), dtype=float).reshape(m, n)
+    heavy = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    counts[np.arange(m), heavy] += 1.0
+    return build_joint(counts)
+
+
+def trace_impurities(result):
+    return [event["impurity"] for event in result.trace]
+
+
+def sandwiched(jd, stats, f):
+    return (leq(lower_bound(stats.e_q, f), stats.impurity)
+            and leq(stats.impurity, upper_bound(stats.e_q, jd.n_cols, f)))
+
+
+@PROPERTY
+@given(jd=joints(), spec=SPECS, data=st.data())
+def test_compute_stats_matches_reference(jd, spec, data):
+    k = data.draw(st.integers(1, 6), label="k")
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=jd.n_rows,
+                                max_size=jd.n_rows), label="assignment")
+    assignment = np.array(labels)
+    stats = compute_stats(jd, Partition(assignment, k), spec)
+    impurity, e = stats_reference(jd.p, assignment, k, spec.f)
+    assert abs(stats.impurity - impurity) <= 1e-12
+    assert abs(stats.e_q - e) <= 1e-12
+    assert stats.n_nonempty == len(set(labels))
+
+
+@PROPERTY
+@given(jd=joints(), spec=SPECS, k=st.integers(1, 4))
+def test_likelihood_reaches_the_oracle_e_max(jd, spec, k):
+    likelihood = max_likelihood_partition(jd, k, spec)
+    oracle = exhaustive_oracle(jd, k, spec)
+    assert abs(likelihood.e_max_achieved - oracle.e_max_achieved) <= 1e-15
+    assert leq(oracle.stats.impurity, likelihood.stats.impurity)
+
+
+@PROPERTY
+@given(jd=joints(), spec=SPECS, k=st.integers(1, 4), extra=st.integers(1, 4))
+def test_every_partition_is_sandwiched_by_the_bounds(jd, spec, k, extra):
+    n = jd.n_cols
+    likelihood = max_likelihood_partition(jd, k, spec)
+    results = [likelihood, exhaustive_oracle(jd, k, spec),
+               greedy_split(jd, n + extra, spec),
+               iterative_refine(jd, likelihood.partition, spec)]
+    if k < n:
+        results.append(greedy_merge(jd, k, spec))
+    for result in results:
+        assert sandwiched(jd, result.stats, spec)
+
+
+@PROPERTY
+@given(jd=joints(), spec=SPECS, k=st.integers(1, 4), extra=st.integers(1, 4))
+def test_traces_are_monotone(jd, spec, k, extra):
+    # splits and refinement passes never raise the impurity; by concavity
+    # a merge never lowers it
+    n = jd.n_cols
+    start = max_likelihood_partition(jd, k, spec).partition
+    for result in (greedy_split(jd, n + extra, spec),
+                   iterative_refine(jd, start, spec)):
+        imps = trace_impurities(result)
+        assert all(leq(b, a) for a, b in zip(imps, imps[1:]))
+    if k < n:
+        imps = trace_impurities(greedy_merge(jd, k, spec))
+        assert all(leq(a, b) for a, b in zip(imps, imps[1:]))

@@ -1,9 +1,12 @@
-"""The benchmark tracer (perfbench/tracing.py) patches program names by string.
+"""Checks on the program's surface rather than its results.
 
+The benchmark tracer (perfbench/tracing.py) patches program names by string.
 A refactor that drops or renames one of them makes a traced benchmark run
-crash, so every name the tracer lists must keep resolving.
+crash, so every name the tracer lists must keep resolving. Every exported
+error must also be one some test expects to be raised.
 """
 
+import ast
 import importlib.util
 import math
 import os
@@ -17,7 +20,8 @@ import impuritypart
 from impuritypart import ImpuritySpec, algorithms, cli
 from impuritypart.cli import RunConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+TESTS = Path(__file__).resolve().parent
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 OWNERS = {"cli": cli, "algorithms": algorithms, "ImpuritySpec": ImpuritySpec}
 
 
@@ -94,3 +98,21 @@ def test_package_import_loads_no_cli_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_every_exported_error_is_raised_in_some_test():
+    # the names inside the first argument of every pytest.raises(...) call
+    expected = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "raises"):
+                expected.update(name.id for name in ast.walk(node.args[0])
+                                if isinstance(name, ast.Name))
+    errors = [name for name in impuritypart.__all__
+              if isinstance(getattr(impuritypart, name), type)
+              and issubclass(getattr(impuritypart, name), impuritypart.ImpurityPartError)
+              and name != "ImpurityPartError"]
+    assert len(errors) >= 17
+    assert sorted(set(errors) - expected) == []
