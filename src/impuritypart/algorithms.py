@@ -8,17 +8,21 @@ Traces, when present, are lists of dict events. Every event carries
 "impurity" (the total impurity after the event); the first event is
 {"event": "init"}. Split events add source/target labels, the number of
 moved points, and whether the single-point fallback fired. Merge events add
-the merged pair, its loss, and the full list of evaluated (i, j, loss)
-candidates. Refinement events add the number of reassigned points.
+the merged pair, its loss "delta", and "losses", the count x count matrix of
+pair losses the merge chose from: entry (i, j) with i < j is the loss of
+merging i and j, every other entry is +inf. Refinement events add the number
+of reassigned points.
 
 greedy_split and greedy_merge run the generators split_states and
-merge_states to k. Their decisions do not depend on k, so one trajectory
-serves a whole sweep of k, and each round updates only the partitions it
-touches, bitwise equal to recomputing the statistics from scratch.
+merge_states to k, and their trace events are the states' own events.
+The decisions do not depend on k, so one trajectory serves a whole sweep of
+k, and each round updates only the partitions it touches, bitwise equal to
+recomputing the statistics from scratch.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -215,12 +219,13 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     """Generate the greedy split trajectory from the likelihood result `base`.
 
     The first state is base itself with its n labels, then each round adds
-    one label (see greedy_split for the rule). The decisions do not depend on
-    a target k, so one trajectory serves every k. When no partition has two
-    points, a final "stop" state repeats the last partition and the
-    generator ends. A round re-aggregates only the source partition's
-    members and rescores two rows: O(|source| N) plus an O(M) label scan and
-    an O(M) copy. assignment, pxz and own are new arrays each round.
+    one nonempty label (see greedy_split for the rule). The decisions do not
+    depend on a target k, so one trajectory serves every k. When no
+    partition has two points, a final "stop" state repeats the last
+    partition and the generator ends, after at most M + 1 states. A round
+    re-aggregates only the source partition's members and rescores two rows:
+    O(|source| N) plus an O(M) label scan and an O(M) copy. assignment, pxz
+    and own are new arrays each round.
     """
     p = jd.p
     assignment = np.array(base.partition.assignment)
@@ -229,13 +234,13 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     counts = np.bincount(assignment, minlength=pxz.shape[0])
     yield GreedyState(assignment, pxz, own, {"event": "init"})
     while True:
-        order = np.argsort(-own, kind="stable")
-        source = next((int(c) for c in order if counts[c] >= 2), None)
-        if source is None:
+        eligible = counts >= 2
+        if not eligible.any():
             yield GreedyState(assignment, pxz, own,
                               {"event": "stop",
                                "reason": "no partition with 2+ points"})
             return
+        source = int(np.argmax(np.where(eligible, own, -np.inf)))
         # the row sum as stats_from_pxz takes it, so cond is bitwise its
         # px_given_z row
         cond = pxz[source] / pxz[source:source + 1].sum(axis=1)[0]
@@ -243,9 +248,10 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         members = np.flatnonzero(assignment == source)
         attribution = p[members, j_star] / jd.row_masses[members]
         move = attribution > cond[j_star]
-        fallback = not bool(move.any())
+        # moving every member would only relabel the source
+        fallback = not move.any() or bool(move.all())
         if fallback:
-            move[int(np.argmax(attribution))] = True
+            move = np.arange(members.size) == int(np.argmax(attribution))
         target = pxz.shape[0]
         assignment = assignment.copy()
         assignment[members[move]] = target
@@ -283,12 +289,13 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     further state merges the cheapest pair (see greedy_merge for the rule),
     down to a single partition. Merge events carry "losses", the count x
     count matrix of pair losses the merge chose from (+inf off the upper
-    triangle). Scoring every pair costs O(count^2 N) once, one partition
-    against the partitions after it at a time. After a merge only the
-    merged partition's members are re-aggregated and only its row and
-    column of losses are rescored, in one O(count N) call; the relabelling
-    is O(M) and the argmin and matrix deletions touch O(count^2) floats.
-    Memory is O(count N) beside the O(count^2) loss matrix.
+    triangle), a fresh array that no later round writes. Scoring every pair
+    costs O(count^2 N) once, one partition against the partitions after it
+    at a time. After a merge only the merged partition's members are
+    re-aggregated and only its row and column of losses are rescored, in
+    one O(count N) call; the relabelling is O(M) and the argmin and matrix
+    deletions touch O(count^2) floats. Memory is O(count N) beside the
+    O(count^2) loss matrix.
     """
     p = jd.p
     used = np.flatnonzero(np.bincount(base.partition.assignment,
@@ -324,6 +331,22 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         yield GreedyState(assignment, pxz, own, event)
 
 
+def _greedy(jd: JointDistribution, k: int, f: ImpuritySpec, check, states,
+            reached) -> AlgoResult:
+    """The body of greedy_split and greedy_merge: check k, then walk
+    `states` from the likelihood result at n until reached(labels, k). The
+    trace is the states' own events, each with its impurity."""
+    n = jd.n_cols
+    check(n, k)
+    base = max_likelihood_partition(jd, n, f)
+    trace = []
+    for state in states(jd, base, f):
+        trace.append({**state.event, "impurity": state.impurity})
+        if reached(state.labels, k):
+            break
+    return state.result(k, f, base.masks_evaluated, trace)
+
+
 def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     """Likelihood partition followed by k - n impurity-guided splits (k > n).
 
@@ -331,21 +354,14 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     least two points; ties to the lowest label), finds its dominant class,
     and moves every member whose conditional on that class strictly exceeds
     the partition's own conditional into a fresh label. When the threshold
-    moves nothing, the single member with the largest conditional moves
-    instead; when no partition has two points, the remaining labels stay
-    empty. Total impurity never increases across rounds. Runs split_states
-    to k labels: one likelihood run, then per round O(|source| N) work and an
-    O(M) label scan.
+    moves nothing or every member, the single member with the largest
+    conditional moves instead, so every round adds a nonempty label; when
+    no partition has two points, the remaining labels stay empty. Total
+    impurity never increases across rounds. Runs split_states to k labels:
+    one likelihood run, then per round O(|source| N) work and an O(M) label
+    scan.
     """
-    n = jd.n_cols
-    check_split_k(n, k)
-    base = max_likelihood_partition(jd, n, f)
-    trace = []
-    for state in split_states(jd, base, f):
-        trace.append({**state.event, "impurity": state.impurity})
-        if state.labels == k:
-            break
-    return state.result(k, f, base.masks_evaluated, trace)
+    return _greedy(jd, k, f, check_split_k, split_states, operator.ge)
 
 
 def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
@@ -357,24 +373,11 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     at most k nonempty partitions remain. Runs merge_states down to k: all
     pairs are scored once, O(count^2 N), then each merge rescores O(count)
     pairs, O(count N), and relabels in O(M). Scoring holds O(count N) floats
-    at a time beside the count x count losses; the trace's evaluated lists
-    add O(count^2) per merge. No approximation guarantee.
+    at a time beside the count x count losses; each merge event of the trace
+    keeps the loss matrix it chose from, the array merge_states built, not a
+    copy. No approximation guarantee.
     """
-    n = jd.n_cols
-    check_merge_k(n, k)
-    base = max_likelihood_partition(jd, n, f)
-    trace = []
-    for state in merge_states(jd, base, f):
-        event = dict(state.event)
-        losses = event.pop("losses", None)
-        if losses is not None:
-            rows, cols = np.triu_indices(losses.shape[0], 1)
-            event["evaluated"] = list(zip(rows.tolist(), cols.tolist(),
-                                          losses[rows, cols].tolist()))
-        trace.append({**event, "impurity": state.impurity})
-        if state.labels <= k:
-            break
-    return state.result(k, f, base.masks_evaluated, trace)
+    return _greedy(jd, k, f, check_merge_k, merge_states, operator.le)
 
 
 def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray:
@@ -442,14 +445,14 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
                       masks_evaluated=0, trace=trace)
 
 
-def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec,
-                      cap: int = DEFAULT_ORACLE_CAP) -> AlgoResult:
+def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     """Enumerate all k**m assignments for ground truth on small instances.
 
     Returns the assignment with the smallest impurity (first in enumeration
     order on ties) and reports the global maximum e over every assignment in
     e_max_achieved. Assignments are enumerated lexicographically with point 0
-    as the most significant digit. Refuses instances with k**m above `cap`.
+    as the most significant digit. Refuses instances with k**m above
+    DEFAULT_ORACLE_CAP.
 
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
@@ -461,8 +464,9 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec,
         raise KTooSmall(f"k must be >= 1, got {k}")
     m = jd.n_rows
     total = k ** m
-    if total > cap:
-        raise InstanceTooLarge(f"{k}**{m} = {total} assignments exceed cap {cap}")
+    if total > DEFAULT_ORACLE_CAP:
+        raise InstanceTooLarge(
+            f"{k}**{m} = {total} assignments exceed cap {DEFAULT_ORACLE_CAP}")
     if k == 1:
         return _result(jd, np.zeros(m, dtype=np.intp), 1, f, masks_evaluated=1)
     weighted, top = _subset_tables(jd.p, f)

@@ -18,6 +18,8 @@ ImpurityKind = Literal["entropy", "gini", "custom"]
 # Slack for the sampled concavity test; linear f evaluates the two sides of
 # the inequality along different float paths.
 _CONCAVITY_TOL = 1e-9
+# Random triples drawn for the concavity test.
+_CONCAVITY_SAMPLES = 1000
 
 
 def _entropy_f_scalar(x: float) -> float:
@@ -123,18 +125,15 @@ def gini_spec() -> ImpuritySpec:
 
 
 def custom_spec(f: Callable[[float], float],
-                l: Optional[Callable[[float], float]] = None,
-                samples: int = 1000) -> ImpuritySpec:
+                l: Optional[Callable[[float], float]] = None) -> ImpuritySpec:
     """Wrap a user-supplied concave f (and optional companion l).
 
-    Concavity is spot-checked on `samples` random triples (a, b, lam) drawn
-    from a fixed seed; a violation beyond tolerance raises ConcavityViolation
-    naming the triple. The check is a sample, not a proof.
+    Concavity is spot-checked on _CONCAVITY_SAMPLES random triples (a, b,
+    lam) drawn from a fixed seed; a violation beyond tolerance raises
+    ConcavityViolation naming the triple. The check is a sample, not a proof.
     """
     rng = np.random.default_rng(181168)
-    a = rng.random(samples)
-    b = rng.random(samples)
-    lam = rng.random(samples)
+    a, b, lam = rng.random((3, _CONCAVITY_SAMPLES))
     for ai, bi, li in zip(a, b, lam):
         lhs = f(li * ai + (1.0 - li) * bi)
         rhs = li * f(ai) + (1.0 - li) * f(bi)

@@ -79,8 +79,10 @@ def greedy_reference(jd, k, f, algorithm):
 
     The plain loops the incremental trajectories replace: every split round
     recomputes the statistics of the whole partition, and every merge round
-    aggregates all points and scores every pair again. The valid k ranges are
-    assumed (k > N to split, k < N to merge).
+    aggregates all points and scores every pair again. A merge event's
+    "losses" is the count x count matrix of those scores, +inf off the upper
+    triangle. The valid k ranges are assumed (k > N to split, k < N to
+    merge).
     """
     n = jd.n_cols
     base = max_likelihood_partition(jd, n, f)
@@ -102,7 +104,8 @@ def greedy_reference(jd, k, f, algorithm):
             members = np.flatnonzero(assignment == source)
             attribution = jd.p[members, j_star] / jd.row_masses[members]
             move = attribution > float(stats.px_given_z[source, j_star])
-            fallback = not bool(move.any())
+            # moving the whole source would only relabel it
+            fallback = not bool(move.any()) or bool(move.all())
             if fallback:
                 move = np.zeros(members.size, dtype=bool)
                 move[int(np.argmax(attribution))] = True
@@ -126,13 +129,14 @@ def greedy_reference(jd, k, f, algorithm):
         deltas = f.weighted(pxz[rows] + pxz[cols]) - own[rows] - own[cols]
         best = int(np.argmin(deltas))
         i, j = int(rows[best]), int(cols[best])
-        evaluated = list(zip(rows.tolist(), cols.tolist(), deltas.tolist()))
+        losses = np.full((count, count), np.inf)
+        losses[rows, cols] = deltas
         assignment = np.where(assignment == j, i, assignment)
         assignment = np.where(assignment > j, assignment - 1, assignment)
         count -= 1
         after = compute_stats(jd, Partition(assignment, count), f)
         trace.append({"event": "merge", "merged": [i, j],
-                      "delta": float(deltas[best]), "evaluated": evaluated,
+                      "delta": float(deltas[best]), "losses": losses,
                       "impurity": after.impurity})
     return assignment, compute_stats(jd, Partition(assignment, k), f), trace
 

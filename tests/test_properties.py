@@ -6,6 +6,8 @@ so every run of the same source checks the same examples. (Hypothesis still
 caches the constants of local source files under .hypothesis/.)
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from impuritypart import (
     max_likelihood_partition,
     upper_bound,
 )
+from impuritypart.algorithms import split_states
 
 from helpers import leq, stats_reference
 
@@ -42,6 +45,14 @@ def joints(draw, max_m=8, max_n=5):
     heavy = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     counts[np.arange(m), heavy] += 1.0
     return build_joint(counts)
+
+
+@st.composite
+def tiled_joints(draw):
+    """A joint from joints() with its rows stacked 1 to 3 times: replicated
+    rows put every member of a group on the same side of a split threshold."""
+    jd = draw(joints(max_m=5))
+    return build_joint(np.tile(jd.p, (draw(st.integers(1, 3)), 1)))
 
 
 def trace_impurities(result):
@@ -104,3 +115,19 @@ def test_traces_are_monotone(jd, spec, k, extra):
     if k < n:
         imps = trace_impurities(greedy_merge(jd, k, spec))
         assert all(leq(a, b) for a, b in zip(imps, imps[1:]))
+
+
+@PROPERTY
+@given(jd=st.one_of(joints(), tiled_joints()), spec=SPECS)
+def test_every_split_round_adds_a_nonempty_label(jd, spec):
+    m = jd.n_rows
+    base = max_likelihood_partition(jd, jd.n_cols, spec)
+    states = list(itertools.islice(split_states(jd, base, spec), m + 2))
+    assert len(states) <= m + 1
+    assert states[-1].event["event"] == "stop"
+    nonempty = [int(np.count_nonzero(np.bincount(state.assignment)))
+                for state in states]
+    # each split adds one nonempty label; the stop, once every point is
+    # alone, repeats the last partition
+    assert nonempty[:-1] == list(range(nonempty[0], nonempty[0] + len(states) - 1))
+    assert nonempty[-1] == nonempty[-2] == m

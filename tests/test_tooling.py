@@ -3,7 +3,8 @@
 The benchmark tracer (perfbench/tracing.py) patches program names by string.
 A refactor that drops or renames one of them makes a traced benchmark run
 crash, so every name the tracer lists must keep resolving. Every exported
-error must also be one some test expects to be raised.
+error must also be one some test expects to be raised, and no source module
+may import a name it never uses.
 """
 
 import ast
@@ -116,3 +117,27 @@ def test_every_exported_error_is_raised_in_some_test():
               and name != "ImpurityPartError"]
     assert len(errors) >= 17
     assert sorted(set(errors) - expected) == []
+
+
+def test_no_source_module_imports_a_name_it_never_uses():
+    # no linter runs here, so a stale import would go unnoticed; the
+    # exceptions are the names the tracer patches on cli without cli
+    # calling them
+    patched = {("cli", attr) for _, names, _, _ in load_tracing().LAYERS
+               for owner, attr in names if owner == "cli"}
+    unused = []
+    for path in sorted(Path(impuritypart.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            # a package re-exports what it lists in __all__
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(name.value for name in node.value.elts)
+        unused += [(path.stem, name) for name in sorted(imported - used)
+                   if (path.stem, name) not in patched]
+    assert unused == []
