@@ -50,6 +50,7 @@ DEFAULT_ORACLE_CAP = 2_000_000
 
 _ORACLE_BLOCK = 1 << 16
 _TABLE_CHUNK = 1 << 18
+_REFINE_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +85,11 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
                              mask_budget: int = DEFAULT_MASK_BUDGET) -> AlgoResult:
     """Partition by largest joint entry, maximizing the likelihood sum e.
 
-    For k >= n each point joins the label of its largest class entry, which
-    provably maximizes e over all assignments and uses at most n labels
-    (leaving k - n empty). For k < n every size-k class mask is tried: the
+    For k >= n each point joins the label of its largest class entry (the
+    first on ties), which provably maximizes e over all assignments and uses
+    at most n labels (leaving k - n empty); one scan over the columns keeps
+    each point's largest entry so far and its label, O(M) memory beside the
+    joint. For k < n every size-k class mask is tried: the
     joint is projected onto the mask's classes, points are assigned by argmax
     over the surviving entries, e is evaluated on the unprojected joint, and
     the best mask wins (first found on ties). Cost grows with C(n, k), capped
@@ -118,7 +121,16 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
     n = jd.n_cols
     p = jd.p
     if k >= n:
-        return _result(jd, np.argmax(p, axis=1), k, f, masks_evaluated=1)
+        # a running argmax over the columns: strict > keeps the first
+        # maximum, as np.argmax does, without a row-major copy of p
+        chosen = p[:, 0].copy()
+        label = np.zeros(jd.n_rows, dtype=np.intp)
+        greater = np.empty(jd.n_rows, dtype=bool)
+        for j in range(1, n):
+            np.greater(p[:, j], chosen, out=greater)
+            np.putmask(label, greater, j)
+            np.maximum(chosen, p[:, j], out=chosen)
+        return _result(jd, label, k, f, masks_evaluated=1)
     n_masks = math.comb(n, k)
     if n_masks > mask_budget:
         raise MaskBudgetExceeded(
@@ -405,6 +417,13 @@ def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray
     return score
 
 
+def _row_blocks(m: int) -> np.ndarray:
+    """Edges of balanced row blocks covering 0..m in order: every block has
+    at least _REFINE_BLOCK rows, or is all m rows when m is smaller."""
+    blocks = max(1, m // _REFINE_BLOCK)
+    return m * np.arange(blocks + 1) // blocks
+
+
 def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
                      max_iters: int = 100) -> AlgoResult:
     """Alternate reassignment and centroid updates from a starting partition.
@@ -416,25 +435,40 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     divergence of -sum f: KL for entropy, squared Euclidean for Gini (see
     _divergences). Stops after a pass with no moves or after `max_iters`
     passes. Impurity never increases between passes for entropy and Gini.
+
+    A pass scores the points in balanced row blocks of at least
+    _REFINE_BLOCK rows (see _row_blocks) against the same centroids, so it
+    holds O(_REFINE_BLOCK (N + K)) floats beside the joint instead of an
+    M x K score matrix. With OpenBLAS 0.3.31 a product over 1000 rows or
+    more has the bits of the whole-matrix product (shorter blocks did not),
+    so every partition, trace and impurity is that of one unblocked pass.
+    Fewer than 2 * _REFINE_BLOCK rows are scored as one block.
     """
     assignment = np.array(start.assignment)
     k = start.k
     stats = compute_stats(jd, Partition(assignment, k), f)
-    # C-ordered: the GEMM in _divergences rounds differently when its
-    # left operand is column-major
-    cond = np.divide(jd.p, jd.row_masses[:, None], order="C")
+    edges = _row_blocks(jd.n_rows)
     trace = [{"event": "init", "impurity": stats.impurity}]
     for _ in range(max_iters):
         labels = np.flatnonzero(stats.nonempty)
-        div = _divergences(cond, stats.px_given_z[labels], f)
-        pos = np.searchsorted(labels, assignment)
-        rows = np.arange(jd.n_rows)
-        d_cur = div[rows, pos]
-        best = div.argmin(axis=1)
-        moves = div[rows, best] < d_cur
-        changed = int(moves.sum())
+        centroids = stats.px_given_z[labels]
+        # every point's label holds it, so it is among the nonempty labels
+        column = np.zeros(k, dtype=np.intp)
+        column[labels] = np.arange(labels.size)
+        changed = 0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            # C-ordered: the GEMM in _divergences rounds differently when
+            # its left operand is column-major
+            cond = np.divide(jd.p[lo:hi], jd.row_masses[lo:hi, None], order="C")
+            div = _divergences(cond, centroids, f)
+            here = np.arange(hi - lo)
+            current = assignment[lo:hi]
+            d_cur = div[here, column[current]]
+            best = div.argmin(axis=1)
+            moves = div[here, best] < d_cur
+            changed += int(np.count_nonzero(moves))
+            current[moves] = labels[best[moves]]
         if changed:
-            assignment = np.where(moves, labels[best], assignment)
             stats = compute_stats(jd, Partition(assignment, k), f)
         trace.append({"event": "iteration", "changed": changed,
                       "impurity": stats.impurity})

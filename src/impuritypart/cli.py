@@ -42,6 +42,8 @@ IMPURITIES = {"entropy": entropy_spec, "gini": gini_spec}
 _CSV_COLUMNS = ("k", "algorithm_used", "impurity", "e_q", "e_max_achieved",
                 "upper_u", "lower_l", "ratio_r", "fano", "masks_evaluated",
                 "n_nonempty", "wall_ms", "error")
+# set only on refined records; the CSV leaves them out
+_REFINE_KEYS = ("refine_passes", "refine_moved", "converged")
 
 
 @dataclass(kw_only=True)
@@ -160,7 +162,7 @@ def _record(config: RunConfig, jd, f, k, name, result):
 
     wall_ms is left for the caller to fill in.
     """
-    record = dict.fromkeys(_CSV_COLUMNS) | {"k": k}
+    record = dict.fromkeys(_CSV_COLUMNS + _REFINE_KEYS) | {"k": k}
     if isinstance(result, ImpurityPartError):
         record["error"] = f"{type(result).__name__}: {result}"
         return record
@@ -171,6 +173,10 @@ def _record(config: RunConfig, jd, f, k, name, result):
         # stays with the main algorithm, where the ratio is meaningful
         result = iterative_refine(jd, result.partition, f, config.max_iters)
         name += "+refine"
+        passes = [event for event in result.trace if event["event"] == "iteration"]
+        record.update({"refine_passes": len(passes),
+                       "refine_moved": passes[-1]["changed"],
+                       "converged": passes[-1]["changed"] == 0})
     stats = result.stats
     n = jd.n_cols
     record.update({

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -12,7 +13,20 @@ from impuritypart import (
     compute_stats,
     max_likelihood_partition,
 )
+from impuritypart.algorithms import _divergences
 from impuritypart.prob import aggregate
+
+
+def peak_bytes(fn):
+    """(peak, result): the tracemalloc peak in bytes while fn() runs, and
+    what fn returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def random_joint(rng, m, n) -> JointDistribution:
@@ -139,6 +153,36 @@ def greedy_reference(jd, k, f, algorithm):
                       "delta": float(deltas[best]), "losses": losses,
                       "impurity": after.impurity})
     return assignment, compute_stats(jd, Partition(assignment, k), f), trace
+
+
+def refine_reference(jd, start, f, max_iters=100):
+    """(assignment, stats, trace) of iterative_refine in whole-matrix passes.
+
+    The loop the row-blocked passes replace: every pass scores all M points
+    against all K centroids in one M x K matrix, from one C-ordered M x N
+    matrix of conditionals.
+    """
+    assignment = np.array(start.assignment)
+    k = start.k
+    stats = compute_stats(jd, Partition(assignment, k), f)
+    cond = np.divide(jd.p, jd.row_masses[:, None], order="C")
+    trace = [{"event": "init", "impurity": stats.impurity}]
+    rows = np.arange(jd.n_rows)
+    for _ in range(max_iters):
+        labels = np.flatnonzero(stats.nonempty)
+        div = _divergences(cond, stats.px_given_z[labels], f)
+        d_cur = div[rows, np.searchsorted(labels, assignment)]
+        best = div.argmin(axis=1)
+        moves = div[rows, best] < d_cur
+        changed = int(moves.sum())
+        if changed:
+            assignment = np.where(moves, labels[best], assignment)
+            stats = compute_stats(jd, Partition(assignment, k), f)
+        trace.append({"event": "iteration", "changed": changed,
+                      "impurity": stats.impurity})
+        if not changed:
+            break
+    return assignment, stats, trace
 
 
 def likelihood_reference(jd, k, f):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +37,10 @@ from helpers import (
     leq,
     likelihood_reference,
     oracle_reference,
+    peak_bytes,
     random_joint,
     random_partition,
+    refine_reference,
     sparse_rows,
 )
 
@@ -309,12 +310,7 @@ class TestMergeMemory:
         rng = np.random.default_rng(84)
         jd = random_joint(rng, 800, 200)
         base = max_likelihood_partition(jd, 200, ENT)
-        tracemalloc.start()
-        try:
-            state = next(merge_states(jd, base, ENT))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, state = peak_bytes(lambda: next(merge_states(jd, base, ENT)))
         assert state.labels > 190
         assert peak <= 16 * 2 ** 20
 
@@ -323,12 +319,7 @@ class TestMergeMemory:
         # of floats here; one Python tuple per scored pair would hold
         # O(count^3) objects, over 15 MiB
         jd = build_joint(np.random.default_rng(5).random((400, 100)) ** 4)
-        tracemalloc.start()
-        try:
-            res = greedy_merge(jd, 1, ENT)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, res = peak_bytes(lambda: greedy_merge(jd, 1, ENT))
         assert res.stats.n_nonempty == 1
         assert peak <= 8 * 2 ** 20
 
@@ -480,6 +471,74 @@ class TestIterativeRefine:
                                           b.partition.assignment)
             imps = trace_impurities(a)
             assert all(leq(y, x) for x, y in zip(imps, imps[1:]))
+
+
+class TestRefineBlocks:
+    """Row-blocked refinement against the whole-matrix passes of
+    tests/helpers.refine_reference: equal bit for bit."""
+
+    def test_blocked_equals_whole_matrix_pass(self):
+        m = 2 * algorithms._REFINE_BLOCK + 777
+        rng = np.random.default_rng(87)
+        zero_centroids = 0
+        for n in (2, 3, 7, 20, 64):
+            for k in (1, 2, 5, 30, 100):
+                for sparse in (False, True):
+                    rows = sparse_rows(rng, m, n, density=0.4) if sparse \
+                        else rng.random((m, n)) + 1e-9
+                    jd = build_joint(rows)
+                    start = random_partition(rng, m, k)
+                    for spec in (ENT, GINI):
+                        res = iterative_refine(jd, start, spec, max_iters=8)
+                        assignment, stats, trace = refine_reference(
+                            jd, start, spec, max_iters=8)
+                        case = (n, k, sparse, spec.kind)
+                        assert (res.partition.assignment.tobytes()
+                                == assignment.tobytes()), case
+                        assert res.stats.pxz.tobytes() == stats.pxz.tobytes(), case
+                        assert ([(e.get("changed"), e["impurity"].hex())
+                                 for e in res.trace]
+                                == [(e.get("changed"), e["impurity"].hex())
+                                    for e in trace]), case
+                        if spec is ENT:
+                            centroids = stats.px_given_z[stats.nonempty]
+                            zero_centroids += bool((centroids == 0.0).any())
+        # entropy's +inf scores for centroids with a zero entry were reached
+        assert zero_centroids > 0
+
+    @pytest.mark.parametrize("m", [1, 8191, 8192, 16383, 16384, 50000])
+    def test_block_edges_cover_the_rows(self, m):
+        edges = algorithms._row_blocks(m)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == m
+        assert (sizes >= algorithms._REFINE_BLOCK).all() or sizes.tolist() == [m]
+        assert (sizes.size == 1) == (m < 2 * algorithms._REFINE_BLOCK)
+
+    @pytest.mark.parametrize("m, calls", [(16383, 1), (16384, 2)])
+    def test_one_scoring_call_per_block(self, monkeypatch, m, calls):
+        seen = []
+
+        def counting(cond, q, f):
+            seen.append(cond.shape[0])
+            return _divergences(cond, q, f)
+
+        monkeypatch.setattr(algorithms, "_divergences", counting)
+        rng = np.random.default_rng(88)
+        jd = random_joint(rng, m, 3)
+        iterative_refine(jd, random_partition(rng, m, 4), GINI, max_iters=1)
+        assert len(seen) == calls and sum(seen) == m
+
+    def test_memory_below_one_score_matrix(self):
+        # one M x K float matrix is 11.4 MiB here; the whole-matrix pass
+        # held an M x N cond, the M x K scores and, under entropy, an M x K
+        # product for the blocked classes
+        m, n, k = 50000, 20, 30
+        rng = np.random.default_rng(89)
+        jd = build_joint(np.floor(1000 * rng.random((m, n)) ** 4) + 1)
+        start = random_partition(rng, m, k)
+        peak, res = peak_bytes(lambda: iterative_refine(jd, start, ENT, max_iters=2))
+        assert len(res.trace) == 3
+        assert peak < m * k * 8
 
 
 class TestBregmanScore:
@@ -661,12 +720,7 @@ class TestExactSearchReference:
     def test_oracle_memory_stays_bounded(self):
         rng = np.random.default_rng(63)
         jd = random_joint(rng, 20, 64)
-        tracemalloc.start()
-        try:
-            res = exhaustive_oracle(jd, 2, ENT)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, res = peak_bytes(lambda: exhaustive_oracle(jd, 2, ENT))
         assert res.masks_evaluated == 2 ** 20
         assert peak <= 96 * 2 ** 20
 
@@ -758,6 +812,15 @@ class TestMaskScanPruning:
         # (1, 2) ties (0, 2) and is skipped, and so is (0, 2) when it loses
         assert skipped == (1 if sign > 0 else 2)
 
+    def test_memory_at_n_labels_is_o_m(self):
+        # the k >= N step scans the columns; np.argmax over the rows of the
+        # column-major joint would first copy it to row order (7.6 MiB)
+        m, n = 50000, 20
+        jd = random_joint(np.random.default_rng(90), m, n)
+        peak, res = peak_bytes(lambda: max_likelihood_partition(jd, n, ENT))
+        assert res.partition.assignment.tolist() == np.argmax(jd.p, axis=1).tolist()
+        assert peak < m * n * 8
+
     def test_memory_is_k_columns(self):
         # 2k + 5 vectors of M floats; a copy of p or of the mask's columns
         # would exceed the bound
@@ -765,12 +828,7 @@ class TestMaskScanPruning:
         m, n = 20000, 12
         jd = random_joint(rng, m, n)
         for k in (2, 3):
-            tracemalloc.start()
-            try:
-                max_likelihood_partition(jd, k, GINI)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, _ = peak_bytes(lambda: max_likelihood_partition(jd, k, GINI))
             assert peak <= (2 * k + 6) * 8 * m
 
 

@@ -137,7 +137,8 @@ class TestRun:
         assert [record["k"] for record in records] == list(range(1, 16))
         columns = ("k", "algorithm_used", "impurity", "e_q", "e_max_achieved",
                    "upper_u", "lower_l", "ratio_r", "fano", "masks_evaluated",
-                   "n_nonempty", "error")
+                   "n_nonempty", "error", "refine_passes", "refine_moved",
+                   "converged")
         for record in records:
             del record["wall_ms"]
             k = record["k"]
@@ -156,6 +157,10 @@ class TestRun:
             if refine:
                 result = iterative_refine(jd, result.partition, f, 20)
                 name += "+refine"
+                passes = result.trace[1:]
+                expected.update({"refine_passes": len(passes),
+                                 "refine_moved": passes[-1]["changed"],
+                                 "converged": passes[-1]["changed"] == 0})
             stats = result.stats
             expected.update({
                 "algorithm_used": name, "impurity": stats.impurity,
@@ -194,6 +199,31 @@ class TestRun:
         assert refined_record["algorithm_used"] == "greedy_merge+refine"
         assert refined_record["impurity"] <= plain_record["impurity"] + 1e-12
         assert refined_record["impurity"] >= oracle_record["impurity"] - 1e-9
+
+    def test_refine_counters(self, tmp_path):
+        # a refine cut off by --max-iters says so; unrefined and failed
+        # records leave the counters null
+        rng = np.random.default_rng(91)
+        data = tmp_path / "data.csv"
+        write_counts(data, rng.integers(1, 40, size=(200, 4)))
+        keys = ("refine_passes", "refine_moved", "converged")
+
+        def counters(**settings):
+            config = RunConfig(input_path=str(data),
+                               output_path=str(tmp_path / "r.json"),
+                               input_format="counts", k=(3, 4),
+                               algorithm="greedy_merge", **settings)
+            run(config)
+            # k = 4 = N fails for greedy_merge
+            return [[record[key] for key in keys]
+                    for record in read_report(tmp_path / "r.json")["records"]]
+
+        cut = counters(refine=True, max_iters=1)
+        done = counters(refine=True, max_iters=1000)
+        assert cut[0][0] == 1 and cut[0][1] > 0 and cut[0][2] is False
+        assert done[0][0] > 1 and done[0][1] == 0 and done[0][2] is True
+        assert cut[1] == done[1] == [None] * 3
+        assert counters() == [[None] * 3] * 2
 
     def test_oracle_cap_recorded_per_k(self, tmp_path):
         rng = np.random.default_rng(74)

@@ -1,6 +1,5 @@
 """File ingestion formats, round-tripping, and error reporting."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +18,7 @@ from impuritypart import (
 )
 from impuritypart.ingestion import _read_dense
 
-from helpers import random_joint
+from helpers import peak_bytes, random_joint
 
 
 class TestFormats:
@@ -104,12 +103,7 @@ class TestOneNormalization:
         path = tmp_path / "in.csv"
         counts = np.random.default_rng(86).integers(0, 50, size=(20000, 10))
         np.savetxt(path, counts, fmt="%d", delimiter=",")
-        tracemalloc.start()
-        try:
-            ingest(path, "counts")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(lambda: ingest(path, "counts"))
         assert peak <= 2.5 * counts.size * 8
 
     def test_overflowing_counts_total_is_named(self, tmp_path):

@@ -1,7 +1,5 @@
 """Joint distribution containers and partition statistics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,8 @@ from impuritypart import (
 )
 from impuritypart.prob import aggregate
 
-from helpers import leq, random_joint, random_partition, stats_reference
+from helpers import (leq, peak_bytes, random_joint, random_partition,
+                     stats_reference)
 
 
 class TestBuildJoint:
@@ -75,12 +74,7 @@ class TestOneNormalization:
 
     def test_holds_at_most_two_matrices(self):
         raw = np.random.default_rng(85).random((20000, 10))
-        tracemalloc.start()
-        try:
-            build_joint(raw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(lambda: build_joint(raw))
         assert peak <= 2.5 * raw.nbytes
 
     def test_overflowing_total_is_named(self):
