@@ -45,7 +45,10 @@ from .prob import (
     stats_from_pxz,
 )
 
-DEFAULT_MASK_BUDGET = 1 << 20
+# work cap of the k < N mask scan, in point reads: C(N, k) masks over M
+# points cost C(N, k) * (M + 2048), 2048 points being about one mask's
+# fixed cost; 2**32 took 83-141 s at the edge on a 2-CPU machine
+DEFAULT_MASK_BUDGET = 1 << 32
 DEFAULT_ORACLE_CAP = 2_000_000
 
 _ORACLE_BLOCK = 1 << 16
@@ -81,8 +84,8 @@ def _result(jd: JointDistribution, assignment, k: int, f: ImpuritySpec,
                       masks_evaluated=masks_evaluated)
 
 
-def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
-                             mask_budget: int = DEFAULT_MASK_BUDGET) -> AlgoResult:
+def max_likelihood_partition(jd: JointDistribution, k: int,
+                             f: ImpuritySpec) -> AlgoResult:
     """Partition by largest joint entry, maximizing the likelihood sum e.
 
     For k >= n each point joins the label of its largest class entry (the
@@ -92,8 +95,10 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
     joint. For k < n every size-k class mask is tried: the
     joint is projected onto the mask's classes, points are assigned by argmax
     over the surviving entries, e is evaluated on the unprojected joint, and
-    the best mask wins (first found on ties). Cost grows with C(n, k), capped
-    by `mask_budget`.
+    the best mask wins (first found on ties). A mask costs O(M) plus a fixed
+    cost of about 2048 points, so an instance with C(n, k) * (M + 2048) above
+    DEFAULT_MASK_BUDGET raises MaskBudgetExceeded before any pass over the
+    joint. The k >= n step is not capped.
 
     Masks come in lexicographic order, so consecutive masks share a prefix
     of columns. For each prefix depth the scan keeps every point's running
@@ -132,9 +137,10 @@ def max_likelihood_partition(jd: JointDistribution, k: int, f: ImpuritySpec,
             np.maximum(chosen, p[:, j], out=chosen)
         return _result(jd, label, k, f, masks_evaluated=1)
     n_masks = math.comb(n, k)
-    if n_masks > mask_budget:
-        raise MaskBudgetExceeded(
-            f"C({n}, {k}) = {n_masks} masks exceed budget {mask_budget}")
+    if n_masks * (jd.n_rows + 2048) > DEFAULT_MASK_BUDGET:
+        # C(n, k) by name: its value can be too long to format
+        raise MaskBudgetExceeded(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
+                                 f"points exceed budget {DEFAULT_MASK_BUDGET}")
     best_e = -math.inf
     best_assignment = None
     # row d: each point's largest entry among the mask's first d + 1 columns,
@@ -486,7 +492,8 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     order on ties) and reports the global maximum e over every assignment in
     e_max_achieved. Assignments are enumerated lexicographically with point 0
     as the most significant digit. Refuses instances with k**m above
-    DEFAULT_ORACLE_CAP.
+    DEFAULT_ORACLE_CAP by raising InstanceTooLarge, before any work; k == 1
+    is never refused.
 
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
@@ -497,12 +504,12 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
     m = jd.n_rows
-    total = k ** m
-    if total > DEFAULT_ORACLE_CAP:
-        raise InstanceTooLarge(
-            f"{k}**{m} = {total} assignments exceed cap {DEFAULT_ORACLE_CAP}")
     if k == 1:
         return _result(jd, np.zeros(m, dtype=np.intp), 1, f, masks_evaluated=1)
+    # k >= 2: past the cap's bit length, m is over it without building k**m
+    if m > DEFAULT_ORACLE_CAP.bit_length() or k ** m > DEFAULT_ORACLE_CAP:
+        raise InstanceTooLarge(
+            f"{k}**{m} assignments exceed cap {DEFAULT_ORACLE_CAP}")
     weighted, top = _subset_tables(jd.p, f)
     # a block fixes the labels of the leading points and runs through every
     # labelling of the last `tail` ones; a label's subset is its bits among
@@ -530,7 +537,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
         best_e = max(best_e, float(e_vals.max()))
     pows = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
     return _result(jd, (best_imp_idx // pows) % k, k, f,
-                   masks_evaluated=total, e_max=best_e)
+                   masks_evaluated=k ** m, e_max=best_e)
 
 
 def _subset_tables(p: np.ndarray, f: ImpuritySpec):

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 from .algorithms import (
-    DEFAULT_MASK_BUDGET,
     check_merge_k,
     check_split_k,
     exhaustive_oracle,
@@ -35,7 +34,7 @@ from .errors import ImpurityPartError, IngestWarning
 from .impurity import entropy_spec, gini_spec
 from .ingestion import FORMATS, ingest
 
-SCHEMA = "impuritypart/2"
+SCHEMA = "impuritypart/3"
 ALGORITHMS = ("ml", "greedy_split", "greedy_merge", "auto", "oracle")
 IMPURITIES = {"entropy": entropy_spec, "gini": gini_spec}
 
@@ -63,7 +62,6 @@ class RunConfig:
     algorithm: str = "auto"
     refine: bool = False
     max_iters: int = 100
-    mask_budget: int = DEFAULT_MASK_BUDGET
     output_path: str
     emit_assignment: bool = False
     csv_path: str = None
@@ -82,8 +80,6 @@ class RunConfig:
             raise ValueError(f"bad k range {self.k!r}: need 1 <= start <= end")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.mask_budget < 1:
-            raise ValueError("mask_budget must be >= 1")
 
 
 def _resolve(algorithm, k, n):
@@ -123,8 +119,7 @@ def _outcomes(config: RunConfig, jd, f):
 
     def ml(k):
         if k not in likelihood:
-            likelihood[k] = max_likelihood_partition(
-                jd, k, f, mask_budget=config.mask_budget)
+            likelihood[k] = max_likelihood_partition(jd, k, f)
         return likelihood[k]
 
     merge_ks, split_ks = [], []
@@ -273,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--refine", action="store_true",
                         help="run iterative refinement after the algorithm")
     parser.add_argument("--max-iters", type=int)
-    parser.add_argument("--mask-budget", type=int)
     parser.add_argument("--output", dest="output_path", metavar="OUTPUT",
                         required=True, help="JSON report path")
     parser.add_argument("--emit-assignment", action="store_true",

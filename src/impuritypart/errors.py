@@ -86,7 +86,7 @@ class KNotLessThanN(ImpurityPartError, ValueError):
 
 
 class MaskBudgetExceeded(ImpurityPartError, ValueError):
-    """The number of candidate class masks exceeds the configured budget."""
+    """The mask scan's work, C(n, k) * (M + 2048), exceeds DEFAULT_MASK_BUDGET."""
 
 
 class InstanceTooLarge(ImpurityPartError, ValueError):

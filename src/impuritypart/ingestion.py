@@ -3,7 +3,8 @@
 Three input formats:
   dense_csv       comma-separated floats, one data point per line
   counts          same layout, nonnegative counts, normalized by the total
-  sparse_triplets lines "row,col,value" (0-based), missing entries are zero
+  sparse_triplets lines "row,col,value" (0-based indices below 2**63),
+                  missing entries are zero
 
 A leading UTF-8 byte-order mark is skipped. NaN or infinite entries are
 rejected. Rows with zero total mass are dropped with an IngestWarning
@@ -71,8 +72,8 @@ def _read_triplets(path):
                 row, col, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
             except ValueError:
                 raise ParseError(lineno, f"bad triplet {line!r}") from None
-            if row < 0 or col < 0:
-                raise ParseError(lineno, f"negative index in {line!r}")
+            if min(row, col) < 0 or max(row, col) >= 1 << 63:
+                raise ParseError(lineno, f"index outside 0..2**63-1 in {line!r}")
             if value < 0.0:
                 raise NegativeEntry((row, col), value)
             rows.append(row)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from impuritypart import (
+    DEFAULT_MASK_BUDGET,
+    DEFAULT_ORACLE_CAP,
     DimensionMismatch,
     InstanceTooLarge,
     KNotGreaterThanN,
@@ -53,6 +55,14 @@ def trace_impurities(result):
     return [event["impurity"] for event in result.trace]
 
 
+class Admitted(Exception):
+    """Raised by a patched-in step to show that a search got past its cap."""
+
+
+def admit(*args, **kwargs):
+    raise Admitted
+
+
 def comparable(trace):
     """The trace with every array replaced by its dtype, shape and bytes."""
     return [{key: (value.dtype.str, value.shape, value.tobytes())
@@ -94,14 +104,39 @@ class TestMaxLikelihoodPartition:
         )
         assert res.e_max_achieved == best
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
         jd = build_joint(np.ones((3, 2)))
         with pytest.raises(KTooSmall):
             max_likelihood_partition(jd, 0, ENT)
-        rng = np.random.default_rng(43)
-        wide = random_joint(rng, 3, 12)
-        with pytest.raises(MaskBudgetExceeded):
-            max_likelihood_partition(wide, 6, ENT, mask_budget=100)
+        # one point past the work budget: refused before any pass over p
+        m, n, k = 21199, 20, 10
+        assert math.comb(n, k) * (m + 2048) > DEFAULT_MASK_BUDGET
+        wide = random_joint(np.random.default_rng(43), m, n)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(algorithms, "np", counting)
+        with pytest.raises(MaskBudgetExceeded,
+                           match=r"C\(20, 10\) masks x \(21199 \+ 2048\) points "
+                                 r"exceed budget 4294967296"):
+            max_likelihood_partition(wide, k, ENT)
+        assert counting.bincounts == 0
+
+    def test_budget_edge_is_admitted(self, monkeypatch):
+        # C(20, 10) * (21198 + 2048) <= 2**32: the scan starts; it would
+        # take minutes, so the first bincount stops it
+        m, n, k = 21198, 20, 10
+        assert math.comb(n, k) * (m + 2048) <= DEFAULT_MASK_BUDGET
+        jd = random_joint(np.random.default_rng(46), m, n)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(counting, "bincount", admit)
+        monkeypatch.setattr(algorithms, "np", counting)
+        with pytest.raises(Admitted):
+            max_likelihood_partition(jd, k, ENT)
+
+    def test_budget_refusal_on_a_huge_mask_count(self):
+        # C(15000, 7500) has over 4300 digits, too many to format
+        jd = build_joint(np.ones((1, 15000)))
+        with pytest.raises(MaskBudgetExceeded, match=r"C\(15000, 7500\) masks"):
+            max_likelihood_partition(jd, 7500, ENT)
 
     def test_deterministic(self):
         rng = np.random.default_rng(44)
@@ -605,6 +640,23 @@ class TestExhaustiveOracle:
             exhaustive_oracle(jd, 2, ENT)
         with pytest.raises(KTooSmall):
             exhaustive_oracle(jd, 0, ENT)
+
+    def test_instance_cap_on_many_rows(self):
+        # 3**20000 has 9543 digits, too many to format: the cap is decided
+        # and named without its value
+        jd = build_joint(np.ones((20000, 6)))
+        with pytest.raises(InstanceTooLarge,
+                           match=r"^3\*\*20000 assignments exceed cap 2000000$"):
+            exhaustive_oracle(jd, 3, ENT)
+
+    def test_instance_cap_admits_k_to_the_m_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "_subset_tables", admit)
+        for m in range(1, 26):
+            jd = build_joint(np.ones((m, 2)))
+            for k in range(2, 6):
+                refused = k ** m > DEFAULT_ORACLE_CAP
+                with pytest.raises(InstanceTooLarge if refused else Admitted):
+                    exhaustive_oracle(jd, k, ENT)
 
 
 class TestExactSearchReference:

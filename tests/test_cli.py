@@ -67,7 +67,7 @@ class TestRun:
         config = RunConfig(input_path=str(data), output_path=str(out),
                            input_format="counts", k=3, algorithm="ml")
         report = run(config)
-        assert report["schema"] == "impuritypart/2"
+        assert report["schema"] == "impuritypart/3"
         record = report["records"][0]
         assert record["impurity"] == 0.0
         assert record["e_q"] == 1.0
@@ -368,7 +368,18 @@ class TestMainExitCodes:
         assert code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not out.exists()
-        assert len(fields(RunConfig)) == 11
+        assert len(fields(RunConfig)) == 10
+
+    def test_mask_budget_is_not_a_setting(self, tmp_path, capsys):
+        # the mask scan's cap is a fixed amount of work, not a setting
+        data = tmp_path / "data.csv"
+        write_counts(data, np.eye(2, dtype=int))
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--k", "2", "--mask-budget", "50",
+                     "--output", str(out)])
+        assert code == 2
+        assert "unrecognized arguments: --mask-budget 50" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_input_error_is_3(self, tmp_path):
         out = tmp_path / "report.json"
@@ -395,6 +406,21 @@ class TestMainExitCodes:
         assert "overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oracle_refusal_on_many_rows_is_4(self, tmp_path):
+        # 3**20000 and 4**20000 are too long to format, yet every k
+        # records its InstanceTooLarge and the report is written
+        data = tmp_path / "data.csv"
+        write_counts(data, np.ones((20000, 6), dtype=int))
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--format", "counts", "--k", "3:4",
+                     "--algorithm", "oracle", "--output", str(out)])
+        assert code == 4
+        records = read_report(out)["records"]
+        assert [record["k"] for record in records] == [3, 4]
+        for record in records:
+            assert record["error"].startswith("InstanceTooLarge")
+            assert f"{record['k']}**20000" in record["error"]
+
     def test_all_failed_is_4(self, tmp_path):
         data = tmp_path / "data.csv"
         write_counts(data, np.eye(3, dtype=int))
@@ -412,16 +438,14 @@ class TestMainFlags:
         table = tmp_path / "report.csv"
         code = main(["--input", str(data), "--format", "counts",
                      "--impurity", "gini", "--k", "2:3", "--algorithm", "ml",
-                     "--refine", "--max-iters", "7", "--mask-budget", "50",
-                     "--output", str(out),
+                     "--refine", "--max-iters", "7", "--output", str(out),
                      "--emit-assignment", "--emit-csv", str(table)])
         assert code == 0
         report = read_report(out)
         assert list(report["config"].items()) == [
             ("input_path", str(data)), ("input_format", "counts"),
             ("impurity", "gini"), ("k", [2, 3]), ("algorithm", "ml"),
-            ("refine", True), ("max_iters", 7), ("mask_budget", 50),
-            ("output_path", str(out)),
+            ("refine", True), ("max_iters", 7), ("output_path", str(out)),
             ("emit_assignment", True)]
         assert [record["algorithm_used"] for record in report["records"]] == [
             "ml+refine", "ml+refine"]

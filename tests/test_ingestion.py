@@ -203,6 +203,14 @@ class TestErrors:
         with pytest.raises(ParseError):
             ingest(path, "sparse_triplets")
 
+    def test_triplet_index_too_large(self, tmp_path):
+        # an index past int64 is named with its line, not an OverflowError
+        path = tmp_path / "in.txt"
+        path.write_text("0,0,1\n99999999999999999999,1,2\n")
+        with pytest.raises(ParseError, match="^line 2: index outside") as info:
+            ingest(path, "sparse_triplets")
+        assert info.value.line == 2
+
     def test_triplet_negative_value(self, tmp_path):
         path = tmp_path / "in.txt"
         path.write_text("0,0,2\n0,1,-1\n")

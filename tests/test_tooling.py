@@ -3,16 +3,19 @@
 The benchmark tracer (perfbench/tracing.py) patches program names by string.
 A refactor that drops or renames one of them makes a traced benchmark run
 crash, so every name the tracer lists must keep resolving. Every exported
-error must also be one some test expects to be raised, and no source module
-may import a name it never uses.
+error must also be one some test expects to be raised, no source module
+may import a name it never uses, and the README's report schema must name
+the config fields and record keys the CLI writes.
 """
 
 import ast
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -141,3 +144,20 @@ def test_no_source_module_imports_a_name_it_never_uses():
         unused += [(path.stem, name) for name in sorted(imported - used)
                    if (path.stem, name) not in patched]
     assert unused == []
+
+
+def test_readme_documents_the_report(tmp_path):
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    # the `config` bullet names each field as `name` (type), in order
+    config = readme.split("\n- `config`:", 1)[1].split("\n- `input`:", 1)[0]
+    assert re.findall(r"`(\w+)`\s+\(", config) == [
+        field.name for field in fields(RunConfig) if field.name != "csv_path"]
+    # the record table has one `key` row per key a record can hold
+    keys = list(cli._CSV_COLUMNS + cli._REFINE_KEYS + ("assignment",))
+    assert re.findall(r"^\| `(\w+)` \|", readme, flags=re.M) == keys
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.eye(3) + 1, fmt="%d", delimiter=",")
+    report = cli.run(RunConfig(input_path=str(data), input_format="counts",
+                               output_path=str(tmp_path / "r.json"), k=(2, 4),
+                               refine=True, emit_assignment=True))
+    assert [list(record) for record in report["records"]] == [keys] * 3
