@@ -17,10 +17,8 @@ from .algorithms import (
     max_likelihood_partition,
 )
 from .bounds import (
-    BoundsReport,
     approximation_ratio,
     binary_entropy,
-    bounds_report,
     boyd_chiang_bound,
     fano_bound,
     lower_bound,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgoResult",
-    "BoundsReport",
     "ConcavityViolation",
     "DEFAULT_MASK_BUDGET",
     "DEFAULT_ORACLE_CAP",
@@ -91,7 +88,6 @@ __all__ = [
     "ZeroTotal",
     "approximation_ratio",
     "binary_entropy",
-    "bounds_report",
     "boyd_chiang_bound",
     "build_joint",
     "compute_stats",

@@ -13,16 +13,17 @@ pair losses the merge chose from: entry (i, j) with i < j is the loss of
 merging i and j, every other entry is +inf. Refinement events add the number
 of reassigned points.
 
-greedy_split and greedy_merge run the generators split_states and
-merge_states to k, and their trace events are the states' own events.
-The decisions do not depend on k, so one trajectory serves a whole sweep of
-k, and each round updates only the partitions it touches, bitwise equal to
-recomputing the statistics from scratch.
+The greedy trajectories are the generators split_states and merge_states,
+and greedy_walk is the one loop that advances them: greedy_split and
+greedy_merge walk to one k and keep the trace, whose events are the states'
+own events, and the CLI walks a whole sweep of k without one. The decisions
+do not depend on k, so one trajectory serves every k of a sweep, and each
+round updates only the partitions it touches, bitwise equal to recomputing
+the statistics from scratch.
 """
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -349,20 +350,32 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         yield GreedyState(assignment, pxz, own, event)
 
 
-def _greedy(jd: JointDistribution, k: int, f: ImpuritySpec, check, states,
-            reached) -> AlgoResult:
-    """The body of greedy_split and greedy_merge: check k, then walk
-    `states` from the likelihood result at n until reached(labels, k). The
-    trace is the states' own events, each with its impurity."""
-    n = jd.n_cols
-    check(n, k)
-    base = max_likelihood_partition(jd, n, f)
-    trace = []
-    for state in states(jd, base, f):
-        trace.append({**state.event, "impurity": state.impurity})
-        if reached(state.labels, k):
-            break
-    return state.result(k, f, base.masks_evaluated, trace)
+def greedy_walk(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec,
+                ks, trace: Optional[list] = None):
+    """Yield the k-label result of one greedy trajectory for each k of ks.
+
+    ks lie all above n, walked up by split_states, or all below n, walked
+    down by merge_states, in walk order. Each k takes the first state that
+    has reached it (at least k labels for a split, at most k for a merge),
+    or the last state when the trajectory ends first; later ks continue
+    from there. base is the likelihood result at n and its masks_evaluated
+    is every result's. When `trace` is a list, each state visited is
+    appended as its event with its impurity, and every result carries that
+    list.
+    """
+    # +1 walks up to each k, -1 walks down
+    sign = 1 if ks[0] > jd.n_cols else -1
+    states = (split_states if sign > 0 else merge_states)(jd, base, f)
+    state = None
+    for k in ks:
+        while state is None or sign * (k - state.labels) > 0:
+            following = next(states, None)
+            if following is None:
+                break
+            state = following
+            if trace is not None:
+                trace.append({**state.event, "impurity": state.impurity})
+        yield state.result(k, f, base.masks_evaluated, trace)
 
 
 def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
@@ -375,11 +388,13 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     moves nothing or every member, the single member with the largest
     conditional moves instead, so every round adds a nonempty label; when
     no partition has two points, the remaining labels stay empty. Total
-    impurity never increases across rounds. Runs split_states to k labels:
-    one likelihood run, then per round O(|source| N) work and an O(M) label
-    scan.
+    impurity never increases across rounds. greedy_walk runs split_states
+    to k labels: one likelihood run, then per round O(|source| N) work and
+    an O(M) label scan.
     """
-    return _greedy(jd, k, f, check_split_k, split_states, operator.ge)
+    check_split_k(jd.n_cols, k)
+    base = max_likelihood_partition(jd, jd.n_cols, f)
+    return next(greedy_walk(jd, base, f, [k], trace=[]))
 
 
 def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
@@ -388,14 +403,16 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     Every pair of current nonempty partitions is scored by the impurity loss
     of merging them (nonnegative by concavity); the pair with the smallest
     loss merges, labels are renumbered densely, and the process repeats until
-    at most k nonempty partitions remain. Runs merge_states down to k: all
-    pairs are scored once, O(count^2 N), then each merge rescores O(count)
-    pairs, O(count N), and relabels in O(M). Scoring holds O(count N) floats
-    at a time beside the count x count losses; each merge event of the trace
-    keeps the loss matrix it chose from, the array merge_states built, not a
-    copy. No approximation guarantee.
+    at most k nonempty partitions remain. greedy_walk runs merge_states down
+    to k: all pairs are scored once, O(count^2 N), then each merge rescores
+    O(count) pairs, O(count N), and relabels in O(M). Scoring holds
+    O(count N) floats at a time beside the count x count losses; each merge
+    event of the trace keeps the loss matrix it chose from, the array
+    merge_states built, not a copy. No approximation guarantee.
     """
-    return _greedy(jd, k, f, check_merge_k, merge_states, operator.le)
+    check_merge_k(jd.n_cols, k)
+    base = max_likelihood_partition(jd, jd.n_cols, f)
+    return next(greedy_walk(jd, base, f, [k], trace=[]))
 
 
 def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray:
@@ -498,18 +515,22 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
     O(2**m N) work and two tables of 2**m floats. Each assignment then costs
-    k lookups in each table. For k == 1 the single assignment is scored
+    k lookups in each table. With k == 1 or m == 1 every assignment puts
+    all points in one label, so all score alike: the first is scored
     directly, with no table.
     """
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
     m = jd.n_rows
-    if k == 1:
-        return _result(jd, np.zeros(m, dtype=np.intp), 1, f, masks_evaluated=1)
-    # k >= 2: past the cap's bit length, m is over it without building k**m
-    if m > DEFAULT_ORACLE_CAP.bit_length() or k ** m > DEFAULT_ORACLE_CAP:
+    # past the cap's bit length, m is over it without building k**m
+    if k > 1 and (m > DEFAULT_ORACLE_CAP.bit_length()
+                  or k ** m > DEFAULT_ORACLE_CAP):
         raise InstanceTooLarge(
             f"{k}**{m} assignments exceed cap {DEFAULT_ORACLE_CAP}")
+    if k == 1 or m == 1:
+        # every assignment has the same impurity bits, so the first, all
+        # points at label 0, wins, and its e is the global maximum
+        return _result(jd, np.zeros(m, dtype=np.intp), k, f, masks_evaluated=k ** m)
     weighted, top = _subset_tables(jd.p, f)
     # a block fixes the labels of the leading points and runs through every
     # labelling of the last `tail` ones; a label's subset is its bits among

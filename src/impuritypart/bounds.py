@@ -14,8 +14,6 @@ logarithms and therefore base-invariant.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -136,49 +134,3 @@ def boyd_chiang_bound(channel) -> float:
         i = int(bad[0])
         raise NotAChannel(f"column {i} sums to {col[i]!r}, expected 1")
     return float(math.log2(a.max(axis=1).sum()))
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Bound values for one instance/partition pair.
-
-    ratio_r is populated only when e_q is the maximal e over all partitions;
-    s_value, n_min, fano, and boyd_chiang only apply to entropy impurity.
-    """
-
-    e_q: float
-    upper_u: float
-    lower_l: float
-    ratio_r: Optional[float] = None
-    s_value: Optional[float] = None
-    n_min: Optional[float] = None
-    fano: Optional[float] = None
-    boyd_chiang: Optional[float] = None
-
-
-def bounds_report(e_q: float, n: int, f: ImpuritySpec, *,
-                  at_e_max: bool = False,
-                  channel=None) -> BoundsReport:
-    """Assemble the full bound summary at one e value.
-
-    Set `at_e_max=True` when e_q is the maximum over all partitions, which
-    makes the ratio meaningful. Pass a column-stochastic K x N `channel` to
-    include the capacity bound (entropy only).
-    """
-    n = _check_n(n)
-    is_entropy = f.kind == "entropy"
-    s = nm = None
-    if is_entropy and e_q < 1.0:
-        s = s_value(e_q)
-        nm = n_min(e_q)
-    return BoundsReport(
-        e_q=float(e_q),
-        upper_u=upper_bound(e_q, n, f),
-        lower_l=lower_bound(e_q, f),
-        ratio_r=approximation_ratio(e_q, n, f) if at_e_max else None,
-        s_value=s,
-        n_min=nm,
-        fano=fano_bound(e_q, n) if is_entropy else None,
-        boyd_chiang=(boyd_chiang_bound(channel)
-                     if is_entropy and channel is not None else None),
-    )

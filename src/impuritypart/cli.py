@@ -24,10 +24,9 @@ from .algorithms import (
     # cli.greedy_split by name, so they stay importable from this module
     greedy_merge,  # noqa: F401
     greedy_split,  # noqa: F401
+    greedy_walk,
     iterative_refine,
     max_likelihood_partition,
-    merge_states,
-    split_states,
 )
 from .bounds import approximation_ratio, fano_bound, lower_bound, upper_bound
 from .errors import ImpurityPartError, IngestWarning
@@ -91,20 +90,6 @@ def _resolve(algorithm, k, n):
     return "ml" if k == n else "greedy_merge"
 
 
-def _walk(states, ks, reached):
-    """Advance one greedy trajectory through ks in order, yielding (k, state)
-    with the first state that reached(state, k), or the last state if the
-    trajectory ends first."""
-    state = next(states)
-    for k in ks:
-        while not reached(state, k):
-            following = next(states, None)
-            if following is None:
-                break
-            state = following
-        yield k, state
-
-
 def _outcomes(config: RunConfig, jd, f):
     """Yield (k, algorithm name, AlgoResult or the ImpurityPartError raised)
     once for every k of the sweep, in the order they are computed.
@@ -141,15 +126,10 @@ def _outcomes(config: RunConfig, jd, f):
         except ImpurityPartError as exc:
             result = exc
         yield k, name, result
-    for name, states, ks, reached in (
-            ("greedy_merge", merge_states, merge_ks[::-1],
-             lambda state, k: state.labels <= k),
-            ("greedy_split", split_states, split_ks,
-             lambda state, k: state.labels >= k)):
+    for name, ks in (("greedy_merge", merge_ks[::-1]), ("greedy_split", split_ks)):
         if ks:
-            base = ml(n)
-            for k, state in _walk(states(jd, base, f), ks, reached):
-                yield k, name, state.result(k, f, base.masks_evaluated)
+            for k, result in zip(ks, greedy_walk(jd, ml(n), f, ks)):
+                yield k, name, result
 
 
 def _record(config: RunConfig, jd, f, k, name, result):

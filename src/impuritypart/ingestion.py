@@ -4,7 +4,8 @@ Three input formats:
   dense_csv       comma-separated floats, one data point per line
   counts          same layout, nonnegative counts, normalized by the total
   sparse_triplets lines "row,col,value" (0-based indices below 2**63),
-                  missing entries are zero
+                  missing entries are zero; a file whose indices imply
+                  more than TRIPLET_ENTRY_CAP entries raises ParseError
 
 A leading UTF-8 byte-order mark is skipped. NaN or infinite entries are
 rejected. Rows with zero total mass are dropped with an IngestWarning
@@ -14,6 +15,7 @@ bit-exactly.
 
 import array
 import warnings
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,59 +32,67 @@ from .prob import JointDistribution, _normalized, check_entries
 FORMATS = ("dense_csv", "counts", "sparse_triplets")
 
 
+# the most entries a sparse_triplets file may imply: the reader builds the
+# (max row + 1) x (max col + 1) matrix whole, at 8 B per entry
+TRIPLET_ENTRY_CAP = 1 << 24
+
+
+def _lines(path):
+    """Yield (line number, stripped line) for every nonblank line of the
+    file; raise ParseError when it has none. Lines are numbered from 1,
+    blank ones included, and read through C iterators."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(0, "file contains no data rows")
+        yield first
+        yield from lines
+
+
 def _read_dense(path):
     # one flat buffer of doubles (8 B per value), reshaped once at the end
     values = array.array("d")
     width = None
-    n_rows = 0
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            try:
-                values.extend(map(float, tokens))
-            except ValueError:
-                raise ParseError(lineno, f"not a number in {line!r}") from None
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise ParseError(lineno,
-                                 f"expected {width} columns, got {len(tokens)}")
-            n_rows += 1
-    if not n_rows:
-        raise ParseError(0, "file contains no data rows")
-    return np.frombuffer(values, dtype=float).reshape(n_rows, width)
+    for lineno, line in _lines(path):
+        tokens = line.split(",")
+        try:
+            values.extend(map(float, tokens))
+        except ValueError:
+            raise ParseError(lineno, f"not a number in {line!r}") from None
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise ParseError(lineno, f"expected {width} columns, got {len(tokens)}")
+    return np.frombuffer(values, dtype=float).reshape(-1, width)
 
 
 def _read_triplets(path):
     rows = array.array("q")
     cols = array.array("q")
     values = array.array("d")
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if len(tokens) != 3:
-                raise ParseError(lineno, f"expected 'row,col,value', got {line!r}")
-            try:
-                row, col, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise ParseError(lineno, f"bad triplet {line!r}") from None
-            if min(row, col) < 0 or max(row, col) >= 1 << 63:
-                raise ParseError(lineno, f"index outside 0..2**63-1 in {line!r}")
-            if value < 0.0:
-                raise NegativeEntry((row, col), value)
-            rows.append(row)
-            cols.append(col)
-            values.append(value)
-    if not values:
-        raise ParseError(0, "file contains no data rows")
+    shape = (0, 0)
+    for lineno, line in _lines(path):
+        tokens = line.split(",")
+        if len(tokens) != 3:
+            raise ParseError(lineno, f"expected 'row,col,value', got {line!r}")
+        try:
+            row, col, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
+        except ValueError:
+            raise ParseError(lineno, f"bad triplet {line!r}") from None
+        if min(row, col) < 0 or max(row, col) >= 1 << 63:
+            raise ParseError(lineno, f"index outside 0..2**63-1 in {line!r}")
+        if row >= shape[0] or col >= shape[1]:
+            shape = (max(shape[0], row + 1), max(shape[1], col + 1))
+            if shape[0] * shape[1] > TRIPLET_ENTRY_CAP:
+                raise ParseError(lineno, f"{shape[0]} x {shape[1]} entries exceed "
+                                         f"cap {TRIPLET_ENTRY_CAP} in {line!r}")
+        if value < 0.0:
+            raise NegativeEntry((row, col), value)
+        rows.append(row)
+        cols.append(col)
+        values.append(value)
     index = tuple(np.frombuffer(a, dtype=np.int64) for a in (rows, cols))
-    shape = (int(index[0].max()) + 1, int(index[1].max()) + 1)
     weights = np.frombuffer(values, dtype=float)
     # one bincount adds duplicates in line order from 0.0, as a scatter-add
     # loop would, and without its overflow warning

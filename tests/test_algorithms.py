@@ -640,6 +640,11 @@ class TestExhaustiveOracle:
             exhaustive_oracle(jd, 2, ENT)
         with pytest.raises(KTooSmall):
             exhaustive_oracle(jd, 0, ENT)
+        # one row is refused past the cap too, before its table-free path
+        k = DEFAULT_ORACLE_CAP + 1
+        message = rf"^{k}\*\*1 assignments exceed cap {DEFAULT_ORACLE_CAP}$"
+        with pytest.raises(InstanceTooLarge, match=message):
+            exhaustive_oracle(build_joint(np.ones((1, 2))), k, ENT)
 
     def test_instance_cap_on_many_rows(self):
         # 3**20000 has 9543 digits, too many to format: the cap is decided
@@ -655,6 +660,10 @@ class TestExhaustiveOracle:
             jd = build_joint(np.ones((m, 2)))
             for k in range(2, 6):
                 refused = k ** m > DEFAULT_ORACLE_CAP
+                if m == 1:
+                    # one row is scored without subset tables
+                    assert exhaustive_oracle(jd, k, ENT).masks_evaluated == k
+                    continue
                 with pytest.raises(InstanceTooLarge if refused else Admitted):
                     exhaustive_oracle(jd, k, ENT)
 
@@ -724,6 +733,12 @@ class TestExactSearchReference:
                 res = exhaustive_oracle(jd, k, spec)
                 # 1000-assignment reference blocks: a final block is partial
                 self.check(res, jd, k, spec, oracle_reference(jd, k, spec, block=1000))
+        # one row takes the table-free path
+        for n in (2, 3, 7):
+            jd = random_joint(rng, 1, n)
+            for k in (2, 3, 7, 40):
+                res = exhaustive_oracle(jd, k, spec)
+                self.check(res, jd, k, spec, oracle_reference(jd, k, spec))
 
     def test_oracle_with_many_labels_and_a_partial_block(self):
         rng = np.random.default_rng(60)
@@ -768,6 +783,14 @@ class TestExactSearchReference:
         res = exhaustive_oracle(jd, 1, ENT)
         assert res.masks_evaluated == 1
         assert res.e_max_achieved == jd.col_masses.max()
+
+    def test_oracle_single_row_builds_no_label_table(self):
+        # a k x k table of labellings would take 61 MiB at k = 2000
+        jd = random_joint(np.random.default_rng(66), 1, 3)
+        peak, res = peak_bytes(lambda: exhaustive_oracle(jd, 2000, ENT))
+        assert res.masks_evaluated == 2000
+        assert res.e_max_achieved == jd.p.max()
+        assert peak <= 2 ** 20
 
     def test_oracle_memory_stays_bounded(self):
         rng = np.random.default_rng(63)

@@ -10,7 +10,6 @@ from impuritypart import (
     EOutOfRange,
     NotAChannel,
     approximation_ratio,
-    bounds_report,
     boyd_chiang_bound,
     compute_stats,
     custom_spec,
@@ -34,6 +33,7 @@ class TestUpperBound:
         for n in (2, 3, 7):
             assert upper_bound(1.0, n, ENT) == 0.0
             assert upper_bound(1.0, n, GINI) == 0.0
+        assert lower_bound(1.0, ENT) == lower_bound(1.0, GINI) == 0.0
 
     def test_tight_at_uniform_likelihood(self):
         assert abs(upper_bound(0.25, 4, ENT) - 2.0) <= 1e-12  # log2(4)
@@ -41,6 +41,7 @@ class TestUpperBound:
             for spec in (ENT, GINI):
                 expected = n * spec.f(1.0 / n)
                 assert abs(upper_bound(1.0 / n, n, spec) - expected) <= 1e-12
+                assert abs(lower_bound(1.0 / n, spec) - expected) <= 1e-12
 
     def test_gini_closed_form(self):
         # f(0.5) + 2 f(0.25) = 0.25 + 2 * 0.1875
@@ -111,6 +112,7 @@ class TestThresholds:
         assert abs(n_min(0.8) - 3.58) <= 0.01
         assert abs(n_min(0.9) - 4.34) <= 0.01
         assert abs(n_min(0.999) - 9.06) <= 0.01
+        assert n_min(0.5) == 2.0 ** s_value(0.5)
 
     def test_s_monotone_increasing(self):
         xs = np.arange(0.001, 1.0, 0.001)
@@ -125,8 +127,9 @@ class TestThresholds:
 
 class TestFano:
     def test_boundary_values(self):
-        assert fano_bound(1.0, 5) == 0.0
+        assert fano_bound(1.0, 5) == fano_bound(1.0, 3) == 0.0
         assert abs(fano_bound(0.5, 2) - 1.0) <= 1e-15
+        assert abs(fano_bound(0.5, 4) - upper_bound(0.5, 4, ENT)) <= 1e-12
 
     def test_identity_with_entropy_upper_bound(self):
         rng = np.random.default_rng(31)
@@ -179,6 +182,7 @@ class TestSandwich:
 class TestBoydChiang:
     def test_identity_channel(self):
         assert boyd_chiang_bound(np.eye(2)) == 1.0
+        assert boyd_chiang_bound(np.eye(4)) == 2.0
         assert abs(boyd_chiang_bound(np.eye(8)) - 3.0) <= 1e-12
 
     def test_binary_symmetric_channel(self):
@@ -209,6 +213,8 @@ class TestBoydChiang:
             boyd_chiang_bound([[0.5, 0.5], [0.2, 0.2]])
         with pytest.raises(NotAChannel):
             boyd_chiang_bound([[1.5, 1.0], [-0.5, 0.0]])
+        with pytest.raises(NotAChannel, match="^expected a 2-D matrix, got ndim=1$"):
+            boyd_chiang_bound([0.5, 0.5])
 
     def test_rejects_non_finite_entries(self):
         # NaN passes both the sign and the column-sum comparisons
@@ -273,34 +279,3 @@ class TestHighPrecisionCrossCheck:
             assert abs(s_value(e) - float(s_hp)) <= 1e-12
             assert abs(n_min(e) - float(2 ** s_hp)) <= 1e-10
 
-
-class TestBoundsReport:
-    def test_entropy_report_fields(self):
-        report = bounds_report(0.5, 4, ENT, at_e_max=True, channel=np.eye(4))
-        assert report.lower_l <= report.upper_u
-        assert report.ratio_r is not None
-        assert abs(report.n_min - 2.0 ** report.s_value) <= 1e-12
-        assert abs(report.fano - report.upper_u) <= 1e-12
-        assert report.boyd_chiang == 2.0
-
-    def test_gini_report_omits_entropy_only_fields(self):
-        report = bounds_report(0.5, 4, GINI)
-        assert report.ratio_r is None
-        assert report.s_value is None and report.n_min is None
-        assert report.fano is None and report.boyd_chiang is None
-
-    def test_tightness_at_endpoints(self):
-        for spec in (ENT, GINI):
-            for n in (2, 3, 5):
-                r = bounds_report(1.0 / n, n, spec)
-                expected = n * spec.f(1.0 / n)
-                assert abs(r.upper_u - expected) <= 1e-12
-                assert abs(r.lower_l - expected) <= 1e-12
-                r1 = bounds_report(1.0, n, spec)
-                assert r1.upper_u == 0.0 and r1.lower_l == 0.0
-
-    def test_entropy_at_e_one_skips_singular_thresholds(self):
-        r = bounds_report(1.0, 3, ENT, at_e_max=True)
-        assert r.s_value is None and r.n_min is None
-        assert r.fano == 0.0
-        assert r.ratio_r == 1.0

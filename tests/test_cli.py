@@ -50,6 +50,12 @@ class TestRunConfig:
             RunConfig(input_path="x", output_path="y", k=(4, 2))
         with pytest.raises(ValueError):
             RunConfig(input_path="x", output_path="y", impurity="mse")
+        for field, value, message in (
+                ("input_format", "parquet", "unknown format 'parquet'"),
+                ("algorithm", "kmeans", "unknown algorithm 'kmeans'"),
+                ("max_iters", 0, "max_iters must be >= 1")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                RunConfig(input_path="x", output_path="y", **{field: value})
         cfg = RunConfig(input_path="x", output_path="y", k=3)
         assert cfg.k == (3, 3)
 
@@ -357,6 +363,10 @@ class TestMainExitCodes:
         assert code == 2
         code = main(["--input", str(data), "--k", "nope", "--output", str(out)])
         assert code == 2
+        code = main(["--input", str(data), "--k", "2", "--refine",
+                     "--max-iters", "0", "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_seed_is_not_a_setting(self, tmp_path, capsys):
         # the algorithms are deterministic, so there is nothing to seed

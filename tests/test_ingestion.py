@@ -16,6 +16,7 @@ from impuritypart import (
     emit,
     ingest,
 )
+from impuritypart import ingestion
 from impuritypart.ingestion import _read_dense
 
 from helpers import peak_bytes, random_joint
@@ -196,6 +197,10 @@ class TestErrors:
         path.write_text("0,0\n")
         with pytest.raises(ParseError):
             ingest(path, "sparse_triplets")
+        # blank lines are skipped but still count toward the line number
+        path.write_text("0,0,1\n\n1.5,0,1\n")
+        with pytest.raises(ParseError, match=r"^line 3: bad triplet '1\.5,0,1'$"):
+            ingest(path, "sparse_triplets")
 
     def test_triplet_negative_index(self, tmp_path):
         path = tmp_path / "in.txt"
@@ -210,6 +215,18 @@ class TestErrors:
         with pytest.raises(ParseError, match="^line 2: index outside") as info:
             ingest(path, "sparse_triplets")
         assert info.value.line == 2
+
+    def test_triplet_entry_cap(self, tmp_path, monkeypatch):
+        # refused at the first line whose indices imply too many entries,
+        # before any matrix is built
+        monkeypatch.setattr(ingestion, "TRIPLET_ENTRY_CAP", 12)
+        path = tmp_path / "in.txt"
+        path.write_text("0,0,1\n1,1,1\n2,3,1\n")
+        assert ingest(path, "sparse_triplets").p.shape == (3, 4)
+        path.write_text("0,0,1\n1,1,1\n\n2,4,1\n0,0,-1\n")
+        with pytest.raises(ParseError) as info:
+            ingest(path, "sparse_triplets")
+        assert str(info.value) == "line 4: 3 x 5 entries exceed cap 12 in '2,4,1'"
 
     def test_triplet_negative_value(self, tmp_path):
         path = tmp_path / "in.txt"
@@ -253,5 +270,7 @@ class TestErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("\n\n")
-        with pytest.raises(ParseError):
-            ingest(path, "dense_csv")
+        for input_format in ("dense_csv", "sparse_triplets"):
+            with pytest.raises(ParseError,
+                               match="^line 0: file contains no data rows$"):
+                ingest(path, input_format)

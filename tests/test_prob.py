@@ -115,6 +115,15 @@ class TestJointDistribution:
         np.testing.assert_allclose(jd.col_masses, [0.375, 0.625])
         assert jd.n_rows == 2 and jd.n_cols == 2
 
+    def test_shape_requirements(self):
+        # built directly, not through build_joint
+        for raw, message in (
+                ([0.5, 0.5], "expected a 2-D matrix, got ndim=1"),
+                (np.zeros((0, 3)), "need at least one data point row"),
+                ([[0.5], [0.5]], "need at least two class columns, got 1")):
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                JointDistribution(raw)
+
     def test_storage_is_read_only(self):
         jd = build_joint([[1, 1], [1, 1]])
         with pytest.raises(ValueError):

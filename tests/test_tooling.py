@@ -3,9 +3,10 @@
 The benchmark tracer (perfbench/tracing.py) patches program names by string.
 A refactor that drops or renames one of them makes a traced benchmark run
 crash, so every name the tracer lists must keep resolving. Every exported
-error must also be one some test expects to be raised, no source module
-may import a name it never uses, and the README's report schema must name
-the config fields and record keys the CLI writes.
+error must also be one some test expects to be raised, every export must be
+used by the package or named in the README, no source module may import a
+name it never uses, and the README's report schema must name the config
+fields and record keys the CLI writes.
 """
 
 import ast
@@ -144,6 +145,20 @@ def test_no_source_module_imports_a_name_it_never_uses():
         unused += [(path.stem, name) for name in sorted(imported - used)
                    if (path.stem, name) not in patched]
     assert unused == []
+
+
+def test_every_export_is_used_or_documented():
+    # an export no module uses and the README does not name is surface that
+    # does nothing; a word inside a flag (emit in `--emit-csv`) names nothing
+    package = Path(impuritypart.__file__).parent
+    used = {node.id for path in package.glob("*.py") if path.stem != "__init__"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name)}
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S)
+    named = {word for span in spans
+             for word in re.findall(r"(?<![\w-])\w+(?![\w-])", span)}
+    assert sorted(set(impuritypart.__all__) - used - named) == []
 
 
 def test_readme_documents_the_report(tmp_path):
