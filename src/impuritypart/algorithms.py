@@ -51,6 +51,9 @@ from .prob import (
 # fixed cost; 2**32 took 83-141 s at the edge on a 2-CPU machine
 DEFAULT_MASK_BUDGET = 1 << 32
 DEFAULT_ORACLE_CAP = 2_000_000
+# work cap of the oracle's subset tables, in entry sums: 2**m subsets of N
+# classes; at m = 20 it admits N <= 4096
+ORACLE_TABLE_CAP = 1 << 32
 
 _ORACLE_BLOCK = 1 << 16
 _TABLE_CHUNK = 1 << 18
@@ -510,7 +513,8 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     e_max_achieved. Assignments are enumerated lexicographically with point 0
     as the most significant digit. Refuses instances with k**m above
     DEFAULT_ORACLE_CAP by raising InstanceTooLarge, before any work; k == 1
-    is never refused.
+    is never refused. When tables would be built, 2**m * N above
+    ORACLE_TABLE_CAP raises InstanceTooLarge too, before the tables.
 
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
@@ -531,6 +535,9 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
         # every assignment has the same impurity bits, so the first, all
         # points at label 0, wins, and its e is the global maximum
         return _result(jd, np.zeros(m, dtype=np.intp), k, f, masks_evaluated=k ** m)
+    if (1 << m) * jd.n_cols > ORACLE_TABLE_CAP:
+        raise InstanceTooLarge(
+            f"2**{m}*{jd.n_cols} table sums exceed cap {ORACLE_TABLE_CAP}")
     weighted, top = _subset_tables(jd.p, f)
     # a block fixes the labels of the leading points and runs through every
     # labelling of the last `tail` ones; a label's subset is its bits among

@@ -16,6 +16,8 @@ import time
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algorithms import (
     check_merge_k,
     check_split_k,
@@ -33,7 +35,7 @@ from .errors import ImpurityPartError, IngestWarning
 from .impurity import entropy_spec, gini_spec
 from .ingestion import FORMATS, ingest
 
-SCHEMA = "impuritypart/3"
+SCHEMA = "impuritypart/4"
 ALGORITHMS = ("ml", "greedy_split", "greedy_merge", "auto", "oracle")
 IMPURITIES = {"entropy": entropy_spec, "gini": gini_spec}
 
@@ -171,6 +173,13 @@ def _record(config: RunConfig, jd, f, k, name, result):
     return record
 
 
+def _runs(rows: np.ndarray) -> list:
+    """[first, last] of each run of consecutive values in the increasing,
+    nonempty int array rows, as Python ints."""
+    step = np.diff(rows) != 1
+    return np.column_stack((rows[np.r_[True, step]], rows[np.r_[step, True]])).tolist()
+
+
 def _write_csv(records, path):
     # csv writes None as "" and a float as its repr
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -188,10 +197,8 @@ def run(config: RunConfig) -> dict:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         jd = ingest(config.input_path, config.input_format)
-    dropped = []
-    for item in caught:
-        if isinstance(item.message, IngestWarning):
-            dropped.extend(item.message.dropped_rows)
+    dropped = next((_runs(item.message.dropped_rows) for item in caught
+                    if isinstance(item.message, IngestWarning)), [])
     f = IMPURITIES[config.impurity]()
     records = []
     mark = time.perf_counter()

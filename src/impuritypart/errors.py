@@ -103,9 +103,12 @@ class ParseError(ImpurityPartError, ValueError):
 
 
 class IngestWarning(UserWarning):
-    """Zero-mass rows were dropped while reading an input file."""
+    """Zero-mass rows were dropped while reading an input file.
+
+    dropped_rows is the int64 array of their 0-based indices, increasing;
+    the message gives only their count.
+    """
 
     def __init__(self, dropped_rows):
-        self.dropped_rows = list(dropped_rows)
-        super().__init__(f"dropped {len(self.dropped_rows)} zero-mass row(s): "
-                         f"{self.dropped_rows}")
+        self.dropped_rows = dropped_rows
+        super().__init__(f"dropped {len(dropped_rows)} zero-mass row(s)")

@@ -2,15 +2,16 @@
 
 Three input formats:
   dense_csv       comma-separated floats, one data point per line
-  counts          same layout, nonnegative counts, normalized by the total
+  counts          the same reader, for nonnegative counts
   sparse_triplets lines "row,col,value" (0-based indices below 2**63),
                   missing entries are zero; a file whose indices imply
                   more than TRIPLET_ENTRY_CAP entries raises ParseError
 
-A leading UTF-8 byte-order mark is skipped. NaN or infinite entries are
-rejected. Rows with zero total mass are dropped with an IngestWarning
-carrying their 0-based indices. A dense CSV written by `emit` reads back
-bit-exactly.
+Every format is normalized by one rule: a total within 1e-9 of 1 is kept
+verbatim, any other is divided out. A leading UTF-8 byte-order mark is
+skipped. NaN or infinite entries are rejected. Rows with zero total mass
+are dropped with an IngestWarning carrying the int64 array of their 0-based
+indices. A dense CSV written by `emit` reads back bit-exactly.
 """
 
 import array
@@ -20,17 +21,13 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     IngestWarning,
     InvalidDistribution,
     NegativeEntry,
     ParseError,
     ZeroTotal,
 )
-from .prob import JointDistribution, _normalized, check_entries
-
-FORMATS = ("dense_csv", "counts", "sparse_triplets")
-
+from .prob import JointDistribution, _normalized, check_matrix
 
 # the most entries a sparse_triplets file may imply: the reader builds the
 # (max row + 1) x (max col + 1) matrix whole, at 8 B per entry
@@ -103,6 +100,12 @@ def _read_triplets(path):
     return arr
 
 
+# format name -> reader returning the file's float matrix
+_READERS = {"dense_csv": _read_dense, "counts": _read_dense,
+            "sparse_triplets": _read_triplets}
+FORMATS = tuple(_READERS)
+
+
 def ingest(path, input_format: str = "dense_csv") -> JointDistribution:
     """Read a file into a validated JointDistribution.
 
@@ -115,18 +118,13 @@ def ingest(path, input_format: str = "dense_csv") -> JointDistribution:
     """
     if input_format not in FORMATS:
         raise ValueError(f"unknown format {input_format!r}, expected one of {FORMATS}")
-    if input_format == "sparse_triplets":
-        arr = _read_triplets(path)
-    else:
-        arr = _read_dense(path)
-    if arr.shape[1] < 2:
-        raise DimensionMismatch(f"need at least 2 columns, got {arr.shape[1]}")
-    check_entries(arr)
+    arr = _READERS[input_format](path)
+    check_matrix(arr)
     with np.errstate(over="ignore"):
         keep = arr.sum(axis=1) > 0.0
     dropped = np.flatnonzero(~keep)
     if dropped.size:
-        warnings.warn(IngestWarning(int(r) for r in dropped), stacklevel=2)
+        warnings.warn(IngestWarning(dropped), stacklevel=2)
         arr = arr[keep]
     if arr.shape[0] == 0:
         raise ZeroTotal("no rows with positive mass")

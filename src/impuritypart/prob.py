@@ -30,12 +30,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_entries(arr: np.ndarray) -> None:
-    """Reject NaN/inf entries, then negative ones, naming the first (row, col).
+def check_matrix(arr: np.ndarray) -> None:
+    """Reject a float array that cannot hold a joint, checking in order:
+    rank 2, at least one row and at least two columns (DimensionMismatch),
+    then NaN/inf entries and negative ones, naming the first (row, col).
 
-    Two whole-matrix tests pass clean input; the indices are searched only
+    Two whole-matrix tests pass clean entries; the indices are searched only
     when one of them fails.
     """
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.shape[0] < 1:
+        raise DimensionMismatch("need at least one data point row")
+    if arr.shape[1] < 2:
+        raise DimensionMismatch(f"need at least two class columns, got {arr.shape[1]}")
     if np.isfinite(arr).all() and not (arr < 0.0).any():
         return
     for bad, error in ((~np.isfinite(arr), NonFinite), (arr < 0.0, NegativeEntry)):
@@ -77,14 +85,7 @@ class JointDistribution:
 
     def __post_init__(self):
         src = np.asarray(self.p, dtype=float, order="C")
-        if src.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D matrix, got ndim={src.ndim}")
-        m, n = src.shape
-        if m < 1:
-            raise DimensionMismatch("need at least one data point row")
-        if n < 2:
-            raise DimensionMismatch(f"need at least two class columns, got {n}")
-        check_entries(src)
+        check_matrix(src)
         total = float(src.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise InvalidDistribution(
@@ -143,19 +144,14 @@ def _normalized(arr: np.ndarray) -> JointDistribution:
 def build_joint(raw) -> JointDistribution:
     """Normalize a nonnegative count or weight matrix into a JointDistribution.
 
-    Rejects NaN/inf and negative entries, an all-zero matrix, and any all-zero
+    Rejects what check_matrix rejects, an all-zero matrix, and any all-zero
     row, naming the offending index in each case. A total within 1e-9 of 1 is
     kept verbatim, as `ingest` keeps it, so build_joint(jd.p) has the bytes
     of jd.p; any other matrix is divided by its total. A matrix whose total
     overflows raises InvalidDistribution.
     """
     arr = np.array(raw, dtype=float, order="C")
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 2:
-        raise DimensionMismatch(
-            f"need at least 1 row and 2 columns, got shape {arr.shape}")
-    check_entries(arr)
+    check_matrix(arr)
     return _normalized(arr)
 
 

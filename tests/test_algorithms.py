@@ -29,7 +29,8 @@ from impuritypart import (
     max_likelihood_partition,
 )
 from impuritypart import algorithms
-from impuritypart.algorithms import _divergences, merge_states, split_states
+from impuritypart.algorithms import (ORACLE_TABLE_CAP, _divergences, merge_states,
+                                     split_states)
 
 from helpers import (
     all_assignment_e_values,
@@ -666,6 +667,27 @@ class TestExhaustiveOracle:
                     continue
                 with pytest.raises(InstanceTooLarge if refused else Admitted):
                     exhaustive_oracle(jd, k, ENT)
+
+    def test_table_cap_admits_two_to_the_m_times_n_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "_subset_tables", admit)
+        for m in (18, 19, 20):
+            edge = ORACLE_TABLE_CAP >> m
+            with pytest.raises(Admitted):
+                exhaustive_oracle(build_joint(np.ones((m, edge))), 2, ENT)
+            jd = build_joint(np.ones((m, edge + 1)))
+            message = rf"^2\*\*{m}\*{edge + 1} table sums exceed cap {ORACLE_TABLE_CAP}$"
+            with pytest.raises(InstanceTooLarge, match=message):
+                exhaustive_oracle(jd, 2, ENT)
+            # one label builds no table, so past the edge it still runs
+            assert exhaustive_oracle(jd, 1, ENT).masks_evaluated == 1
+
+    def test_table_cap_never_refuses_one_label_or_one_row(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "_subset_tables", admit)
+        monkeypatch.setattr(algorithms, "ORACLE_TABLE_CAP", 0)
+        assert exhaustive_oracle(build_joint(np.ones((1, 3))), 4, ENT).masks_evaluated == 4
+        assert exhaustive_oracle(build_joint(np.ones((5, 3))), 1, ENT).masks_evaluated == 1
+        with pytest.raises(InstanceTooLarge, match="table sums"):
+            exhaustive_oracle(build_joint(np.ones((2, 2))), 2, ENT)
 
 
 class TestExactSearchReference:

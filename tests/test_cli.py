@@ -24,6 +24,8 @@ from impuritypart import (
 )
 from impuritypart.cli import RunConfig, _parse_k, build_parser, main, run
 
+from helpers import peak_bytes
+
 
 def write_counts(path, matrix):
     path.write_text("\n".join(",".join(str(v) for v in row) for row in matrix) + "\n")
@@ -73,7 +75,7 @@ class TestRun:
         config = RunConfig(input_path=str(data), output_path=str(out),
                            input_format="counts", k=3, algorithm="ml")
         report = run(config)
-        assert report["schema"] == "impuritypart/3"
+        assert report["schema"] == "impuritypart/4"
         record = report["records"][0]
         assert record["impurity"] == 0.0
         assert record["e_q"] == 1.0
@@ -341,8 +343,32 @@ class TestRun:
         config = RunConfig(input_path=str(data), output_path=str(out),
                            input_format="counts", k=1, algorithm="ml")
         report = run(config)
-        assert report["input"]["dropped_rows"] == [1]
+        assert report["input"]["dropped_rows"] == [[1, 1]]
         assert report["input"]["n_rows"] == 2
+
+    def test_dropped_rows_written_as_runs(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0,0\n1,1\n0,0\n0,0\n2,1\n0,0\n0,0\n0,0\n")
+        out = tmp_path / "report.json"
+        config = RunConfig(input_path=str(data), output_path=str(out),
+                           input_format="counts", k=1, algorithm="ml")
+        report = run(config)
+        assert report["input"]["dropped_rows"] == [[0, 0], [2, 3], [5, 7]]
+        assert read_report(out)["input"] == report["input"]
+
+    def test_dropped_rows_cost_the_file_not_the_rows(self, tmp_path):
+        # two lines imply 2**20 rows, all but two of them zero: the report
+        # and the peak grow with the file, not with the dropped indices
+        data = tmp_path / "gap.txt"
+        data.write_text("1048575,1,1\n0,0,1\n")
+        out = tmp_path / "report.json"
+        config = RunConfig(input_path=str(data), output_path=str(out),
+                           input_format="sparse_triplets", k=1, algorithm="ml")
+        peak, report = peak_bytes(lambda: run(config))
+        assert report["input"] == {"n_rows": 2, "n_cols": 2,
+                                   "dropped_rows": [[1, 1048574]]}
+        assert out.stat().st_size < 4096
+        assert peak < 32 * 2 ** 20
 
 
 class TestMainExitCodes:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from impuritypart import (
+    DimensionMismatch,
     IngestWarning,
     InvalidDistribution,
     NegativeEntry,
@@ -125,6 +126,23 @@ class TestZeroRows:
             jd = ingest(path, "counts")
         assert jd.n_rows == 2
         assert caught[0].message.dropped_rows == [1]
+
+    def test_warning_carries_the_index_array(self, tmp_path):
+        few = tmp_path / "few.csv"
+        few.write_text("1,1\n0,0\n2,2\n")
+        many = tmp_path / "many.csv"
+        many.write_text("0,0\n" * 5000 + "1,1\n" + "0,0\n" * 5000)
+        messages = []
+        for path, dropped in ((few, [1]), (many, [*range(5000), *range(5001, 10001)])):
+            with pytest.warns(IngestWarning) as caught:
+                ingest(path, "counts")
+            rows = caught[0].message.dropped_rows
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            np.testing.assert_array_equal(rows, dropped)
+            messages.append(str(caught[0].message))
+        # the message gives the count, not the indices
+        assert messages == ["dropped 1 zero-mass row(s)",
+                            "dropped 10000 zero-mass row(s)"]
 
     def test_all_rows_zero(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -261,11 +279,19 @@ class TestErrors:
                 ingest(path, "sparse_triplets")
 
     def test_single_column_rejected(self, tmp_path):
-        path = tmp_path / "in.csv"
-        path.write_text("1\n2\n")
-        from impuritypart import DimensionMismatch
-        with pytest.raises(DimensionMismatch):
-            ingest(path, "counts")
+        # JointDistribution's message, checked before the entries, in every
+        # format
+        single = tmp_path / "in.csv"
+        single.write_text("1\n2\n")
+        nan = tmp_path / "nan.csv"
+        nan.write_text("nan\n-2\n")
+        triplets = tmp_path / "in.txt"
+        triplets.write_text("0,0,1\n1,0,nan\n")
+        for path, input_format in ((single, "counts"), (nan, "dense_csv"),
+                                   (nan, "counts"), (triplets, "sparse_triplets")):
+            with pytest.raises(DimensionMismatch,
+                               match="^need at least two class columns, got 1$"):
+                ingest(path, input_format)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "in.csv"

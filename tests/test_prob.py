@@ -49,10 +49,17 @@ class TestBuildJoint:
             build_joint([[0, 0], [0, 0]])
 
     def test_shape_requirements(self):
-        with pytest.raises(DimensionMismatch):
-            build_joint([[1], [2]])  # one column
-        with pytest.raises(DimensionMismatch):
-            build_joint([1, 2, 3])  # not 2-D
+        # JointDistribution's messages, checked before the entries, so NaN
+        # and negatives do not mask them
+        for raw, message in (
+                ([[1], [2]], "need at least two class columns, got 1"),
+                ([1, 2, 3], "expected a 2-D matrix, got ndim=1"),
+                ([1.0, np.nan], "expected a 2-D matrix, got ndim=1"),
+                (np.ones((2, 2, 2)), "expected a 2-D matrix, got ndim=3"),
+                (np.zeros((0, 3)), "need at least one data point row"),
+                ([[np.nan], [-1.0]], "need at least two class columns, got 1")):
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                build_joint(raw)
 
 
 class TestOneNormalization:

@@ -5,8 +5,9 @@ A refactor that drops or renames one of them makes a traced benchmark run
 crash, so every name the tracer lists must keep resolving. Every exported
 error must also be one some test expects to be raised, every export must be
 used by the package or named in the README, no source module may import a
-name it never uses, and the README's report schema must name the config
-fields and record keys the CLI writes.
+name it never uses, the README's report schema must name the config fields,
+input keys and record keys the CLI writes, and the README's work caps must
+give the values the code uses.
 """
 
 import ast
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 import impuritypart
-from impuritypart import ImpuritySpec, algorithms, cli
+from impuritypart import ImpuritySpec, algorithms, cli, ingestion
 from impuritypart.cli import RunConfig
 
 TESTS = Path(__file__).resolve().parent
@@ -176,3 +177,25 @@ def test_readme_documents_the_report(tmp_path):
                                output_path=str(tmp_path / "r.json"), k=(2, 4),
                                refine=True, emit_assignment=True))
     assert [list(record) for record in report["records"]] == [keys] * 3
+    # the `input` bullet names each key as `name` (type), in written order
+    inputs = readme.split("\n- `input`:", 1)[1].split("\n- `records`:", 1)[0]
+    assert re.findall(r"`(\w+)`\s+\(", inputs) == list(report["input"])
+    assert list(report["input"]) == ["n_rows", "n_cols", "dropped_rows"]
+
+
+def test_readme_caps_match_the_code():
+    # every `NAME = value` in "Work caps", value an integer (thousands
+    # separated by commas) or a power 2^x, is the module constant NAME, and
+    # every cap or budget constant of the code is given there
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    caps = readme.split("\n## Work caps\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for name, text in re.findall(r"(?:\w+\.)?([A-Z][A-Z_]+) = (\d[\d,]*(?:\^\d+)?)",
+                                 caps):
+        base, _, power = text.replace(",", "").partition("^")
+        documented.add((name, int(base) ** int(power or 1)))
+    code = {(name, value) for module in (algorithms, ingestion)
+            for name, value in vars(module).items()
+            if name.endswith(("_CAP", "_BUDGET"))}
+    assert len(code) == 4
+    assert documented == code
