@@ -88,6 +88,18 @@ def _result(jd: JointDistribution, assignment, k: int, f: ImpuritySpec,
                       masks_evaluated=masks_evaluated)
 
 
+def _fold(column: np.ndarray, d: int, before, label: np.ndarray,
+          after: np.ndarray, greater: np.ndarray) -> None:
+    """Fold column d into a running argmax: a point whose entry strictly
+    exceeds its running maximum `before` takes label d, so on ties the
+    earlier column keeps the point, as np.argmax does. `after` receives the
+    new maximum and may be `before` itself; `before` is -inf for the empty
+    prefix. `greater` is an M-long bool buffer."""
+    np.greater(column, before, out=greater)
+    np.putmask(label, greater, d)
+    np.maximum(before, column, out=after)
+
+
 def max_likelihood_partition(jd: JointDistribution, k: int,
                              f: ImpuritySpec) -> AlgoResult:
     """Partition by largest joint entry, maximizing the likelihood sum e.
@@ -96,13 +108,15 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     first on ties), which provably maximizes e over all assignments and uses
     at most n labels (leaving k - n empty); one scan over the columns keeps
     each point's largest entry so far and its label, O(M) memory beside the
-    joint. For k < n every size-k class mask is tried: the
-    joint is projected onto the mask's classes, points are assigned by argmax
-    over the surviving entries, e is evaluated on the unprojected joint, and
-    the best mask wins (first found on ties). A mask costs O(M) plus a fixed
-    cost of about 2048 points, so an instance with C(n, k) * (M + 2048) above
-    DEFAULT_MASK_BUDGET raises MaskBudgetExceeded before any pass over the
-    joint. The k >= n step is not capped.
+    joint and the k x n statistics of the result. For k < n every size-k
+    class mask is tried: the joint is projected onto the mask's classes,
+    points are assigned by argmax over the surviving entries, e is evaluated
+    on the unprojected joint, and the best mask wins (first found on ties).
+    Both branches fold the columns one at a time through _fold, the one
+    running argmax and the one place that keeps the first maximum. A mask
+    costs O(M) plus a fixed cost of about 2048 points, so an instance with
+    C(n, k) * (M + 2048) above DEFAULT_MASK_BUDGET raises MaskBudgetExceeded
+    before any pass over the joint. The k >= n step is not capped.
 
     Masks come in lexicographic order, so consecutive masks share a prefix
     of columns. For each prefix depth the scan keeps every point's running
@@ -129,16 +143,14 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
         raise KTooSmall(f"k must be >= 1, got {k}")
     n = jd.n_cols
     p = jd.p
+    greater = np.empty(jd.n_rows, dtype=bool)
     if k >= n:
-        # a running argmax over the columns: strict > keeps the first
-        # maximum, as np.argmax does, without a row-major copy of p
-        chosen = p[:, 0].copy()
+        # every column folds into one running argmax, without a row-major
+        # copy of p
+        chosen = np.empty(jd.n_rows)
         label = np.zeros(jd.n_rows, dtype=np.intp)
-        greater = np.empty(jd.n_rows, dtype=bool)
-        for j in range(1, n):
-            np.greater(p[:, j], chosen, out=greater)
-            np.putmask(label, greater, j)
-            np.maximum(chosen, p[:, j], out=chosen)
+        for j in range(n):
+            _fold(p[:, j], j, chosen if j else -np.inf, label, chosen, greater)
         return _result(jd, label, k, f, masks_evaluated=1)
     n_masks = math.comb(n, k)
     if n_masks * (jd.n_rows + 2048) > DEFAULT_MASK_BUDGET:
@@ -159,14 +171,9 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
         depth = next((d for d, (a, b) in enumerate(zip(previous, cols))
                       if a != b), 0)
         for d in range(depth, k):
-            column = p[:, cols[d]]
-            if d == 0:
-                chosen[0] = column
-                label[0] = 0
-                continue
-            # strict >: on ties the earlier column keeps the point
-            label[d] = np.where(column > chosen[d - 1], d, label[d - 1])
-            np.maximum(chosen[d - 1], column, out=chosen[d])
+            np.copyto(label[d], label[d - 1] if d else 0)
+            _fold(p[:, cols[d]], d, chosen[d - 1] if d else -np.inf,
+                  label[d], chosen[d], greater)
         previous = cols
         local = label[k - 1]
         row_max = np.bincount(local, weights=chosen[k - 1], minlength=k)
@@ -338,8 +345,11 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         i, j = divmod(int(np.argmin(losses)), count)
         event = {"event": "merge", "merged": [i, j],
                  "delta": float(losses[i, j]), "losses": losses}
-        assignment = np.where(assignment == j, i, assignment)
-        assignment = np.where(assignment > j, assignment - 1, assignment)
+        # j joins i and the labels above j shift down; the gather makes a
+        # new array, so earlier states keep theirs
+        relabel = np.arange(count) - (np.arange(count) > j)
+        relabel[j] = i
+        assignment = relabel[assignment]
         count -= 1
         members = np.flatnonzero(assignment == i)
         pxz = np.delete(pxz, j, axis=0)

@@ -6,7 +6,7 @@ assigns each row a label in {0, ..., k-1}; its statistics aggregate the rows
 of each label into the k x N matrix p(x_i, z_label).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +82,10 @@ class JointDistribution:
     """
 
     p: np.ndarray
+    # p(y_j) for each data point, length M
+    row_masses: np.ndarray = field(init=False, repr=False)
+    # p(x_i) for each class, length N
+    col_masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         src = np.asarray(self.p, dtype=float, order="C")
@@ -96,8 +100,8 @@ class JointDistribution:
             raise ZeroRow(int(zero[0]))
         col_masses = src.sum(axis=0)
         object.__setattr__(self, "p", _frozen(np.array(src, order="F")))
-        object.__setattr__(self, "_row_masses", _frozen(row_masses))
-        object.__setattr__(self, "_col_masses", _frozen(col_masses))
+        object.__setattr__(self, "row_masses", _frozen(row_masses))
+        object.__setattr__(self, "col_masses", _frozen(col_masses))
 
     @property
     def n_rows(self) -> int:
@@ -108,16 +112,6 @@ class JointDistribution:
     def n_cols(self) -> int:
         """N, the number of classes."""
         return self.p.shape[1]
-
-    @property
-    def row_masses(self) -> np.ndarray:
-        """p(y_j) for each data point, length M."""
-        return self._row_masses
-
-    @property
-    def col_masses(self) -> np.ndarray:
-        """p(x_i) for each class, length N."""
-        return self._col_masses
 
 
 def _normalized(arr: np.ndarray) -> JointDistribution:

@@ -93,6 +93,34 @@ class TestMaxLikelihoodPartition:
         assert res.partition.k == 7
         assert res.stats.n_nonempty <= 3
 
+    def test_ties_at_n_labels_and_above_match_argmax(self):
+        # the running argmax starts from -inf and keeps the first maximum,
+        # as np.argmax does: on a duplicated column, on rows whose leading
+        # entries are zero, and with a class that is zero in every row
+        rng = np.random.default_rng(96)
+        for case in range(12):
+            m, n = int(rng.integers(5, 60)), int(rng.integers(2, 7))
+            raw = rng.integers(0, 3, size=(m, n)).astype(float)
+            if case % 3 == 0:
+                source = int(rng.integers(n - 1))
+                raw[:, n - 1] = raw[:, source]
+                empty = raw.sum(axis=1) == 0.0
+                raw[empty, source] = raw[empty, n - 1] = 1.0
+            elif case % 3 == 1:
+                raw[:, :int(rng.integers(1, n))] = 0.0
+                raw[raw.sum(axis=1) == 0.0, n - 1] = 1.0
+            else:
+                zero = int(rng.integers(n))
+                raw[:, zero] = 0.0
+                raw[raw.sum(axis=1) == 0.0, (zero + 1) % n] = 1.0
+            jd = build_joint(raw)
+            expected = np.argmax(np.ascontiguousarray(jd.p), axis=1)
+            for k in (n, n + 3):
+                res = max_likelihood_partition(jd, k, ENT)
+                assert res.partition.assignment.tolist() == expected.tolist()
+                assert res.e_max_achieved == compute_stats(
+                    jd, Partition(expected, k), ENT).e_q
+
     def test_k_below_n_matches_exhaustive_maximum(self):
         rng = np.random.default_rng(42)
         jd = dyadic_joint(rng, 8, 3)

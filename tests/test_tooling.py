@@ -5,7 +5,8 @@ A refactor that drops or renames one of them makes a traced benchmark run
 crash, so every name the tracer lists must keep resolving. Every exported
 error must also be one some test expects to be raised, every export must be
 used by the package or named in the README, no source module may import a
-name it never uses, the README's report schema must name the config fields,
+name it never uses or define a private module-level name that nothing in
+the package loads, the README's report schema must name the config fields,
 input keys and record keys the CLI writes, and the README's work caps must
 give the values the code uses.
 """
@@ -145,6 +146,33 @@ def test_no_source_module_imports_a_name_it_never_uses():
                 used.update(name.value for name in node.value.elts)
         unused += [(path.stem, name) for name in sorted(imported - used)
                    if (path.stem, name) not in patched]
+    assert unused == []
+
+
+def test_every_private_module_name_is_used():
+    # a module-level `_name` that nothing in the package loads, outside its
+    # own definition, is a leftover helper
+    statements = [(path.stem, node)
+                  for path in sorted(Path(impuritypart.__file__).parent.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    loads = [{node.id if isinstance(node, ast.Name) else node.attr
+              for node in ast.walk(statement)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)}
+             for _, statement in statements]
+    private = []
+    for index, (module, statement) in enumerate(statements):
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(statement.name)]
+        else:
+            targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+        private += [(index, module, target.id) for target in targets
+                    if isinstance(target, ast.Name) and target.id.startswith("_")
+                    and not target.id.startswith("__")]
+    assert len(private) >= 20
+    unused = [(module, name) for index, module, name in private
+              if not any(name in used for other, used in enumerate(loads)
+                         if other != index)]
     assert unused == []
 
 
