@@ -7,8 +7,8 @@ exhaustive oracle for verification at small sizes.
 """
 
 from .algorithms import (
-    DEFAULT_MASK_BUDGET,
-    DEFAULT_ORACLE_CAP,
+    MASK_BUDGET,
+    ORACLE_CAP,
     AlgoResult,
     exhaustive_oracle,
     greedy_merge,
@@ -38,7 +38,6 @@ from .errors import (
     KNotLessThanN,
     KTooSmall,
     LabelOutOfRange,
-    MaskBudgetExceeded,
     MissingL,
     NegativeEntry,
     NonFinite,
@@ -62,8 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgoResult",
     "ConcavityViolation",
-    "DEFAULT_MASK_BUDGET",
-    "DEFAULT_ORACLE_CAP",
     "DimensionMismatch",
     "EOutOfRange",
     "ImpurityPartError",
@@ -76,11 +73,12 @@ __all__ = [
     "KNotLessThanN",
     "KTooSmall",
     "LabelOutOfRange",
-    "MaskBudgetExceeded",
+    "MASK_BUDGET",
     "MissingL",
     "NegativeEntry",
     "NonFinite",
     "NotAChannel",
+    "ORACLE_CAP",
     "ParseError",
     "Partition",
     "PartitionStats",

@@ -34,7 +34,6 @@ from .errors import (
     KNotGreaterThanN,
     KNotLessThanN,
     KTooSmall,
-    MaskBudgetExceeded,
 )
 from .impurity import ImpuritySpec
 from .prob import (
@@ -49,8 +48,8 @@ from .prob import (
 # work cap of the k < N mask scan, in point reads: C(N, k) masks over M
 # points cost C(N, k) * (M + 2048), 2048 points being about one mask's
 # fixed cost; 2**32 took 83-141 s at the edge on a 2-CPU machine
-DEFAULT_MASK_BUDGET = 1 << 32
-DEFAULT_ORACLE_CAP = 2_000_000
+MASK_BUDGET = 1 << 32
+ORACLE_CAP = 2_000_000
 # work cap of the oracle's subset tables, in entry sums: 2**m subsets of N
 # classes; at m = 20 it admits N <= 4096
 ORACLE_TABLE_CAP = 1 << 32
@@ -115,8 +114,9 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     Both branches fold the columns one at a time through _fold, the one
     running argmax and the one place that keeps the first maximum. A mask
     costs O(M) plus a fixed cost of about 2048 points, so an instance with
-    C(n, k) * (M + 2048) above DEFAULT_MASK_BUDGET raises MaskBudgetExceeded
-    before any pass over the joint. The k >= n step is not capped.
+    C(n, k) * (M + 2048) above MASK_BUDGET raises InstanceTooLarge, the
+    refusal the oracle also uses, before any pass over the joint. The
+    k >= n step is not capped.
 
     Masks come in lexicographic order, so consecutive masks share a prefix
     of columns. For each prefix depth the scan keeps every point's running
@@ -153,10 +153,10 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
             _fold(p[:, j], j, chosen if j else -np.inf, label, chosen, greater)
         return _result(jd, label, k, f, masks_evaluated=1)
     n_masks = math.comb(n, k)
-    if n_masks * (jd.n_rows + 2048) > DEFAULT_MASK_BUDGET:
+    if n_masks * (jd.n_rows + 2048) > MASK_BUDGET:
         # C(n, k) by name: its value can be too long to format
-        raise MaskBudgetExceeded(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
-                                 f"points exceed budget {DEFAULT_MASK_BUDGET}")
+        raise InstanceTooLarge(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
+                               f"points exceed budget {MASK_BUDGET}")
     best_e = -math.inf
     best_assignment = None
     # row d: each point's largest entry among the mask's first d + 1 columns,
@@ -522,9 +522,10 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     order on ties) and reports the global maximum e over every assignment in
     e_max_achieved. Assignments are enumerated lexicographically with point 0
     as the most significant digit. Refuses instances with k**m above
-    DEFAULT_ORACLE_CAP by raising InstanceTooLarge, before any work; k == 1
-    is never refused. When tables would be built, 2**m * N above
-    ORACLE_TABLE_CAP raises InstanceTooLarge too, before the tables.
+    ORACLE_CAP by raising InstanceTooLarge, the refusal the mask scan of
+    max_likelihood_partition also uses, before any work; k == 1 is never
+    refused. When tables would be built, 2**m * N above ORACLE_TABLE_CAP
+    raises InstanceTooLarge too, before the tables.
 
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
@@ -537,10 +538,9 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
         raise KTooSmall(f"k must be >= 1, got {k}")
     m = jd.n_rows
     # past the cap's bit length, m is over it without building k**m
-    if k > 1 and (m > DEFAULT_ORACLE_CAP.bit_length()
-                  or k ** m > DEFAULT_ORACLE_CAP):
+    if k > 1 and (m > ORACLE_CAP.bit_length() or k ** m > ORACLE_CAP):
         raise InstanceTooLarge(
-            f"{k}**{m} assignments exceed cap {DEFAULT_ORACLE_CAP}")
+            f"{k}**{m} assignments exceed cap {ORACLE_CAP}")
     if k == 1 or m == 1:
         # every assignment has the same impurity bits, so the first, all
         # points at label 0, wins, and its e is the global maximum

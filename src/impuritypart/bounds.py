@@ -123,6 +123,8 @@ def boyd_chiang_bound(channel) -> float:
     a = np.asarray(channel, dtype=float)
     if a.ndim != 2:
         raise NotAChannel(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if a.shape[1] == 0:
+        raise NotAChannel("the channel has no inputs (0 columns)")
     for bad, what in ((~np.isfinite(a), "non-finite"), (a < 0.0, "negative")):
         hits = np.argwhere(bad)
         if hits.size:

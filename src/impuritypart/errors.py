@@ -48,7 +48,7 @@ class LabelOutOfRange(ImpurityPartError, ValueError):
 
 
 class ConcavityViolation(ImpurityPartError, ValueError):
-    """A sampled triple shows the supplied function is not concave."""
+    """A sampled triple shows the supplied function is not concave or not finite."""
 
     def __init__(self, a, b, lam, gap):
         self.a = a
@@ -85,12 +85,13 @@ class KNotLessThanN(ImpurityPartError, ValueError):
     """Merging requires fewer partitions than classes (k < n)."""
 
 
-class MaskBudgetExceeded(ImpurityPartError, ValueError):
-    """The mask scan's work, C(n, k) * (M + 2048), exceeds DEFAULT_MASK_BUDGET."""
-
-
 class InstanceTooLarge(ImpurityPartError, ValueError):
-    """k**m assignments exceed the exhaustive-search cap."""
+    """An exact search is too large to run; refused before any work.
+
+    Raised by the mask scan of max_likelihood_partition (k < n) when
+    C(n, k) * (M + 2048) exceeds MASK_BUDGET, and by exhaustive_oracle when
+    k**m exceeds ORACLE_CAP or 2**m * N exceeds ORACLE_TABLE_CAP.
+    """
 
 
 class ParseError(ImpurityPartError, ValueError):

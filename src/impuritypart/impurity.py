@@ -48,6 +48,15 @@ def _gini_f(x):
 class ImpuritySpec:
     """A concave impurity function together with optional companion l.
 
+    A spec without an array evaluator (custom_spec's, or one built here
+    directly) spot-checks f at construction on _CONCAVITY_SAMPLES random
+    triples (a, b, lam) from a fixed seed: the first triple where
+    f(lam*a + (1-lam)*b) >= lam*f(a) + (1-lam)*f(b) fails beyond tolerance,
+    or either side is not finite, raises ConcavityViolation naming it. The
+    check is a sample, not a proof. Such a spec evaluates f on arrays
+    elementwise; the entropy and Gini specs bring array evaluators and skip
+    the check.
+
     Attributes:
         kind: "entropy", "gini", or "custom".
         f: scalar concave function on [0, 1] with finite values (f(0) is 0
@@ -64,10 +73,23 @@ class ImpuritySpec:
     _f_prime_arr: Callable[[np.ndarray], np.ndarray] = field(
         default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self._f_arr is not None:
+            return
+        f = self.f
+        rng = np.random.default_rng(181168)
+        a, b, lam = rng.random((3, _CONCAVITY_SAMPLES)).tolist()
+        for ai, bi, li in zip(a, b, lam):
+            # Python floats: inf - inf is nan here, not a numpy warning
+            lhs = float(f(li * ai + (1.0 - li) * bi))
+            rhs = li * float(f(ai)) + (1.0 - li) * float(f(bi))
+            if (not (math.isfinite(lhs) and math.isfinite(rhs))
+                    or lhs < rhs - _CONCAVITY_TOL):
+                raise ConcavityViolation(ai, bi, li, rhs - lhs)
+        object.__setattr__(self, "_f_arr", np.vectorize(f, otypes=[float]))
+
     def f_values(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f elementwise on an array of probabilities."""
-        if self._f_arr is None:  # custom spec: fall back to elementwise f
-            object.__setattr__(self, "_f_arr", np.vectorize(self.f, otypes=[float]))
         return self._f_arr(x)
 
     def f_prime(self, x: np.ndarray) -> np.ndarray:
@@ -128,16 +150,8 @@ def custom_spec(f: Callable[[float], float],
                 l: Optional[Callable[[float], float]] = None) -> ImpuritySpec:
     """Wrap a user-supplied concave f (and optional companion l).
 
-    Concavity is spot-checked on _CONCAVITY_SAMPLES random triples (a, b,
-    lam) drawn from a fixed seed; a violation beyond tolerance raises
-    ConcavityViolation naming the triple. The check is a sample, not a proof.
+    The same as ImpuritySpec(kind="custom", f=f, l=l), which spot-checks f
+    at construction (see ImpuritySpec) and raises ConcavityViolation naming
+    the first sampled triple that shows f is not concave or not finite.
     """
-    rng = np.random.default_rng(181168)
-    a, b, lam = rng.random((3, _CONCAVITY_SAMPLES))
-    for ai, bi, li in zip(a, b, lam):
-        lhs = f(li * ai + (1.0 - li) * bi)
-        rhs = li * f(ai) + (1.0 - li) * f(bi)
-        if lhs < rhs - _CONCAVITY_TOL:
-            raise ConcavityViolation(float(ai), float(bi), float(li),
-                                     float(rhs - lhs))
     return ImpuritySpec(kind="custom", f=f, l=l)

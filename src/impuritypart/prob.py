@@ -154,7 +154,7 @@ class Partition:
     """An assignment of each data point to one of k labels.
 
     Labels may be unused; empty partitions are representable and carry zero
-    weight in every statistic.
+    weight in every statistic. Float labels must be whole numbers.
     """
 
     assignment: np.ndarray
@@ -163,15 +163,20 @@ class Partition:
     def __post_init__(self):
         if self.k < 1:
             raise KTooSmall(f"k must be >= 1, got {self.k}")
-        a = np.array(self.assignment, dtype=np.intp)
+        a = np.asarray(self.assignment)
         if a.ndim != 1:
             raise DimensionMismatch(
                 f"assignment must be 1-D, got ndim={a.ndim}")
-        if a.size and (a.min() < 0 or a.max() >= self.k):
-            bad = int(np.flatnonzero((a < 0) | (a >= self.k))[0])
-            raise LabelOutOfRange(
-                f"label {int(a[bad])} at position {bad} not in [0, {self.k})")
-        object.__setattr__(self, "assignment", _frozen(a))
+        # checked before the intp cast, which truncates 0.5 to 0 and warns
+        # on nan
+        valid = (a >= 0) & (a < self.k)
+        if a.dtype.kind == "f":
+            valid &= np.floor(a) == a
+        if not valid.all():
+            bad = int(np.flatnonzero(~valid)[0])
+            raise LabelOutOfRange(f"label {a[bad].item()!r} at position {bad} "
+                                  f"not in {{0, ..., {self.k - 1}}}")
+        object.__setattr__(self, "assignment", _frozen(np.array(a, dtype=np.intp)))
 
     @property
     def n_points(self) -> int:

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from impuritypart import (
-    DEFAULT_MASK_BUDGET,
-    DEFAULT_ORACLE_CAP,
+    MASK_BUDGET,
+    ORACLE_CAP,
     DimensionMismatch,
     InstanceTooLarge,
     KNotGreaterThanN,
     KNotLessThanN,
     KTooSmall,
-    MaskBudgetExceeded,
     Partition,
     approximation_ratio,
     build_joint,
@@ -139,11 +138,11 @@ class TestMaxLikelihoodPartition:
             max_likelihood_partition(jd, 0, ENT)
         # one point past the work budget: refused before any pass over p
         m, n, k = 21199, 20, 10
-        assert math.comb(n, k) * (m + 2048) > DEFAULT_MASK_BUDGET
+        assert math.comb(n, k) * (m + 2048) > MASK_BUDGET
         wide = random_joint(np.random.default_rng(43), m, n)
         counting = _CountingNumpy()
         monkeypatch.setattr(algorithms, "np", counting)
-        with pytest.raises(MaskBudgetExceeded,
+        with pytest.raises(InstanceTooLarge,
                            match=r"C\(20, 10\) masks x \(21199 \+ 2048\) points "
                                  r"exceed budget 4294967296"):
             max_likelihood_partition(wide, k, ENT)
@@ -153,7 +152,7 @@ class TestMaxLikelihoodPartition:
         # C(20, 10) * (21198 + 2048) <= 2**32: the scan starts; it would
         # take minutes, so the first bincount stops it
         m, n, k = 21198, 20, 10
-        assert math.comb(n, k) * (m + 2048) <= DEFAULT_MASK_BUDGET
+        assert math.comb(n, k) * (m + 2048) <= MASK_BUDGET
         jd = random_joint(np.random.default_rng(46), m, n)
         counting = _CountingNumpy()
         monkeypatch.setattr(counting, "bincount", admit)
@@ -164,7 +163,7 @@ class TestMaxLikelihoodPartition:
     def test_budget_refusal_on_a_huge_mask_count(self):
         # C(15000, 7500) has over 4300 digits, too many to format
         jd = build_joint(np.ones((1, 15000)))
-        with pytest.raises(MaskBudgetExceeded, match=r"C\(15000, 7500\) masks"):
+        with pytest.raises(InstanceTooLarge, match=r"C\(15000, 7500\) masks"):
             max_likelihood_partition(jd, 7500, ENT)
 
     def test_deterministic(self):
@@ -670,8 +669,8 @@ class TestExhaustiveOracle:
         with pytest.raises(KTooSmall):
             exhaustive_oracle(jd, 0, ENT)
         # one row is refused past the cap too, before its table-free path
-        k = DEFAULT_ORACLE_CAP + 1
-        message = rf"^{k}\*\*1 assignments exceed cap {DEFAULT_ORACLE_CAP}$"
+        k = ORACLE_CAP + 1
+        message = rf"^{k}\*\*1 assignments exceed cap {ORACLE_CAP}$"
         with pytest.raises(InstanceTooLarge, match=message):
             exhaustive_oracle(build_joint(np.ones((1, 2))), k, ENT)
 
@@ -688,7 +687,7 @@ class TestExhaustiveOracle:
         for m in range(1, 26):
             jd = build_joint(np.ones((m, 2)))
             for k in range(2, 6):
-                refused = k ** m > DEFAULT_ORACLE_CAP
+                refused = k ** m > ORACLE_CAP
                 if m == 1:
                     # one row is scored without subset tables
                     assert exhaustive_oracle(jd, k, ENT).masks_evaluated == k

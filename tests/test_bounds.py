@@ -215,6 +215,8 @@ class TestBoydChiang:
             boyd_chiang_bound([[1.5, 1.0], [-0.5, 0.0]])
         with pytest.raises(NotAChannel, match="^expected a 2-D matrix, got ndim=1$"):
             boyd_chiang_bound([0.5, 0.5])
+        with pytest.raises(NotAChannel, match="no inputs"):
+            boyd_chiang_bound(np.zeros((2, 0)))
 
     def test_rejects_non_finite_entries(self):
         # NaN passes both the sign and the column-sum comparisons

@@ -457,6 +457,21 @@ class TestMainExitCodes:
             assert record["error"].startswith("InstanceTooLarge")
             assert f"{record['k']}**20000" in record["error"]
 
+    def test_mask_scan_refusal_is_4(self, tmp_path):
+        # C(40, k) * (2 + 2048) exceeds the mask budget for every k of the
+        # sweep, so each record holds the refusal and the report is written
+        data = tmp_path / "data.csv"
+        write_counts(data, np.random.default_rng(78).integers(1, 9, size=(2, 40)))
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--format", "counts", "--k", "18:22",
+                     "--algorithm", "ml", "--output", str(out)])
+        assert code == 4
+        records = read_report(out)["records"]
+        assert [record["k"] for record in records] == [18, 19, 20, 21, 22]
+        for record in records:
+            assert record["error"].startswith(
+                f"InstanceTooLarge: C(40, {record['k']}) masks")
+
     def test_all_failed_is_4(self, tmp_path):
         data = tmp_path / "data.csv"
         write_counts(data, np.eye(3, dtype=int))

@@ -7,6 +7,7 @@ import pytest
 
 from impuritypart import (
     ConcavityViolation,
+    ImpuritySpec,
     MissingL,
     compute_stats,
     custom_spec,
@@ -97,6 +98,17 @@ class TestCustomSpec:
             custom_spec(lambda x: x * x)
         # the error names the violating triple
         assert info.value.a is not None and info.value.lam is not None
+
+    def test_non_finite_function_rejected(self):
+        # every comparison with nan is false and inf >= inf - tol holds, so
+        # only an explicit finiteness check catches these
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConcavityViolation):
+                custom_spec(lambda x, value=value: value)
+
+    def test_hand_built_convex_spec_rejected(self):
+        with pytest.raises(ConcavityViolation):
+            ImpuritySpec(kind="custom", f=lambda x: x * x)
 
     def test_sqrt_based_function_accepted(self):
         f = lambda x: math.sqrt(x) * (1.0 - math.sqrt(x))

@@ -1,5 +1,8 @@
 """Joint distribution containers and partition statistics."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -174,6 +177,18 @@ class TestPartition:
             Partition(np.array([0, 2]), 2)
         with pytest.raises(KTooSmall):
             Partition(np.array([0]), 0)
+        # float labels are checked before the integer cast, which truncates
+        for labels, message in (([0.5, 1.0], "label 0.5 at position 0"),
+                                ([1.0, 1.5, 0.0], "label 1.5 at position 1"),
+                                ([0.0, math.nan], "label nan at position 1"),
+                                ([math.inf], "label inf at position 0"),
+                                ([1.0, -1.0], "label -1.0 at position 1"),
+                                ([2.0, 0.0], "label 2.0 at position 0")):
+            with pytest.raises(LabelOutOfRange, match=f"^{re.escape(message)} "):
+                Partition(np.array(labels), 2)
+        part = Partition(np.array([1.0, 0.0]), 2)
+        assert part.assignment.dtype == np.intp
+        assert part.assignment.tolist() == [1, 0]
 
     def test_unused_labels_allowed(self):
         part = Partition(np.array([0, 0, 0]), 5)

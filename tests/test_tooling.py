@@ -8,7 +8,9 @@ used by the package or named in the README, no source module may import a
 name it never uses or define a private module-level name that nothing in
 the package loads, the README's report schema must name the config fields,
 input keys and record keys the CLI writes, and the README's work caps must
-give the values the code uses.
+give the values the code uses. Frozen objects must be complete at
+construction: no function other than a __post_init__ may call
+object.__setattr__.
 """
 
 import ast
@@ -121,7 +123,7 @@ def test_every_exported_error_is_raised_in_some_test():
               if isinstance(getattr(impuritypart, name), type)
               and issubclass(getattr(impuritypart, name), impuritypart.ImpurityPartError)
               and name != "ImpurityPartError"]
-    assert len(errors) >= 17
+    assert len(errors) >= 16
     assert sorted(set(errors) - expected) == []
 
 
@@ -174,6 +176,28 @@ def test_every_private_module_name_is_used():
               if not any(name in used for other, used in enumerate(loads)
                          if other != index)]
     assert unused == []
+
+
+def test_only_post_init_sets_frozen_attributes():
+    # a frozen object set up later (on first use, say) can be seen half
+    # built; object.__setattr__ belongs in __post_init__ alone
+    def setters(node, owner):
+        # the innermost function around each object.__setattr__ call
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from setters(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and getattr(child.func.value, "id", None) == "object"):
+                yield owner
+            yield from setters(child, owner)
+
+    owners = [(path.stem, owner)
+              for path in sorted(Path(impuritypart.__file__).parent.glob("*.py"))
+              for owner in setters(ast.parse(path.read_text(encoding="utf-8")), None)]
+    assert len(owners) >= 4
+    assert [entry for entry in owners if entry[1] != "__post_init__"] == []
 
 
 def test_every_export_is_used_or_documented():
