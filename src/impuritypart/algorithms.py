@@ -232,18 +232,6 @@ class GreedyState:
                           masks_evaluated=masks_evaluated, trace=trace)
 
 
-def check_split_k(n: int, k: int) -> None:
-    """Raise KNotGreaterThanN unless greedy_split serves k, that is k > n."""
-    if k <= n:
-        raise KNotGreaterThanN(f"need k > {n} classes, got k={k}")
-
-
-def check_merge_k(n: int, k: int) -> None:
-    """Raise KNotLessThanN unless greedy_merge serves k, that is k < n."""
-    if k >= n:
-        raise KNotLessThanN(f"need k < {n} classes, got k={k}")
-
-
 def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     """Generate the greedy split trajectory from the likelihood result `base`.
 
@@ -403,9 +391,12 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     no partition has two points, the remaining labels stay empty. Total
     impurity never increases across rounds. greedy_walk runs split_states
     to k labels: one likelihood run, then per round O(|source| N) work and
-    an O(M) label scan.
+    an O(M) label scan. A k <= n raises KNotGreaterThanN before any work.
+    The CLI walks split_states itself, for the k above n that 'auto'
+    gives it.
     """
-    check_split_k(jd.n_cols, k)
+    if k <= jd.n_cols:
+        raise KNotGreaterThanN(f"need k > {jd.n_cols} classes, got k={k}")
     base = max_likelihood_partition(jd, jd.n_cols, f)
     return next(greedy_walk(jd, base, f, [k], trace=[]))
 
@@ -421,9 +412,14 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     O(count) pairs, O(count N), and relabels in O(M). Scoring holds
     O(count N) floats at a time beside the count x count losses; each merge
     event of the trace keeps the loss matrix it chose from, the array
-    merge_states built, not a copy. No approximation guarantee.
+    merge_states built, not a copy. No approximation guarantee. A k < 1
+    raises KTooSmall and a k >= n KNotLessThanN, both before any work. The
+    CLI walks merge_states itself, for the k below n that 'auto' gives it.
     """
-    check_merge_k(jd.n_cols, k)
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
+    if k >= jd.n_cols:
+        raise KNotLessThanN(f"need k < {jd.n_cols} classes, got k={k}")
     base = max_likelihood_partition(jd, jd.n_cols, f)
     return next(greedy_walk(jd, base, f, [k], trace=[]))
 
@@ -532,7 +528,11 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     O(2**m N) work and two tables of 2**m floats. Each assignment then costs
     k lookups in each table. With k == 1 or m == 1 every assignment puts
     all points in one label, so all score alike: the first is scored
-    directly, with no table.
+    directly, with no table. The m == 1 shortcut looks redundant, since
+    the table path gives the same bits there, but it must stay: at one
+    point the cap admits k up to ORACLE_CAP, and the table path would
+    build _label_bits(k, [0]), a k x k int64 table of 4e12 entries at
+    k = 2e6.
     """
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")

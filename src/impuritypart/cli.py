@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 bad configuration, 3 unreadable/invalid input,
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import warnings
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
-    check_merge_k,
-    check_split_k,
     exhaustive_oracle,
     # not called here; perfbench/tracing.py patches cli.greedy_merge and
     # cli.greedy_split by name, so they stay importable from this module
@@ -36,7 +35,7 @@ from .impurity import entropy_spec, gini_spec
 from .ingestion import FORMATS, ingest
 
 SCHEMA = "impuritypart/4"
-ALGORITHMS = ("ml", "greedy_split", "greedy_merge", "auto", "oracle")
+ALGORITHMS = ("ml", "auto", "oracle")
 IMPURITIES = {"entropy": entropy_spec, "gini": gini_spec}
 
 _CSV_COLUMNS = ("k", "algorithm_used", "impurity", "e_q", "e_max_achieved",
@@ -54,6 +53,13 @@ class RunConfig:
     The parser sets no defaults, so `RunConfig(**vars(args))` builds the
     config and every default lives here. The report's "config" block lists
     every field but csv_path, in this order.
+
+    Construction checks each field's type as well as its value, so a
+    library caller gets the ValueError, naming the field, that main maps
+    to exit code 2. k is an int or a pair of ints, max_iters an int, and a
+    bool counts as neither; refine and emit_assignment are bools; the
+    choice fields are strings in their tables; the paths are str or
+    os.PathLike, and csv_path may be None.
     """
 
     input_path: str
@@ -68,19 +74,35 @@ class RunConfig:
     csv_path: str = None
 
     def __post_init__(self):
-        if self.input_format not in FORMATS:
-            raise ValueError(f"unknown format {self.input_format!r}")
-        if self.impurity not in IMPURITIES:
-            raise ValueError(f"unknown impurity {self.impurity!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if isinstance(self.k, int):
+        def whole(value):
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        for label, value, table in (("format", self.input_format, FORMATS),
+                                    ("impurity", self.impurity, IMPURITIES),
+                                    ("algorithm", self.algorithm, ALGORITHMS)):
+            if not isinstance(value, str) or value not in table:
+                raise ValueError(f"unknown {label} {value!r}")
+        if whole(self.k):
             self.k = (self.k, self.k)
+        if not (isinstance(self.k, (tuple, list)) and len(self.k) == 2
+                and all(map(whole, self.k))):
+            raise ValueError(f"k must be an int or a pair of ints, got {self.k!r}")
         lo, hi = self.k
         if lo < 1 or hi < lo:
             raise ValueError(f"bad k range {self.k!r}: need 1 <= start <= end")
+        if not whole(self.max_iters):
+            raise ValueError(f"max_iters must be an int, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        for name in ("refine", "emit_assignment"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        for name in ("input_path", "output_path", "csv_path"):
+            value = getattr(self, name)
+            if not (isinstance(value, (str, os.PathLike))
+                    or name == "csv_path" and value is None):
+                raise ValueError(f"{name} must be a path, got {value!r}")
 
 
 def _resolve(algorithm, k, n):
@@ -96,9 +118,11 @@ def _outcomes(config: RunConfig, jd, f):
     """Yield (k, algorithm name, AlgoResult or the ImpurityPartError raised)
     once for every k of the sweep, in the order they are computed.
 
-    ml and oracle run once per k. The greedy k share one trajectory per
-    algorithm: merge walks down and split walks up from one likelihood run
-    at k = N, which also serves an 'auto' record at k = N.
+    ml and oracle run once per k, and a refusal of theirs is yielded in
+    place of the result. A greedy name comes only from 'auto', for a k on
+    its own side of N, so no greedy k is refused. The greedy k share one
+    trajectory per algorithm: merge walks down and split walks up from one
+    likelihood run at k = N, which also serves an 'auto' record at k = N.
     """
     lo, hi = config.k
     n = jd.n_cols
@@ -112,22 +136,16 @@ def _outcomes(config: RunConfig, jd, f):
     merge_ks, split_ks = [], []
     for k in range(lo, hi + 1):
         name = _resolve(config.algorithm, k, n)
-        try:
-            if name == "ml":
-                result = ml(k)
-            elif name == "oracle":
-                result = exhaustive_oracle(jd, k, f)
-            elif name == "greedy_merge":
-                check_merge_k(n, k)
-                merge_ks.append(k)
-                continue
-            else:
-                check_split_k(n, k)
-                split_ks.append(k)
-                continue
-        except ImpurityPartError as exc:
-            result = exc
-        yield k, name, result
+        if name == "greedy_merge":
+            merge_ks.append(k)
+        elif name == "greedy_split":
+            split_ks.append(k)
+        else:
+            try:
+                result = ml(k) if name == "ml" else exhaustive_oracle(jd, k, f)
+            except ImpurityPartError as exc:
+                result = exc
+            yield k, name, result
     for name, ks in (("greedy_merge", merge_ks[::-1]), ("greedy_split", split_ks)):
         if ks:
             for k, result in zip(ks, greedy_walk(jd, ml(n), f, ks)):

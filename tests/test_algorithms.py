@@ -314,6 +314,22 @@ class TestGreedyMerge:
         with pytest.raises(KNotLessThanN):
             greedy_merge(jd, 3, ENT)
 
+    def test_k_below_one_refused_before_any_work(self, monkeypatch):
+        # k = 0 used to walk the whole merge trajectory before Partition
+        # refused it, and k = -1 escaped as numpy's negative-dimension error
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_likelihood_partition(*args)
+
+        monkeypatch.setattr(algorithms, "max_likelihood_partition", counting)
+        jd = random_joint(np.random.default_rng(50), 30, 5)
+        for k in (0, -1):
+            with pytest.raises(KTooSmall, match=f"^k must be >= 1, got {k}$"):
+                greedy_merge(jd, k, ENT)
+        assert calls == []
+
     def test_deltas_nonnegative_and_consistent(self):
         rng = np.random.default_rng(49)
         for _ in range(20):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from impuritypart import (
-    ImpurityPartError,
     approximation_ratio,
     entropy_spec,
     exhaustive_oracle,
@@ -22,7 +21,7 @@ from impuritypart import (
     max_likelihood_partition,
     upper_bound,
 )
-from impuritypart.cli import RunConfig, _parse_k, build_parser, main, run
+from impuritypart.cli import ALGORITHMS, RunConfig, _parse_k, build_parser, main, run
 
 from helpers import peak_bytes
 
@@ -60,6 +59,35 @@ class TestRunConfig:
                 RunConfig(input_path="x", output_path="y", **{field: value})
         cfg = RunConfig(input_path="x", output_path="y", k=3)
         assert cfg.k == (3, 3)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("impurity", ["entropy"], r"unknown impurity \['entropy'\]"),
+        ("k", True, "k must be an int or a pair of ints, got True"),
+        ("k", (2, 3.5), r"k must be an int or a pair of ints, got \(2, 3.5\)"),
+        ("k", (True, 3), r"k must be an int or a pair of ints, got \(True, 3\)"),
+        ("k", "2:5", "k must be an int or a pair of ints, got '2:5'"),
+        ("k", [2, 3, 4], r"k must be an int or a pair of ints, got \[2, 3, 4\]"),
+        ("max_iters", True, "max_iters must be an int, got True"),
+        ("max_iters", 2.5, "max_iters must be an int, got 2.5"),
+        ("refine", "no", "refine must be a bool, got 'no'"),
+        ("emit_assignment", 1, "emit_assignment must be a bool, got 1"),
+        ("input_path", None, "input_path must be a path, got None"),
+        ("output_path", 3, "output_path must be a path, got 3"),
+        ("csv_path", b"t.csv", "csv_path must be a path, got b't.csv'"),
+    ])
+    def test_types_are_checked(self, field, value, message):
+        # a library caller gets the ValueError, naming the field, that main
+        # maps to exit code 2
+        settings = {"input_path": "x", "output_path": "y", field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(**settings)
+
+    def test_types_that_pass(self, tmp_path):
+        # perfbench passes k as a JSON list; paths may be os.PathLike
+        cfg = RunConfig(input_path=tmp_path / "x", output_path=tmp_path / "y",
+                        csv_path=tmp_path / "z", k=[2, 60], refine=True,
+                        max_iters=3, emit_assignment=True)
+        assert cfg.k == [2, 60]
 
     def test_flag_dests_are_the_fields(self):
         dests = [action.dest for action in build_parser()._actions
@@ -119,7 +147,7 @@ class TestRun:
             assert record["impurity"] == result.stats.impurity
             assert record["e_q"] == result.stats.e_q
 
-    @pytest.mark.parametrize("algorithm", ["auto", "greedy_split", "greedy_merge"])
+    @pytest.mark.parametrize("algorithm", ["auto"])
     @pytest.mark.parametrize("impurity", ["entropy", "gini"])
     @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
     def test_sweep_records_match_per_k_calls(self, tmp_path, algorithm,
@@ -150,17 +178,11 @@ class TestRun:
         for record in records:
             del record["wall_ms"]
             k = record["k"]
-            name = algorithm
-            if name == "auto":
-                name = "ml" if k == n else "greedy_split" if k > n else "greedy_merge"
+            # auto serves every k on its own side of N, so none fails
+            name = "ml" if k == n else "greedy_split" if k > n else "greedy_merge"
             expected = dict.fromkeys(columns, None)
             expected["k"] = k
-            try:
-                result = calls[name](jd, k, f)
-            except ImpurityPartError as exc:
-                expected["error"] = f"{type(exc).__name__}: {exc}"
-                assert record == expected
-                continue
+            result = calls[name](jd, k, f)
             e_max, masks = result.e_max_achieved, result.masks_evaluated
             if refine:
                 result = iterative_refine(jd, result.partition, f, 20)
@@ -197,12 +219,11 @@ class TestRun:
         assert oracle_record["impurity"] == direct.stats.impurity
 
         plain_cfg = RunConfig(input_path=str(data), output_path=str(out),
-                              input_format="counts", k=2,
-                              algorithm="greedy_merge")
+                              input_format="counts", k=2, algorithm="auto")
         plain_record = run(plain_cfg)["records"][0]
         refine_cfg = RunConfig(input_path=str(data), output_path=str(out),
-                               input_format="counts", k=2,
-                               algorithm="greedy_merge", refine=True)
+                               input_format="counts", k=2, algorithm="auto",
+                               refine=True)
         refined_record = run(refine_cfg)["records"][0]
         assert refined_record["algorithm_used"] == "greedy_merge+refine"
         assert refined_record["impurity"] <= plain_record["impurity"] + 1e-12
@@ -216,22 +237,23 @@ class TestRun:
         write_counts(data, rng.integers(1, 40, size=(200, 4)))
         keys = ("refine_passes", "refine_moved", "converged")
 
-        def counters(**settings):
+        def counters(algorithm, **settings):
             config = RunConfig(input_path=str(data),
                                output_path=str(tmp_path / "r.json"),
-                               input_format="counts", k=(3, 4),
-                               algorithm="greedy_merge", **settings)
+                               input_format="counts", k=3,
+                               algorithm=algorithm, **settings)
             run(config)
-            # k = 4 = N fails for greedy_merge
             return [[record[key] for key in keys]
                     for record in read_report(tmp_path / "r.json")["records"]]
 
-        cut = counters(refine=True, max_iters=1)
-        done = counters(refine=True, max_iters=1000)
+        cut = counters("auto", refine=True, max_iters=1)
+        done = counters("auto", refine=True, max_iters=1000)
         assert cut[0][0] == 1 and cut[0][1] > 0 and cut[0][2] is False
         assert done[0][0] > 1 and done[0][1] == 0 and done[0][2] is True
-        assert cut[1] == done[1] == [None] * 3
-        assert counters() == [[None] * 3] * 2
+        # 3**200 assignments exceed the oracle's cap, so k = 3 fails
+        for max_iters in (1, 1000):
+            assert counters("oracle", refine=True, max_iters=max_iters) == [[None] * 3]
+        assert counters("auto") == [[None] * 3]
 
     def test_oracle_cap_recorded_per_k(self, tmp_path):
         rng = np.random.default_rng(74)
@@ -244,17 +266,17 @@ class TestRun:
         assert "InstanceTooLarge" in record["error"]
 
     def test_sweep_survives_per_k_failures(self, tmp_path):
+        # 3**13 assignments are within the oracle's cap, 4**13 and 5**13 not
         data = tmp_path / "data.csv"
-        write_counts(data, np.eye(3, dtype=int))
+        write_counts(data, np.random.default_rng(79).integers(1, 9, size=(13, 3)))
         out = tmp_path / "report.json"
         config = RunConfig(input_path=str(data), output_path=str(out),
-                           input_format="counts", k=(2, 4),
-                           algorithm="greedy_merge")
+                           input_format="counts", k=(3, 5), algorithm="oracle")
         report = run(config)
         by_k = {r["k"]: r for r in report["records"]}
-        assert by_k[2]["error"] is None
-        assert "KNotLessThanN" in by_k[3]["error"]
-        assert "KNotLessThanN" in by_k[4]["error"]
+        assert by_k[3]["error"] is None
+        assert "InstanceTooLarge" in by_k[4]["error"]
+        assert "InstanceTooLarge" in by_k[5]["error"]
 
     def test_report_deterministic_modulo_wall_ms(self, tmp_path):
         rng = np.random.default_rng(73)
@@ -306,11 +328,12 @@ class TestRun:
         data = tmp_path / "data.csv"
         write_counts(data, rng.integers(1, 30, size=(9, 3)))
         table = tmp_path / "report.csv"
-        # gini leaves fano empty; k = 3 and 4 fail, leaving their results empty
+        # gini leaves fano empty; 6**9 and 7**9 assignments exceed the
+        # oracle's cap, so k = 6 and 7 fail, leaving their results empty
         config = RunConfig(input_path=str(data),
                            output_path=str(tmp_path / "report.json"),
-                           input_format="counts", impurity="gini", k=(2, 4),
-                           algorithm="greedy_merge", emit_assignment=True,
+                           input_format="counts", impurity="gini", k=(5, 7),
+                           algorithm="oracle", emit_assignment=True,
                            csv_path=str(table))
         records = run(config)["records"]
         with open(table, "r", encoding="utf-8", newline="") as fh:
@@ -472,12 +495,29 @@ class TestMainExitCodes:
             assert record["error"].startswith(
                 f"InstanceTooLarge: C(40, {record['k']}) masks")
 
-    def test_all_failed_is_4(self, tmp_path):
+    def test_greedy_names_are_not_algorithms(self, tmp_path, capsys):
+        # auto is the one greedy choice: it serves each side of N, and a
+        # --k range on one side restricts a sweep to that side
+        assert ALGORITHMS == ("ml", "auto", "oracle")
         data = tmp_path / "data.csv"
-        write_counts(data, np.eye(3, dtype=int))
+        write_counts(data, np.eye(3, dtype=int) + 1)
         out = tmp_path / "report.json"
-        code = main(["--input", str(data), "--format", "counts", "--k", "4:5",
-                     "--algorithm", "greedy_merge", "--output", str(out)])
+        for name in ("greedy_split", "greedy_merge"):
+            with pytest.raises(ValueError, match=f"^unknown algorithm '{name}'$"):
+                RunConfig(input_path=str(data), output_path=str(out), algorithm=name)
+            code = main(["--input", str(data), "--format", "counts", "--k", "2",
+                         "--algorithm", name, "--output", str(out)])
+            assert code == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_failed_is_4(self, tmp_path):
+        # 2**40 and 3**40 assignments exceed the oracle's cap
+        data = tmp_path / "data.csv"
+        write_counts(data, np.ones((40, 3), dtype=int))
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--format", "counts", "--k", "2:3",
+                     "--algorithm", "oracle", "--output", str(out)])
         assert code == 4
 
 

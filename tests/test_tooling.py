@@ -7,8 +7,10 @@ error must also be one some test expects to be raised, every export must be
 used by the package or named in the README, no source module may import a
 name it never uses or define a private module-level name that nothing in
 the package loads, the README's report schema must name the config fields,
-input keys and record keys the CLI writes, and the README's work caps must
-give the values the code uses. Frozen objects must be complete at
+input keys and record keys the CLI writes, the README's `--format`,
+`--impurity` and `--algorithm` bullets must name exactly the choices the
+CLI accepts, and the README's work caps must give the values the code
+uses. Frozen objects must be complete at
 construction: no function other than a __post_init__ may call
 object.__setattr__.
 """
@@ -251,3 +253,18 @@ def test_readme_caps_match_the_code():
             if name.endswith(("_CAP", "_BUDGET"))}
     assert len(code) == 4
     assert documented == code
+
+
+def test_readme_choice_lists_match_the_code():
+    # the first sentence of each choice flag's bullet, parentheses left
+    # out, names every choice in the code's order and nothing else
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    for flag, choices in (("--format", ingestion.FORMATS),
+                          ("--impurity", cli.IMPURITIES),
+                          ("--algorithm", cli.ALGORITHMS)):
+        bullet = readme.split(f"\n- `{flag}`:", 1)[1].split("\n- ", 1)[0]
+        count = 1
+        while count:
+            bullet, count = re.subn(r"\([^()]*\)", "", bullet)
+        sentence = re.split(r"\.\s", bullet, maxsplit=1)[0]
+        assert re.findall(r"`(\w+)`", sentence) == list(choices), flag
