@@ -2,7 +2,10 @@
 
 All algorithms are deterministic: every argmax/argmin breaks ties toward the
 lowest index, candidate class masks are visited in lexicographic order, and
-accumulation follows row order. Results therefore reproduce bit-for-bit.
+accumulation follows row order. Results therefore reproduce bit-for-bit. The
+k < N likelihood step keeps the first mask whose float coverage F(S), the sum
+of each point's largest entry in the mask, is strictly the largest, and
+reports the e of that mask's partition (see max_likelihood_partition).
 
 Traces, when present, are lists of dict events. Every event carries
 "impurity" (the total impurity after the event); the first event is
@@ -47,7 +50,7 @@ from .prob import (
 
 # work cap of the k < N mask scan, in point reads: C(N, k) masks over M
 # points cost C(N, k) * (M + 2048), 2048 points being about one mask's
-# fixed cost; 2**32 took 83-141 s at the edge on a 2-CPU machine
+# fixed cost; 2**32 took 24-48 s at the edge on a 2-CPU machine
 MASK_BUDGET = 1 << 32
 ORACLE_CAP = 2_000_000
 # work cap of the oracle's subset tables, in entry sums: 2**m subsets of N
@@ -107,10 +110,19 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     first on ties), which provably maximizes e over all assignments and uses
     at most n labels (leaving k - n empty); one scan over the columns keeps
     each point's largest entry so far and its label, O(M) memory beside the
-    joint and the k x n statistics of the result. For k < n every size-k
-    class mask is tried: the joint is projected onto the mask's classes,
-    points are assigned by argmax over the surviving entries, e is evaluated
-    on the unprojected joint, and the best mask wins (first found on ties).
+    joint and the k x n statistics of the result.
+
+    For k < n the scan maximizes the coverage F(S) = sum_x max_{j in S}
+    p(x, j) over the size-k class masks S, the facility-location objective
+    (Cornuejols, Fisher & Nemhauser 1977), and returns P_S, each point
+    assigned to its largest entry in S. The largest e over k-partitions
+    equals the largest F: a partition's e is at most F of its labels'
+    winning columns, and e(P_S) >= F(S). So e_max_achieved, the e of the
+    returned P_S, is that maximum in exact arithmetic. The winner is the
+    first mask in lexicographic order whose float F(S), numpy's sum of its
+    points' largest entries in S, is strictly larger than the best so far;
+    masks with equal F but different e(P_S) are not told apart.
+
     Both branches fold the columns one at a time through _fold, the one
     running argmax and the one place that keeps the first maximum. A mask
     costs O(M) plus a fixed cost of about 2048 points, so an instance with
@@ -121,23 +133,9 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     Masks come in lexicographic order, so consecutive masks share a prefix
     of columns. For each prefix depth the scan keeps every point's running
     maximum and its label, and a mask recomputes only the depths past the
-    prefix it shares with the previous one. Its e then takes 1 + (n - k)
-    bincounts: one of each point's chosen entry, which gives every label its
-    own column's sum, and one per column outside the mask. The other columns
-    inside the mask can be skipped: each of their entries is at most the
-    chosen one in every point of the label, and rounded addition is
-    monotone, so their sums never exceed that label's own.
-
-    The same argument bounds the off-mask sums: with offmax each point's
-    largest entry outside the mask, one bincount of offmax is at least every
-    off-mask column's bincount, label by label, and summing
-    max(own, offmax sum) over the labels in the same order bounds e from
-    above, bit for bit. A mask whose bound is <= the best e so far cannot
-    win, since only a strictly larger e replaces the best, and it skips its
-    n - k off-mask bincounts. The skip needs no rounding margin, so the
-    partition and e_max_achieved are those of the full scan. Every mask is
-    still visited and counted in masks_evaluated. Each column read is
-    contiguous in the column-major joint. Memory is O(k M).
+    prefix it shares with the previous one; its F is one sum of the last
+    depth's maxima. Every mask is counted in masks_evaluated. Each column
+    read is contiguous in the column-major joint. Memory is O(k M).
     """
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
@@ -157,15 +155,13 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
         # C(n, k) by name: its value can be too long to format
         raise InstanceTooLarge(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
                                f"points exceed budget {MASK_BUDGET}")
-    best_e = -math.inf
+    best_f = -math.inf
     best_assignment = None
     # row d: each point's largest entry among the mask's first d + 1 columns,
     # and the position of its first occurrence (a point whose entries are all
     # zero there keeps position 0, the lowest-index active class)
     chosen = np.empty((k, jd.n_rows))
     label = np.empty((k, jd.n_rows), dtype=np.intp)
-    # each point's largest entry outside the mask
-    offmax = np.empty(jd.n_rows)
     previous = ()
     for cols in itertools.combinations(range(n), k):
         depth = next((d for d, (a, b) in enumerate(zip(previous, cols))
@@ -175,22 +171,10 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
             _fold(p[:, cols[d]], d, chosen[d - 1] if d else -np.inf,
                   label[d], chosen[d], greater)
         previous = cols
-        local = label[k - 1]
-        row_max = np.bincount(local, weights=chosen[k - 1], minlength=k)
-        outside = [j for j in range(n) if j not in cols]
-        np.copyto(offmax, p[:, outside[0]])
-        for j in outside[1:]:
-            np.maximum(offmax, p[:, j], out=offmax)
-        bound = np.maximum(row_max, np.bincount(local, weights=offmax, minlength=k))
-        if float(bound.sum()) <= best_e:
-            continue
-        for j in outside:
-            np.maximum(row_max, np.bincount(local, weights=p[:, j], minlength=k),
-                       out=row_max)
-        e = float(row_max.sum())
-        if e > best_e:
-            best_e = e
-            best_assignment = local.copy()
+        coverage = float(chosen[k - 1].sum())
+        if coverage > best_f:
+            best_f = coverage
+            best_assignment = label[k - 1].copy()
     return _result(jd, best_assignment, k, f, masks_evaluated=n_masks)
 
 
@@ -466,7 +450,9 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     better partitions the lowest label wins). The divergence is the Bregman
     divergence of -sum f: KL for entropy, squared Euclidean for Gini (see
     _divergences). Stops after a pass with no moves or after `max_iters`
-    passes. Impurity never increases between passes for entropy and Gini.
+    passes; a `max_iters` that is not an integer (a bool counts as none)
+    raises ValueError before any work. Impurity never increases between
+    passes for entropy and Gini.
 
     A pass scores the points in balanced row blocks of at least
     _REFINE_BLOCK rows (see _row_blocks) against the same centroids, so it
@@ -476,6 +462,8 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     so every partition, trace and impurity is that of one unblocked pass.
     Fewer than 2 * _REFINE_BLOCK rows are scored as one block.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
+        raise ValueError(f"max_iters must be an int, got {max_iters!r}")
     assignment = np.array(start.assignment)
     k = start.k
     stats = compute_stats(jd, Partition(assignment, k), f)

@@ -189,8 +189,29 @@ def likelihood_reference(jd, k, f):
     """(assignment, e_max_achieved, masks_evaluated) of the k < N mask search.
 
     The plain loop the prefix-shared scan replaces: every mask copies its
-    columns, takes a row argmax and aggregates all N columns.
+    columns, sums each point's largest entry among them into the coverage
+    F(S), and the first mask with the largest F wins. Its points go to their
+    argmax column in the mask, and e_max_achieved is that partition's e.
     """
+    p = jd.p
+    best_f = -math.inf
+    best_assignment = None
+    masks = 0
+    for cols in itertools.combinations(range(jd.n_cols), k):
+        sub = p[:, list(cols)]
+        coverage = float(sub.max(axis=1).sum())
+        if coverage > best_f:
+            best_f = coverage
+            best_assignment = np.argmax(sub, axis=1)
+        masks += 1
+    stats = compute_stats(jd, Partition(best_assignment, k), f)
+    return best_assignment, stats.e_q, masks
+
+
+def likelihood_e_reference(jd, k, f):
+    """(assignment, e_max_achieved, masks_evaluated) under the earlier k < N
+    rule: the first mask whose partition has the largest float e, each
+    label's e summed over all N columns rather than the mask's."""
     p = jd.p
     best_e = -math.inf
     best_assignment = None

@@ -37,6 +37,7 @@ from helpers import (
     dyadic_joint,
     greedy_reference,
     leq,
+    likelihood_e_reference,
     likelihood_reference,
     oracle_reference,
     peak_bytes,
@@ -136,27 +137,24 @@ class TestMaxLikelihoodPartition:
         jd = build_joint(np.ones((3, 2)))
         with pytest.raises(KTooSmall):
             max_likelihood_partition(jd, 0, ENT)
-        # one point past the work budget: refused before any pass over p
+        # one point past the work budget: refused before any column is
+        # folded, so a fold that raises Admitted is never reached
         m, n, k = 21199, 20, 10
         assert math.comb(n, k) * (m + 2048) > MASK_BUDGET
         wide = random_joint(np.random.default_rng(43), m, n)
-        counting = _CountingNumpy()
-        monkeypatch.setattr(algorithms, "np", counting)
+        monkeypatch.setattr(algorithms, "_fold", admit)
         with pytest.raises(InstanceTooLarge,
                            match=r"C\(20, 10\) masks x \(21199 \+ 2048\) points "
                                  r"exceed budget 4294967296"):
             max_likelihood_partition(wide, k, ENT)
-        assert counting.bincounts == 0
 
     def test_budget_edge_is_admitted(self, monkeypatch):
         # C(20, 10) * (21198 + 2048) <= 2**32: the scan starts; it would
-        # take minutes, so the first bincount stops it
+        # take about half a minute, so the first fold stops it
         m, n, k = 21198, 20, 10
         assert math.comb(n, k) * (m + 2048) <= MASK_BUDGET
         jd = random_joint(np.random.default_rng(46), m, n)
-        counting = _CountingNumpy()
-        monkeypatch.setattr(counting, "bincount", admit)
-        monkeypatch.setattr(algorithms, "np", counting)
+        monkeypatch.setattr(algorithms, "_fold", admit)
         with pytest.raises(Admitted):
             max_likelihood_partition(jd, k, ENT)
 
@@ -529,6 +527,16 @@ class TestIterativeRefine:
         with pytest.raises(DimensionMismatch):
             iterative_refine(jd, Partition(np.array([0, 1]), 2), ENT)
 
+    @pytest.mark.parametrize("max_iters", [2.5, True, "3", None])
+    def test_non_int_max_iters_rejected(self, monkeypatch, max_iters):
+        # refused before the start is even aggregated
+        monkeypatch.setattr(algorithms, "compute_stats", admit)
+        jd = build_joint(np.eye(3))
+        with pytest.raises(ValueError,
+                           match=f"max_iters must be an int, got {max_iters!r}"):
+            iterative_refine(jd, Partition(np.array([0, 1, 2]), 3), ENT,
+                             max_iters=max_iters)
+
     def test_respects_max_iters(self):
         rng = np.random.default_rng(54)
         jd = random_joint(rng, 12, 4)
@@ -865,40 +873,71 @@ class TestExactSearchReference:
         assert peak <= 96 * 2 ** 20
 
 
-class _CountingNumpy:
-    """numpy with a count of bincount calls, patched in as algorithms.np."""
+class TestCoverageRule:
+    """The scan keeps the first mask with the largest coverage F(S); the
+    earlier rule kept the first with the largest float e of its partition
+    (tests/helpers.likelihood_e_reference). Both maxima are the largest e
+    over k-partitions in exact arithmetic, so e_max_achieved agrees: bit for
+    bit where every sum is exact, to rounding elsewhere."""
 
-    def __init__(self):
-        self.bincounts = 0
+    @staticmethod
+    def compare(jd, exact):
+        """Check every k < N; return how many picked another partition."""
+        differ = 0
+        for k in range(1, jd.n_cols):
+            res = max_likelihood_partition(jd, k, ENT)
+            assignment, e_max, masks = likelihood_e_reference(jd, k, ENT)
+            assert res.masks_evaluated == masks
+            if exact:
+                assert res.e_max_achieved == e_max
+            else:
+                assert abs(res.e_max_achieved - e_max) <= 1e-12 * e_max
+            differ += res.partition.assignment.tolist() != assignment.tolist()
+        return differ
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+    def test_dyadic_inputs_agree_bitwise(self):
+        # counts padded to a power-of-two total in the last class: every mass
+        # and sum is exact. Small counts, many zeros and one class per row
+        # make a point's best column often lie outside a mask, where the two
+        # rules can pick different masks
+        rng = np.random.default_rng(71)
+        differ = 0
+        for case in range(24):
+            m, n = int(rng.integers(3, 40)), int(rng.integers(3, 8))
+            counts = rng.integers(0, 3, size=(m, n)).astype(float)
+            if case % 3 == 1:
+                counts *= rng.random((m, n)) < 0.3
+            elif case % 3 == 2:
+                counts = np.zeros((m, n))
+                counts[np.arange(m), rng.integers(0, n, size=m)] = rng.integers(1, 4, size=m)
+            counts[counts.sum(axis=1) == 0.0, 0] = 1.0
+            total = counts.sum()
+            counts[0, -1] += 2.0 ** math.ceil(math.log2(total)) - total
+            differ += self.compare(build_joint(counts), exact=True)
+        assert differ > 0
 
-    def bincount(self, *args, **kwargs):
-        self.bincounts += 1
-        return np.bincount(*args, **kwargs)
+    def test_reference_grids_and_continuous_data_agree(self):
+        rng = np.random.default_rng(72)
+        assert sum(self.compare(jd, exact=False) for jd in
+                   TestExactSearchReference.instances(rng, (5, 120), (3, 11))) > 0
+        for _ in range(8):
+            m, n = int(rng.integers(5, 300)), int(rng.integers(3, 10))
+            self.compare(random_joint(rng, m, n), exact=False)
 
 
 class TestMaskScanPruning:
-    """The k < N scan skips a mask when its bound cannot beat the best e.
-
-    A visited mask takes two bincounts (its own column and the off-mask
-    maximum) and n - k more when it is not skipped, so the number skipped
-    follows from the bincount count. Results equal the unpruned reference
-    bit for bit, whatever is skipped."""
+    """The k < N scan on flat, skewed and tied data, the inputs on which a
+    per-mask pruning rule would prune nothing, something or only ties, and
+    its memory: every mask is scanned, and results equal
+    tests/helpers.likelihood_reference bit for bit."""
 
     @staticmethod
-    def scan(monkeypatch, jd, k, spec=GINI):
-        """The checked result and the number of masks skipped."""
-        counting = _CountingNumpy()
-        monkeypatch.setattr(algorithms, "np", counting)
+    def scan(jd, k, spec=GINI):
+        """The result, checked against the reference."""
         res = max_likelihood_partition(jd, k, spec)
-        monkeypatch.setattr(algorithms, "np", np)
-        masks = math.comb(jd.n_cols, k)
-        exact = (counting.bincounts - 2 * masks) // (jd.n_cols - k)
         TestExactSearchReference.check(res, jd, k, spec,
                                        likelihood_reference(jd, k, spec))
-        return res, masks - exact
+        return res
 
     @staticmethod
     def one_class_per_row(weights):
@@ -908,22 +947,22 @@ class TestMaskScanPruning:
         raw[np.arange(len(weights)), np.arange(len(weights)) % 3] = weights
         return build_joint(raw)
 
-    def test_flat_data_prunes_nothing(self, monkeypatch):
+    def test_flat_data_equals_reference(self):
         rng = np.random.default_rng(66)
         jd = build_joint(rng.random((400, 9)))
         for k in range(1, 5):
-            assert self.scan(monkeypatch, jd, k)[1] == 0
+            self.scan(jd, k)
 
-    def test_skewed_data_prunes(self, monkeypatch):
+    def test_skewed_data_equals_reference(self):
         rng = np.random.default_rng(67)
         jd = build_joint(np.floor(rng.pareto(1.2, size=(400, 9)) * 3) + 1)
         for k, spec in zip(range(4, 9), itertools.cycle((ENT, GINI, SQRT))):
-            assert self.scan(monkeypatch, jd, k, spec)[1] > 0
+            self.scan(jd, k, spec)
 
-    def test_later_equal_mask_never_wins(self, monkeypatch):
+    def test_later_equal_mask_never_wins(self):
         # dyadic counts with a duplicate column: every sum is exact, and at
-        # k = n - 1 each bound equals its mask's e, so a later mask that ties
-        # the best is skipped on bound == best
+        # k = n - 1 the mask without column 0 covers exactly what the first
+        # mask, without column 5, covers; the first mask must win
         rng = np.random.default_rng(68)
         for _ in range(4):
             counts = rng.integers(1, 50, size=(40, 6)).astype(float)
@@ -931,26 +970,22 @@ class TestMaskScanPruning:
             total = counts.sum()
             counts[0, 1] += 2.0 ** math.ceil(math.log2(total)) - total
             jd = build_joint(counts)
-            winners = set()
-            for cols in itertools.combinations(range(6), 5):
-                local = np.argmax(jd.p[:, list(cols)], axis=1)
-                e = compute_stats(jd, Partition(local, 5), GINI).e_q
-                winners.add((e, local.tobytes()))
-            best = max(e for e, _ in winners)
-            assert sum(e == best for e, _ in winners) >= 2
-            assert self.scan(monkeypatch, jd, 5)[1] >= 1
+            coverage = [float(jd.p[:, list(cols)].max(axis=1).sum())
+                        for cols in itertools.combinations(range(6), 5)]
+            assert coverage[0] == coverage[-1] == max(coverage)
+            res = self.scan(jd, 5)
+            assert res.partition.assignment.tolist() == np.argmax(
+                jd.p[:, :5], axis=1).tolist()
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["later-wins", "earlier-wins"])
-    def test_near_tie_is_decided_exactly(self, monkeypatch, sign):
+    def test_near_tie_is_decided_exactly(self, sign):
         # class masses a = 1/2, b = 1/4, c = 1/4 + sign * 2**-53 at k = 2:
         # e(0,1) = a + b and e(0,2) = a + c differ by about 1.1e-16
         delta = sign * 2.0 ** -53
         jd = self.one_class_per_row([0.25, 0.125, 0.125, 0.25, 0.125, 0.125 + delta])
-        res, skipped = self.scan(monkeypatch, jd, 2)
+        res = self.scan(jd, 2)
         assert 0.75 + delta != 0.75
         assert res.e_max_achieved == max(0.75, 0.75 + delta)
-        # (1, 2) ties (0, 2) and is skipped, and so is (0, 2) when it loses
-        assert skipped == (1 if sign > 0 else 2)
 
     def test_memory_at_n_labels_is_o_m(self):
         # the k >= N step scans the columns; np.argmax over the rows of the
