@@ -6,6 +6,8 @@ accumulation follows row order. Results therefore reproduce bit-for-bit. The
 k < N likelihood step keeps the first mask whose float coverage F(S), the sum
 of each point's largest entry in the mask, is strictly the largest, and
 reports the e of that mask's partition (see max_likelihood_partition).
+Every function that takes k checks it first with prob.check_k: a k that is
+not an int raises ValueError and a k below 1 KTooSmall, before any work.
 
 Traces, when present, are lists of dict events. Every event carries
 "impurity" (the total impurity after the event); the first event is
@@ -36,7 +38,6 @@ from .errors import (
     InstanceTooLarge,
     KNotGreaterThanN,
     KNotLessThanN,
-    KTooSmall,
 )
 from .impurity import ImpuritySpec
 from .prob import (
@@ -44,6 +45,7 @@ from .prob import (
     Partition,
     PartitionStats,
     aggregate,
+    check_k,
     compute_stats,
     stats_from_pxz,
 )
@@ -137,8 +139,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     depth's maxima. Every mask is counted in masks_evaluated. Each column
     read is contiguous in the column-major joint. Memory is O(k M).
     """
-    if k < 1:
-        raise KTooSmall(f"k must be >= 1, got {k}")
+    check_k(k)
     n = jd.n_cols
     p = jd.p
     greater = np.empty(jd.n_rows, dtype=bool)
@@ -375,10 +376,11 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     no partition has two points, the remaining labels stay empty. Total
     impurity never increases across rounds. greedy_walk runs split_states
     to k labels: one likelihood run, then per round O(|source| N) work and
-    an O(M) label scan. A k <= n raises KNotGreaterThanN before any work.
-    The CLI walks split_states itself, for the k above n that 'auto'
-    gives it.
+    an O(M) label scan. After check_k, a k <= n raises KNotGreaterThanN
+    before any work. The CLI walks split_states itself, for the k above n
+    that 'auto' gives it.
     """
+    check_k(k)
     if k <= jd.n_cols:
         raise KNotGreaterThanN(f"need k > {jd.n_cols} classes, got k={k}")
     base = max_likelihood_partition(jd, jd.n_cols, f)
@@ -396,12 +398,11 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     O(count) pairs, O(count N), and relabels in O(M). Scoring holds
     O(count N) floats at a time beside the count x count losses; each merge
     event of the trace keeps the loss matrix it chose from, the array
-    merge_states built, not a copy. No approximation guarantee. A k < 1
-    raises KTooSmall and a k >= n KNotLessThanN, both before any work. The
-    CLI walks merge_states itself, for the k below n that 'auto' gives it.
+    merge_states built, not a copy. No approximation guarantee. After
+    check_k, a k >= n raises KNotLessThanN before any work. The CLI walks
+    merge_states itself, for the k below n that 'auto' gives it.
     """
-    if k < 1:
-        raise KTooSmall(f"k must be >= 1, got {k}")
+    check_k(k)
     if k >= jd.n_cols:
         raise KNotLessThanN(f"need k < {jd.n_cols} classes, got k={k}")
     base = max_likelihood_partition(jd, jd.n_cols, f)
@@ -522,8 +523,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     build _label_bits(k, [0]), a k x k int64 table of 4e12 entries at
     k = 2e6.
     """
-    if k < 1:
-        raise KTooSmall(f"k must be >= 1, got {k}")
+    check_k(k)
     m = jd.n_rows
     # past the cap's bit length, m is over it without building k**m
     if k > 1 and (m > ORACLE_CAP.bit_length() or k ** m > ORACLE_CAP):

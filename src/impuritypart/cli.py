@@ -4,8 +4,10 @@ Example:
     impuritypart --input data.csv --format counts --impurity entropy \\
         --k 2:20 --algorithm auto --output report.json --emit-csv report.csv
 
-Exit codes: 0 success, 2 bad configuration, 3 unreadable/invalid input,
-4 every k in the sweep failed.
+Exit codes: 0 success, 2 bad configuration, 3 unreadable/invalid input or
+an unwritable output, 4 every k in the sweep failed. The output is written
+after the sweep, and the JSON report before the CSV, so an unwritable
+--emit-csv path leaves the JSON report written.
 """
 
 import argparse
@@ -105,50 +107,37 @@ class RunConfig:
                 raise ValueError(f"{name} must be a path, got {value!r}")
 
 
-def _resolve(algorithm, k, n):
-    """The algorithm that serves k: 'auto' picks by k against the n classes."""
-    if algorithm != "auto":
-        return algorithm
-    if k > n:
-        return "greedy_split"
-    return "ml" if k == n else "greedy_merge"
-
-
 def _outcomes(config: RunConfig, jd, f):
     """Yield (k, algorithm name, AlgoResult or the ImpurityPartError raised)
     once for every k of the sweep, in the order they are computed.
 
-    ml and oracle run once per k, and a refusal of theirs is yielded in
-    place of the result. A greedy name comes only from 'auto', for a k on
-    its own side of N, so no greedy k is refused. The greedy k share one
-    trajectory per algorithm: merge walks down and split walks up from one
-    likelihood run at k = N, which also serves an 'auto' record at k = N.
+    ml and oracle run their search once per k, and a refusal is yielded in
+    place of the result. auto runs the likelihood step once, at k = N, where
+    it refuses nothing: that result is the record at k = N when the sweep
+    holds N, and the start of one greedy_merge walk down through the sweep's
+    k below N and one greedy_split walk up through those above, so no
+    greedy k is refused.
     """
     lo, hi = config.k
-    n = jd.n_cols
-    likelihood = {}
-
-    def ml(k):
-        if k not in likelihood:
-            likelihood[k] = max_likelihood_partition(jd, k, f)
-        return likelihood[k]
-
-    merge_ks, split_ks = [], []
-    for k in range(lo, hi + 1):
-        name = _resolve(config.algorithm, k, n)
-        if name == "greedy_merge":
-            merge_ks.append(k)
-        elif name == "greedy_split":
-            split_ks.append(k)
-        else:
+    if config.algorithm != "auto":
+        for k in range(lo, hi + 1):
             try:
-                result = ml(k) if name == "ml" else exhaustive_oracle(jd, k, f)
+                # module names, looked up per call: the benchmark tracer
+                # patches them on cli
+                result = (max_likelihood_partition if config.algorithm == "ml"
+                          else exhaustive_oracle)(jd, k, f)
             except ImpurityPartError as exc:
                 result = exc
-            yield k, name, result
-    for name, ks in (("greedy_merge", merge_ks[::-1]), ("greedy_split", split_ks)):
+            yield k, config.algorithm, result
+        return
+    n = jd.n_cols
+    base = max_likelihood_partition(jd, n, f)
+    if lo <= n <= hi:
+        yield n, "ml", base
+    for name, ks in (("greedy_merge", range(min(hi, n - 1), lo - 1, -1)),
+                     ("greedy_split", range(max(lo, n + 1), hi + 1))):
         if ks:
-            for k, result in zip(ks, greedy_walk(jd, ml(n), f, ks)):
+            for k, result in zip(ks, greedy_walk(jd, base, f, ks)):
                 yield k, name, result
 
 
@@ -296,7 +285,8 @@ def main(argv=None) -> int:
     try:
         report = run(config)
     except (OSError, ImpurityPartError, ValueError) as exc:
-        print(f"impuritypart: input error: {exc}", file=sys.stderr)
+        kind = "file" if isinstance(exc, OSError) else "input"
+        print(f"impuritypart: {kind} error: {exc}", file=sys.stderr)
         return 3
     if all(record["error"] is not None for record in report["records"]):
         print("impuritypart: every k in the sweep failed", file=sys.stderr)

@@ -53,6 +53,17 @@ def check_matrix(arr: np.ndarray) -> None:
             raise error((int(j), int(i)), float(arr[j, i]))
 
 
+def check_k(k) -> None:
+    """Reject a partition count k that is not an int, with a ValueError
+    naming it (a bool counts as none; numpy ints pass), then a k below 1
+    with KTooSmall. Every library entry that takes k calls this first.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < 1:
+        raise KTooSmall(f"k must be >= 1, got {k}")
+
+
 def aggregate(p: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
     """k x N matrix whose row z sums the rows p[j] with assignment[j] == z.
 
@@ -161,8 +172,7 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise KTooSmall(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
         a = np.asarray(self.assignment)
         if a.ndim != 1:
             raise DimensionMismatch(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,32 @@ class TestMaxLikelihoodPartition:
         # one group's e is the heaviest class mass
         assert res.e_max_achieved == compute_stats(
             jd, Partition(np.zeros(6, dtype=int), 1), ENT).e_q
+
+
+class TestCheckK:
+    ENTRIES = (max_likelihood_partition, greedy_split, greedy_merge,
+               exhaustive_oracle)
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.__name__)
+    def test_k_checked_before_any_work(self, entry):
+        # jd and f are None: a check that came after any work would raise
+        # AttributeError. A float k used to escape from numpy as a bare
+        # TypeError
+        for k in (2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"^k must be an int, got {re.escape(repr(k))}$"):
+                entry(None, k, None)
+        for k in (0, -1, np.int64(0)):
+            with pytest.raises(KTooSmall, match=f"^k must be >= 1, got {k}$"):
+                entry(None, k, None)
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.__name__)
+    def test_numpy_int_k_passes(self, entry):
+        jd = random_joint(np.random.default_rng(78), 6, 3)
+        k = 4 if entry is greedy_split else 2
+        expected = entry(jd, k, ENT)
+        result = entry(jd, np.int64(k), ENT)
+        assert result.partition.assignment.tolist() == expected.partition.assignment.tolist()
+        assert result.stats.impurity == expected.stats.impurity
 
 
 class TestEMaxDominance:

@@ -147,11 +147,14 @@ class TestRun:
             assert record["impurity"] == result.stats.impurity
             assert record["e_q"] == result.stats.e_q
 
-    @pytest.mark.parametrize("algorithm", ["auto"])
+    # N = 6: across N, wholly below, N alone, wholly above, and a range
+    # below N that holds neither 1 nor N - 1
+    @pytest.mark.parametrize("sweep", [(1, 15), (1, 5), (6, 6), (7, 15), (2, 3)],
+                             ids=lambda sweep: "{}-{}".format(*sweep))
     @pytest.mark.parametrize("impurity", ["entropy", "gini"])
     @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
-    def test_sweep_records_match_per_k_calls(self, tmp_path, algorithm,
-                                             impurity, refine):
+    def test_sweep_records_match_per_k_calls(self, tmp_path, sweep, impurity,
+                                             refine):
         # one trajectory per sweep gives every k what a call for that k gives
         rng = np.random.default_rng(75)
         matrix = np.floor(60 * rng.random((300, 6)) ** 4).astype(int)
@@ -161,16 +164,16 @@ class TestRun:
         write_counts(data, matrix)
         config = RunConfig(input_path=str(data),
                            output_path=str(tmp_path / "report.json"),
-                           input_format="counts", impurity=impurity, k=(1, 15),
-                           algorithm=algorithm, refine=refine, max_iters=20,
-                           emit_assignment=refine)
+                           input_format="counts", impurity=impurity, k=sweep,
+                           refine=refine, max_iters=20, emit_assignment=refine)
         records = run(config)["records"]
         jd = ingest(data, "counts")
         f = entropy_spec() if impurity == "entropy" else gini_spec()
         n = jd.n_cols
         calls = {"ml": max_likelihood_partition, "greedy_split": greedy_split,
                  "greedy_merge": greedy_merge}
-        assert [record["k"] for record in records] == list(range(1, 16))
+        assert n == 6
+        assert [record["k"] for record in records] == list(range(sweep[0], sweep[1] + 1))
         columns = ("k", "algorithm_used", "impurity", "e_q", "e_max_achieved",
                    "upper_u", "lower_l", "ratio_r", "fano", "masks_evaluated",
                    "n_nonempty", "error", "refine_passes", "refine_moved",
@@ -445,6 +448,25 @@ class TestMainExitCodes:
         code = main(["--input", str(tmp_path / "missing.csv"), "--k", "2",
                      "--output", str(out)])
         assert code == 3
+
+    def test_unwritable_output_is_3(self, tmp_path, capsys):
+        # not an input error: the input is read and swept, then the write fails
+        data = tmp_path / "data.csv"
+        write_counts(data, np.eye(3, dtype=int) + 1)
+        missing = tmp_path / "missing"
+        code = main(["--input", str(data), "--format", "counts", "--k", "2",
+                     "--output", str(missing / "report.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("impuritypart: file error: ")
+        assert "input" not in err and str(missing / "report.json") in err
+        # the JSON report is written before the CSV
+        out = tmp_path / "report.json"
+        code = main(["--input", str(data), "--format", "counts", "--k", "2",
+                     "--output", str(out), "--emit-csv", str(missing / "r.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("impuritypart: file error: ")
+        assert json.loads(out.read_text())["records"][0]["k"] == 2
 
     def test_non_finite_input_is_3(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -190,6 +190,16 @@ class TestPartition:
         assert part.assignment.dtype == np.intp
         assert part.assignment.tolist() == [1, 0]
 
+    def test_k_must_be_an_int(self):
+        # a float k used to be accepted here and fail inside compute_stats
+        for k in (2.0, True, "2", None):
+            with pytest.raises(ValueError, match=f"^k must be an int, got {re.escape(repr(k))}$"):
+                Partition(np.array([0, 1]), k)
+        with pytest.raises(KTooSmall, match="^k must be >= 1, got 0$"):
+            Partition(np.array([0]), np.int64(0))
+        part = Partition(np.array([0, 1]), np.int64(2))
+        assert part.k == 2 and part.assignment.tolist() == [0, 1]
+
     def test_unused_labels_allowed(self):
         part = Partition(np.array([0, 0, 0]), 5)
         assert part.k == 5 and part.n_points == 3

@@ -12,7 +12,8 @@ input keys and record keys the CLI writes, the README's `--format`,
 CLI accepts, and the README's work caps must give the values the code
 uses. Frozen objects must be complete at
 construction: no function other than a __post_init__ may call
-object.__setattr__.
+object.__setattr__. A partition count k is checked in one place: no
+function other than prob.check_k may build a KTooSmall.
 """
 
 import ast
@@ -58,18 +59,24 @@ def test_traced_sweep_runs_one_likelihood_step(tmp_path):
     rng = np.random.default_rng(76)
     data = tmp_path / "data.csv"
     np.savetxt(data, rng.integers(1, 50, size=(40, 4)), fmt="%d", delimiter=",")
-    config = RunConfig(input_path=str(data), output_path=str(tmp_path / "r.json"),
-                       input_format="counts", k=(1, 9))
+    # N = 4: an auto sweep below, at, above and across N, one tracer op each
+    sweeps = [(1, 3), (4, 4), (5, 9), (1, 9)]
     originals = {(owner, attr): getattr(OWNERS[owner], attr)
                  for _, names, _, _ in tracing.LAYERS for owner, attr in names}
     tracer = tracing.Tracer(OWNERS)
     with tracer.installed():
-        report = cli.run(config)
-    assert all(record["error"] is None for record in report["records"])
-    layers = tracer.op_layers(0, 1.0)
-    assert layers["cli.run.calls"] == 1
-    assert layers["algorithms.max_likelihood_partition.calls"] == 1
-    assert layers["prob.compute_stats.calls"] == 1
+        for op, k in enumerate(sweeps):
+            tracer.op = op
+            config = RunConfig(input_path=str(data), input_format="counts", k=k,
+                               output_path=str(tmp_path / f"r{op}.json"))
+            report = cli.run(config)
+            assert len(report["records"]) == k[1] - k[0] + 1
+            assert all(record["error"] is None for record in report["records"])
+    for op, k in enumerate(sweeps):
+        layers = tracer.op_layers(op, 1.0)
+        assert layers["cli.run.calls"] == 1, k
+        assert layers["algorithms.max_likelihood_partition.calls"] == 1, k
+        assert layers["prob.compute_stats.calls"] == 1, k
     assert all(getattr(OWNERS[owner], attr) is original
                for (owner, attr), original in originals.items())
 
@@ -180,26 +187,39 @@ def test_every_private_module_name_is_used():
     assert unused == []
 
 
+def call_owners(is_target):
+    """(module, innermost function around it, or None) for each call in the
+    package's source for which is_target(call) holds."""
+    def owners(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from owners(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and is_target(child):
+                yield owner
+            yield from owners(child, owner)
+
+    return [(path.stem, owner)
+            for path in sorted(Path(impuritypart.__file__).parent.glob("*.py"))
+            for owner in owners(ast.parse(path.read_text(encoding="utf-8")), None)]
+
+
 def test_only_post_init_sets_frozen_attributes():
     # a frozen object set up later (on first use, say) can be seen half
     # built; object.__setattr__ belongs in __post_init__ alone
-    def setters(node, owner):
-        # the innermost function around each object.__setattr__ call
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from setters(child, child.name)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "__setattr__"
-                    and getattr(child.func.value, "id", None) == "object"):
-                yield owner
-            yield from setters(child, owner)
-
-    owners = [(path.stem, owner)
-              for path in sorted(Path(impuritypart.__file__).parent.glob("*.py"))
-              for owner in setters(ast.parse(path.read_text(encoding="utf-8")), None)]
+    owners = call_owners(lambda call: isinstance(call.func, ast.Attribute)
+                         and call.func.attr == "__setattr__"
+                         and getattr(call.func.value, "id", None) == "object")
     assert len(owners) >= 4
     assert [entry for entry in owners if entry[1] != "__post_init__"] == []
+
+
+def test_only_check_k_raises_k_too_small():
+    # one check of k: a second copy of the k < 1 test would drift from it
+    # (the float k that check_k refuses, say)
+    owners = call_owners(lambda call: getattr(call.func, "id", None) == "KTooSmall"
+                         or getattr(call.func, "attr", None) == "KTooSmall")
+    assert owners == [("prob", "check_k")]
 
 
 def test_every_export_is_used_or_documented():
