@@ -5,7 +5,9 @@ lowest index, candidate class masks are visited in lexicographic order, and
 accumulation follows row order. Results therefore reproduce bit-for-bit. The
 k < N likelihood step keeps the first mask whose float coverage F(S), the sum
 of each point's largest entry in the mask, is strictly the largest, and
-reports the e of that mask's partition (see max_likelihood_partition).
+reports the e of that mask's partition (see max_likelihood_partition). The
+scan keeps only running maxima; the winning mask alone is labelled, by the
+running argmax that also labels the k >= N step.
 Every function that takes k checks it first with prob.check_k: a k that is
 not an int raises ValueError and a k below 1 KTooSmall, before any work.
 
@@ -27,9 +29,9 @@ round updates only the partitions it touches, bitwise equal to recomputing
 the statistics from scratch.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -51,8 +53,8 @@ from .prob import (
 )
 
 # work cap of the k < N mask scan, in point reads: C(N, k) masks over M
-# points cost C(N, k) * (M + 2048), 2048 points being about one mask's
-# fixed cost; 2**32 took 24-48 s at the edge on a 2-CPU machine
+# points cost C(N, k) * (M + 2048), 2048 points standing for one mask's
+# fixed cost; 2**32 took 6-12 s at the edges on a 2-CPU machine
 MASK_BUDGET = 1 << 32
 ORACLE_CAP = 2_000_000
 # work cap of the oracle's subset tables, in entry sums: 2**m subsets of N
@@ -92,16 +94,14 @@ def _result(jd: JointDistribution, assignment, k: int, f: ImpuritySpec,
                       masks_evaluated=masks_evaluated)
 
 
-def _fold(column: np.ndarray, d: int, before, label: np.ndarray,
-          after: np.ndarray, greater: np.ndarray) -> None:
-    """Fold column d into a running argmax: a point whose entry strictly
-    exceeds its running maximum `before` takes label d, so on ties the
-    earlier column keeps the point, as np.argmax does. `after` receives the
-    new maximum and may be `before` itself; `before` is -inf for the empty
-    prefix. `greater` is an M-long bool buffer."""
-    np.greater(column, before, out=greater)
-    np.putmask(label, greater, d)
-    np.maximum(before, column, out=after)
+def _fold(column: np.ndarray, d: int, label: np.ndarray, top: np.ndarray) -> None:
+    """Fold the d-th column into a running argmax, in place: a point whose
+    entry strictly exceeds its running maximum `top` takes label d, so on
+    ties the earlier column keeps the point, as np.argmax does. The first
+    column (d = 0) is compared with -inf, so `top` is not read then."""
+    before = top if d else -np.inf
+    np.putmask(label, column > before, d)
+    np.maximum(before, column, out=top)
 
 
 def max_likelihood_partition(jd: JointDistribution, k: int,
@@ -125,58 +125,55 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     points' largest entries in S, is strictly larger than the best so far;
     masks with equal F but different e(P_S) are not told apart.
 
-    Both branches fold the columns one at a time through _fold, the one
+    Both branches fold the columns (all n of them for k >= n, the winning
+    mask's after the scan for k < n) one at a time through _fold, the one
     running argmax and the one place that keeps the first maximum. A mask
-    costs O(M) plus a fixed cost of about 2048 points, so an instance with
-    C(n, k) * (M + 2048) above MASK_BUDGET raises InstanceTooLarge, the
-    refusal the oracle also uses, before any pass over the joint. The
-    k >= n step is not capped.
+    costs O(M) plus a fixed cost the cap counts as 2048 points, so an
+    instance with C(n, k) * (M + 2048) above MASK_BUDGET raises
+    InstanceTooLarge, the refusal the oracle also uses, before any pass
+    over the joint. The k >= n step is not capped.
 
     Masks come in lexicographic order, so consecutive masks share a prefix
-    of columns. For each prefix depth the scan keeps every point's running
-    maximum and its label, and a mask recomputes only the depths past the
-    prefix it shares with the previous one; its F is one sum of the last
-    depth's maxima. Every mask is counted in masks_evaluated. Each column
-    read is contiguous in the column-major joint. Memory is O(k M).
+    of columns. For each prefix depth the scan keeps only every point's
+    running maximum, and a mask recomputes only the depths past the prefix
+    it shares with the previous one, one np.maximum each; its F is one sum
+    of the last depth's maxima. No mask is labelled during the scan: the
+    maxima are exact, so folding the winner's columns afterwards gives the
+    labels its scan would have kept. Every mask is counted in
+    masks_evaluated. Each column read is contiguous in the column-major
+    joint. Memory is k rows of M floats, and no label rows.
     """
     check_k(k)
     n = jd.n_cols
     p = jd.p
-    greater = np.empty(jd.n_rows, dtype=bool)
-    if k >= n:
-        # every column folds into one running argmax, without a row-major
-        # copy of p
-        chosen = np.empty(jd.n_rows)
-        label = np.zeros(jd.n_rows, dtype=np.intp)
-        for j in range(n):
-            _fold(p[:, j], j, chosen if j else -np.inf, label, chosen, greater)
-        return _result(jd, label, k, f, masks_evaluated=1)
-    n_masks = math.comb(n, k)
-    if n_masks * (jd.n_rows + 2048) > MASK_BUDGET:
-        # C(n, k) by name: its value can be too long to format
-        raise InstanceTooLarge(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
-                               f"points exceed budget {MASK_BUDGET}")
-    best_f = -math.inf
-    best_assignment = None
-    # row d: each point's largest entry among the mask's first d + 1 columns,
-    # and the position of its first occurrence (a point whose entries are all
-    # zero there keeps position 0, the lowest-index active class)
-    chosen = np.empty((k, jd.n_rows))
-    label = np.empty((k, jd.n_rows), dtype=np.intp)
-    previous = ()
-    for cols in itertools.combinations(range(n), k):
-        depth = next((d for d, (a, b) in enumerate(zip(previous, cols))
-                      if a != b), 0)
-        for d in range(depth, k):
-            np.copyto(label[d], label[d - 1] if d else 0)
-            _fold(p[:, cols[d]], d, chosen[d - 1] if d else -np.inf,
-                  label[d], chosen[d], greater)
-        previous = cols
-        coverage = float(chosen[k - 1].sum())
-        if coverage > best_f:
-            best_f = coverage
-            best_assignment = label[k - 1].copy()
-    return _result(jd, best_assignment, k, f, masks_evaluated=n_masks)
+    cols, masks = range(n), 1
+    if k < n:
+        masks = math.comb(n, k)
+        if masks * (jd.n_rows + 2048) > MASK_BUDGET:
+            # C(n, k) by name: its value can be too long to format
+            raise InstanceTooLarge(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
+                                   f"points exceed budget {MASK_BUDGET}")
+        best_f = -math.inf
+        # row d: each point's largest entry among the mask's first d + 1 columns
+        chosen = np.empty((k, jd.n_rows))
+        previous = ()
+        for mask in combinations(range(n), k):
+            depth = next((d for d, (a, b) in enumerate(zip(previous, mask))
+                          if a != b), 0)
+            for d in range(depth, k):
+                np.maximum(chosen[d - 1] if d else -np.inf, p[:, mask[d]],
+                           out=chosen[d])
+            previous = mask
+            coverage = float(chosen[k - 1].sum())
+            if coverage > best_f:
+                best_f, cols = coverage, mask
+    # the winning columns fold into one running argmax, without a row-major
+    # copy of p; a point whose entries there are all zero keeps label 0
+    top = np.empty(jd.n_rows)
+    label = np.zeros(jd.n_rows, dtype=np.intp)
+    for d, j in enumerate(cols):
+        _fold(p[:, j], d, label, top)
+    return _result(jd, label, k, f, masks_evaluated=masks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,13 +5,16 @@ Example:
         --k 2:20 --algorithm auto --output report.json --emit-csv report.csv
 
 Exit codes: 0 success, 2 bad configuration, 3 unreadable/invalid input or
-an unwritable output, 4 every k in the sweep failed. The output is written
-after the sweep, and the JSON report before the CSV, so an unwritable
---emit-csv path leaves the JSON report written.
+an unwritable output, 4 every k in the sweep failed. An output path whose
+directory does not exist exits 3 before the input is read. The output is
+written after the sweep, and the JSON report before the CSV, so an
+--emit-csv path that fails to open then (a directory, say) leaves the JSON
+report written.
 """
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -199,8 +202,13 @@ def run(config: RunConfig) -> dict:
     """Execute the sweep and write the report; returns the report dict.
 
     Per-k failures are recorded in their record's "error" field and do not
-    abort the sweep. Records are ordered by k.
+    abort the sweep. Records are ordered by k. An output path whose directory
+    does not exist raises FileNotFoundError, as its open would after the
+    sweep, before the input is read.
     """
+    for path in filter(None, (config.output_path, config.csv_path)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         jd = ingest(config.input_path, config.input_format)

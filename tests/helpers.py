@@ -17,6 +17,14 @@ from impuritypart.algorithms import _divergences
 from impuritypart.prob import aggregate
 
 
+class Admitted(Exception):
+    """Raised by a patched-in step to show that a run got past its checks."""
+
+
+def admit(*args, **kwargs):
+    raise Admitted
+
+
 def peak_bytes(fn):
     """(peak, result): the tracemalloc peak in bytes while fn() runs, and
     what fn returned."""

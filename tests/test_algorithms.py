@@ -33,6 +33,8 @@ from impuritypart.algorithms import (ORACLE_TABLE_CAP, _divergences, merge_state
                                      split_states)
 
 from helpers import (
+    Admitted,
+    admit,
     all_assignment_e_values,
     divergence_reference,
     dyadic_joint,
@@ -55,14 +57,6 @@ SQRT = custom_spec(lambda x: math.sqrt(x) - x)
 
 def trace_impurities(result):
     return [event["impurity"] for event in result.trace]
-
-
-class Admitted(Exception):
-    """Raised by a patched-in step to show that a search got past its cap."""
-
-
-def admit(*args, **kwargs):
-    raise Admitted
 
 
 def comparable(trace):
@@ -122,6 +116,31 @@ class TestMaxLikelihoodPartition:
                 assert res.e_max_achieved == compute_stats(
                     jd, Partition(expected, k), ENT).e_q
 
+    def test_ties_below_n_match_reference(self):
+        # the scan labels only its winner, the first mask whose coverage is
+        # strictly the largest: on a duplicated column, on leading all-zero
+        # columns, with a class that is zero in every row and on 0-2 counts,
+        # its partition and e_max_achieved are the reference's bit for bit
+        rng = np.random.default_rng(97)
+        for case in range(16):
+            m, n = int(rng.integers(5, 60)), int(rng.integers(3, 8))
+            raw = rng.integers(0, 3, size=(m, n)).astype(float)
+            if case % 4 == 0:
+                raw[:, n - 1] = raw[:, int(rng.integers(n - 1))]
+            elif case % 4 == 1:
+                raw[:, :int(rng.integers(1, n))] = 0.0
+            elif case % 4 == 2:
+                raw[:, int(rng.integers(n))] = 0.0
+            raw[raw.sum(axis=1) == 0.0, n - 1] = 1.0
+            jd = build_joint(raw)
+            for k in range(1, n):
+                for spec in (ENT, GINI):
+                    res = max_likelihood_partition(jd, k, spec)
+                    assignment, e_max, masks = likelihood_reference(jd, k, spec)
+                    assert res.partition.assignment.tolist() == assignment.tolist()
+                    assert res.e_max_achieved.hex() == e_max.hex()
+                    assert res.masks_evaluated == masks == math.comb(n, k)
+
     def test_k_below_n_matches_exhaustive_maximum(self):
         rng = np.random.default_rng(42)
         jd = dyadic_joint(rng, 8, 3)
@@ -138,12 +157,12 @@ class TestMaxLikelihoodPartition:
         jd = build_joint(np.ones((3, 2)))
         with pytest.raises(KTooSmall):
             max_likelihood_partition(jd, 0, ENT)
-        # one point past the work budget: refused before any column is
-        # folded, so a fold that raises Admitted is never reached
+        # one point past the work budget: refused before the first mask is
+        # enumerated, so an enumeration that raises Admitted is never reached
         m, n, k = 21199, 20, 10
         assert math.comb(n, k) * (m + 2048) > MASK_BUDGET
         wide = random_joint(np.random.default_rng(43), m, n)
-        monkeypatch.setattr(algorithms, "_fold", admit)
+        monkeypatch.setattr(algorithms, "combinations", admit)
         with pytest.raises(InstanceTooLarge,
                            match=r"C\(20, 10\) masks x \(21199 \+ 2048\) points "
                                  r"exceed budget 4294967296"):
@@ -151,11 +170,11 @@ class TestMaxLikelihoodPartition:
 
     def test_budget_edge_is_admitted(self, monkeypatch):
         # C(20, 10) * (21198 + 2048) <= 2**32: the scan starts; it would
-        # take about half a minute, so the first fold stops it
+        # take several seconds, so the first mask's enumeration stops it
         m, n, k = 21198, 20, 10
         assert math.comb(n, k) * (m + 2048) <= MASK_BUDGET
         jd = random_joint(np.random.default_rng(46), m, n)
-        monkeypatch.setattr(algorithms, "_fold", admit)
+        monkeypatch.setattr(algorithms, "combinations", admit)
         with pytest.raises(Admitted):
             max_likelihood_partition(jd, k, ENT)
 
@@ -1024,14 +1043,15 @@ class TestMaskScanPruning:
         assert peak < m * n * 8
 
     def test_memory_is_k_columns(self):
-        # 2k + 5 vectors of M floats; a copy of p or of the mask's columns
-        # would exceed the bound
+        # k running maxima and about 5 more vectors of M floats; a label row
+        # per depth, a copy of p or of the mask's columns would exceed the
+        # bound
         rng = np.random.default_rng(69)
         m, n = 20000, 12
         jd = random_joint(rng, m, n)
-        for k in (2, 3):
+        for k in (2, 3, 6):
             peak, _ = peak_bytes(lambda: max_likelihood_partition(jd, k, GINI))
-            assert peak <= (2 * k + 6) * 8 * m
+            assert peak <= (k + 6) * 8 * m
 
 
 class TestApproximationGuarantee:

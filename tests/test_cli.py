@@ -21,9 +21,10 @@ from impuritypart import (
     max_likelihood_partition,
     upper_bound,
 )
+from impuritypart import cli
 from impuritypart.cli import ALGORITHMS, RunConfig, _parse_k, build_parser, main, run
 
-from helpers import peak_bytes
+from helpers import admit, peak_bytes
 
 
 def write_counts(path, matrix):
@@ -450,7 +451,7 @@ class TestMainExitCodes:
         assert code == 3
 
     def test_unwritable_output_is_3(self, tmp_path, capsys):
-        # not an input error: the input is read and swept, then the write fails
+        # not an input error: the input is readable, the write path is not
         data = tmp_path / "data.csv"
         write_counts(data, np.eye(3, dtype=int) + 1)
         missing = tmp_path / "missing"
@@ -460,13 +461,31 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("impuritypart: file error: ")
         assert "input" not in err and str(missing / "report.json") in err
-        # the JSON report is written before the CSV
+        # the JSON report is written before the CSV: a CSV path in an
+        # existing directory passes the early check and fails at its open
         out = tmp_path / "report.json"
         code = main(["--input", str(data), "--format", "counts", "--k", "2",
-                     "--output", str(out), "--emit-csv", str(missing / "r.csv")])
+                     "--output", str(out), "--emit-csv", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err.startswith("impuritypart: file error: ")
         assert json.loads(out.read_text())["records"][0]["k"] == 2
+
+    @pytest.mark.parametrize("flag", ["--output", "--emit-csv"])
+    def test_missing_output_directory_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, flag):
+        # ingest and the search raise Admitted if reached: the file error
+        # must come first, and nothing is written
+        monkeypatch.setattr(cli, "ingest", admit)
+        monkeypatch.setattr(cli, "max_likelihood_partition", admit)
+        target = tmp_path / "missing" / "out"
+        # a later --output replaces the first
+        code = main(["--input", str(tmp_path / "data.csv"), "--k", "2:2000",
+                     "--algorithm", "ml", "--output", str(tmp_path / "report.json"),
+                     flag, str(target)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("impuritypart: file error: ") and str(target) in err
+        assert not any(tmp_path.iterdir())
 
     def test_non_finite_input_is_3(self, tmp_path):
         data = tmp_path / "data.csv"
