@@ -38,7 +38,6 @@ from .errors import (
     KNotLessThanN,
     KTooSmall,
     LabelOutOfRange,
-    MissingL,
     NegativeEntry,
     NonFinite,
     NotAChannel,
@@ -74,7 +73,6 @@ __all__ = [
     "KTooSmall",
     "LabelOutOfRange",
     "MASK_BUDGET",
-    "MissingL",
     "NegativeEntry",
     "NonFinite",
     "NotAChannel",

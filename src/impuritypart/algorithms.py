@@ -223,13 +223,14 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     partition has two points, a final "stop" state repeats the last
     partition and the generator ends, after at most M + 1 states. A round
     re-aggregates only the source partition's members and rescores two rows:
-    O(|source| N) plus an O(M) label scan and an O(M) copy. assignment, pxz
-    and own are new arrays each round.
+    O(|source| N) plus an O(M) label scan and an O(M) copy. The init state
+    holds base's read-only arrays; every round makes new assignment, pxz and
+    own arrays and writes only into those.
     """
     p = jd.p
-    assignment = np.array(base.partition.assignment)
-    pxz = np.array(base.stats.pxz)
-    own = np.array(base.stats.per_partition_impurity)
+    assignment = base.partition.assignment
+    pxz = base.stats.pxz
+    own = base.stats.per_partition_impurity
     counts = np.bincount(assignment, minlength=pxz.shape[0])
     yield GreedyState(assignment, pxz, own, {"event": "init"})
     while True:
@@ -521,6 +522,8 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     k = 2e6.
     """
     check_k(k)
+    # a Python int, so k**m cannot wrap as a numpy int's power does
+    k = int(k)
     m = jd.n_rows
     # past the cap's bit length, m is over it without building k**m
     if k > 1 and (m > ORACLE_CAP.bit_length() or k ** m > ORACLE_CAP):

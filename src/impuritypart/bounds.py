@@ -55,9 +55,10 @@ def upper_bound(e: float, n: int, f: ImpuritySpec) -> float:
 
 
 def lower_bound(e: float, f: ImpuritySpec) -> float:
-    """l(e), the companion of f evaluated at e, for e in (0, 1].
+    """l(e) = f(e) / e, the companion of f evaluated at e, for e in (0, 1].
 
-    Entropy gives -log2(e); Gini gives 1-e. Requires the companion l.
+    Entropy gives -log2(e); Gini gives 1-e; a custom f gives the quotient
+    (see ImpuritySpec.l_value). The bound is certified where l is convex.
     """
     if e <= 0.0:
         raise EOutOfRange(f"e={e!r} must be positive")
@@ -68,9 +69,9 @@ def lower_bound(e: float, f: ImpuritySpec) -> float:
 def approximation_ratio(e_max: float, n: int, f: ImpuritySpec) -> float:
     """The guarantee factor upper_bound(e_max, n) / lower_bound(e_max).
 
-    Requires the companion l. For Gini the quotient equals the identity
-    e_max + 1 - (1-e_max)/(n-1), which never exceeds 1 + e_max <= 2; for
-    entropy it equals (H(e_max) + (1-e_max)*log2(n-1)) / (-log2(e_max)).
+    For Gini the quotient equals the identity e_max + 1 - (1-e_max)/(n-1),
+    which never exceeds 1 + e_max <= 2; for entropy it equals
+    (H(e_max) + (1-e_max)*log2(n-1)) / (-log2(e_max)).
     Both bounds vanish at e_max = 1, where the ratio is defined as 1 (the
     optimum is met exactly).
     """

@@ -61,10 +61,6 @@ class ConcavityViolation(ImpurityPartError, ValueError):
         )
 
 
-class MissingL(ImpurityPartError, ValueError):
-    """The operation needs the multiplicative companion l with f(x) = x*l(x)."""
-
-
 class EOutOfRange(ImpurityPartError, ValueError):
     """The likelihood argument is outside the domain of the requested bound."""
 

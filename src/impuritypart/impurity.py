@@ -1,17 +1,18 @@
 """Concave impurity functions and their multiplicative companions.
 
 An impurity function is a concave f on [0, 1] with f applied to conditional
-class probabilities. Ratio and lower-bound computations additionally need the
-companion l with f(x) = x * l(x); l must be convex and non-increasing.
+class probabilities. Ratio and lower-bound computations use the companion
+l(x) = f(x) / x, fixed by f(x) = x * l(x); the lower bound is certified where
+l is convex.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import ConcavityViolation, MissingL
+from .errors import ConcavityViolation
 
 ImpurityKind = Literal["entropy", "gini", "custom"]
 
@@ -46,7 +47,7 @@ def _gini_f(x):
 
 @dataclass(frozen=True)
 class ImpuritySpec:
-    """A concave impurity function together with optional companion l.
+    """A concave impurity function and its companion l(x) = f(x) / x.
 
     A spec without an array evaluator (custom_spec's, or one built here
     directly) spot-checks f at construction on _CONCAVITY_SAMPLES random
@@ -61,13 +62,12 @@ class ImpuritySpec:
         kind: "entropy", "gini", or "custom".
         f: scalar concave function on [0, 1] with finite values (f(0) is 0
            for the built-in kinds).
-        l: scalar companion on (0, 1] with f(x) = x * l(x), or None when the
-           caller did not supply one (only bound/ratio operations need it).
     """
 
     kind: ImpurityKind
     f: Callable[[float], float]
-    l: Optional[Callable[[float], float]] = None
+    _l: Callable[[float], float] = field(
+        default=None, repr=False, compare=False)
     _f_arr: Callable[[np.ndarray], np.ndarray] = field(
         default=None, repr=False, compare=False)
     _f_prime_arr: Callable[[np.ndarray], np.ndarray] = field(
@@ -118,10 +118,14 @@ class ImpuritySpec:
         return out
 
     def l_value(self, x: float) -> float:
-        """Evaluate l, raising MissingL when no companion was supplied."""
-        if self.l is None:
-            raise MissingL(f"impurity kind {self.kind!r} has no companion l")
-        return float(self.l(x))
+        """Evaluate the companion l(x) = f(x) / x at x in (0, 1].
+
+        Entropy has the closed form -log2(x) and Gini 1 - x; other f use
+        the quotient float(f(x)) / x.
+        """
+        if self._l is not None:
+            return float(self._l(x))
+        return float(self.f(x)) / x
 
 
 def entropy_spec() -> ImpuritySpec:
@@ -129,7 +133,7 @@ def entropy_spec() -> ImpuritySpec:
     return ImpuritySpec(
         kind="entropy",
         f=_entropy_f_scalar,
-        l=lambda x: -math.log2(x),
+        _l=lambda x: -math.log2(x),
         _f_arr=_entropy_f_array,
         _f_prime_arr=_entropy_f_prime,
     )
@@ -140,18 +144,17 @@ def gini_spec() -> ImpuritySpec:
     return ImpuritySpec(
         kind="gini",
         f=_gini_f,
-        l=lambda x: 1.0 - x,
+        _l=lambda x: 1.0 - x,
         _f_arr=_gini_f,
         _f_prime_arr=lambda x: 1.0 - 2.0 * x,
     )
 
 
-def custom_spec(f: Callable[[float], float],
-                l: Optional[Callable[[float], float]] = None) -> ImpuritySpec:
-    """Wrap a user-supplied concave f (and optional companion l).
+def custom_spec(f: Callable[[float], float]) -> ImpuritySpec:
+    """Wrap a user-supplied concave f; its companion is l(x) = f(x) / x.
 
-    The same as ImpuritySpec(kind="custom", f=f, l=l), which spot-checks f
-    at construction (see ImpuritySpec) and raises ConcavityViolation naming
-    the first sampled triple that shows f is not concave or not finite.
+    The same as ImpuritySpec(kind="custom", f=f), which spot-checks f at
+    construction (see ImpuritySpec) and raises ConcavityViolation naming the
+    first sampled triple that shows f is not concave or not finite.
     """
-    return ImpuritySpec(kind="custom", f=f, l=l)
+    return ImpuritySpec(kind="custom", f=f)

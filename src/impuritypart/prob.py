@@ -87,16 +87,14 @@ class JointDistribution:
     `p` is stored column-major (Fortran order), so each class column p[:, i]
     is contiguous: every pass over the joint (aggregate, the mask scan, the
     refine centroids) reads it one column at a time. The total and the row
-    and column masses are summed over the input in C order before that copy,
-    so their bits do not depend on the stored layout. A C-ordered float
-    input is copied once; any other is first made C-ordered.
+    masses are summed over the input in C order before that copy, so their
+    bits do not depend on the stored layout. A C-ordered float input is
+    copied once; any other is first made C-ordered.
     """
 
     p: np.ndarray
     # p(y_j) for each data point, length M
     row_masses: np.ndarray = field(init=False, repr=False)
-    # p(x_i) for each class, length N
-    col_masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         src = np.asarray(self.p, dtype=float, order="C")
@@ -109,10 +107,8 @@ class JointDistribution:
         zero = np.flatnonzero(row_masses <= 0.0)
         if zero.size:
             raise ZeroRow(int(zero[0]))
-        col_masses = src.sum(axis=0)
         object.__setattr__(self, "p", _frozen(np.array(src, order="F")))
         object.__setattr__(self, "row_masses", _frozen(row_masses))
-        object.__setattr__(self, "col_masses", _frozen(col_masses))
 
     @property
     def n_rows(self) -> int:
@@ -187,10 +183,6 @@ class Partition:
             raise LabelOutOfRange(f"label {a[bad].item()!r} at position {bad} "
                                   f"not in {{0, ..., {self.k - 1}}}")
         object.__setattr__(self, "assignment", _frozen(np.array(a, dtype=np.intp)))
-
-    @property
-    def n_points(self) -> int:
-        return self.assignment.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

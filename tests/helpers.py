@@ -1,5 +1,6 @@
 """Shared instance generators and independent reference computations."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -264,6 +265,41 @@ def oracle_reference(jd, k, f, block=1 << 16):
             best_idx = begin + local
         best_e = max(best_e, float(e_vals.max()))
     return (best_idx // pows) % k, best_e, total
+
+
+@functools.lru_cache(maxsize=1)
+def _run_costs(jd, f):
+    """(M + 1) x (M + 1) table of f.weighted of every run of an N = 2 joint's
+    points stable-sorted by p(x0 | y): entry [i, j] is the run of sorted
+    points i..j-1, +inf unless i < j. Kept for the last (jd, f), so several
+    k share one table."""
+    m = jd.n_rows
+    order = np.argsort(jd.p[:, 0] / jd.row_masses, kind="stable")
+    prefix = np.vstack([np.zeros(2), np.cumsum(jd.p[order], axis=0)])
+    cost = np.full((m + 1, m + 1), np.inf)
+    for i in range(m):
+        cost[i, i + 1:] = f.weighted(prefix[i + 1:] - prefix[i])
+    return cost
+
+
+def two_class_optimum(jd, k, f):
+    """The least impurity of an N = 2 joint over partitions into at most k
+    labels, exactly, at any M.
+
+    Some optimal partition is contiguous in p(x0 | y) (Burshtein, Della
+    Pietra, Kanevsky & Nadas 1992; Kurkoski & Yagi 2014), so a dynamic
+    program over the run table of _run_costs splits the sorted points into
+    at most k runs: O(M^2) evaluations of f, O(M^2) memory and O(M^2 k)
+    time.
+    """
+    cost = _run_costs(jd, f)
+    # best[j]: the least impurity of the first j sorted points in the runs
+    # so far
+    best = cost[0].copy()
+    best[0] = 0.0
+    for _ in range(k - 1):
+        best = np.minimum(best, (best[:, None] + cost).min(axis=0))
+    return float(best[-1])
 
 
 def sparse_rows(rng, m, n, density=0.3):

@@ -48,6 +48,7 @@ from helpers import (
     random_partition,
     refine_reference,
     sparse_rows,
+    two_class_optimum,
 )
 
 ENT = entropy_spec()
@@ -593,7 +594,7 @@ class TestIterativeRefine:
     def test_custom_impurity_matches_gini_behavior(self):
         # the generic divergence ranks centroids like the squared distance
         # when f is the Gini function, so the refinements agree
-        custom = custom_spec(lambda x: x * (1.0 - x), l=lambda x: 1.0 - x)
+        custom = custom_spec(lambda x: x * (1.0 - x))
         rng = np.random.default_rng(57)
         for _ in range(5):
             jd = random_joint(rng, 10, 3)
@@ -752,6 +753,18 @@ class TestExhaustiveOracle:
                            match=r"^3\*\*20000 assignments exceed cap 2000000$"):
             exhaustive_oracle(jd, 3, ENT)
 
+    def test_numpy_int_k_is_capped_exactly(self, monkeypatch):
+        # np.int64(65536) ** 4 wraps to 0, which the cap would admit; the
+        # label tables would then take 2**32 entries
+        monkeypatch.setattr(algorithms, "_subset_tables", admit)
+        jd = build_joint(np.ones((4, 2)))
+        with pytest.raises(InstanceTooLarge,
+                           match=rf"^65536\*\*4 assignments exceed cap {ORACLE_CAP}$"):
+            exhaustive_oracle(jd, np.int64(65536), ENT)
+        monkeypatch.undo()
+        res = exhaustive_oracle(jd, np.int64(3), ENT)
+        assert type(res.masks_evaluated) is int and res.masks_evaluated == 81
+
     def test_instance_cap_admits_k_to_the_m_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(algorithms, "_subset_tables", admit)
         for m in range(1, 26):
@@ -886,7 +899,7 @@ class TestExactSearchReference:
         rng = np.random.default_rng(61)
         jd = random_joint(rng, 9, 5)
         res = exhaustive_oracle(jd, 1, spec)
-        col_masses = jd.col_masses
+        col_masses = np.ascontiguousarray(jd.p).sum(axis=0)
         assert res.partition.assignment.tolist() == [0] * 9
         assert res.stats.impurity == spec.weighted(col_masses[None, :])[0]
         assert res.e_max_achieved == col_masses.max()
@@ -901,7 +914,7 @@ class TestExactSearchReference:
         jd = random_joint(rng, 5000, 4)
         res = exhaustive_oracle(jd, 1, ENT)
         assert res.masks_evaluated == 1
-        assert res.e_max_achieved == jd.col_masses.max()
+        assert res.e_max_achieved == np.ascontiguousarray(jd.p).sum(axis=0).max()
 
     def test_oracle_single_row_builds_no_label_table(self):
         # a k x k table of labellings would take 61 MiB at k = 2000
@@ -1071,3 +1084,44 @@ class TestApproximationGuarantee:
             assert algo.stats.impurity <= ratio * oracle.stats.impurity + 1e-9
             if spec.kind == "gini":
                 assert algo.stats.impurity <= 2.0 * oracle.stats.impurity + 1e-9
+
+
+def two_class_instances(rng):
+    """N = 2 joints at M = 200 to 1000: uniform rows, small counts (many
+    points tie in p(x0 | y)), and rows where most points are pure."""
+    yield random_joint(rng, 200, 2)
+    yield dyadic_joint(rng, 500, 2, hi=20)
+    yield build_joint(sparse_rows(rng, 700, 2, density=0.5))
+    yield random_joint(rng, 1000, 2)
+
+
+class TestTwoClassOptimum:
+    """The exact N = 2 optimum of tests/helpers.two_class_optimum as ground
+    truth: it is the oracle's on small cases and bounds every algorithm at
+    scale."""
+
+    def test_equals_the_oracle_on_small_cases(self):
+        rng = np.random.default_rng(68)
+        for case in range(40):
+            m = int(rng.integers(2, 9))
+            k = int(rng.integers(1, 5))
+            jd = (random_joint(rng, m, 2) if case % 2
+                  else dyadic_joint(rng, m, 2, hi=6))
+            for spec in (ENT, GINI, SQRT):
+                oracle = exhaustive_oracle(jd, k, spec).stats.impurity
+                assert math.isclose(two_class_optimum(jd, k, spec), oracle,
+                                    rel_tol=1e-12, abs_tol=1e-15), (case, spec.kind)
+
+    @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
+    def test_certified_ratio_and_no_result_below_opt_at_scale(self, spec):
+        rng = np.random.default_rng(69)
+        for jd in two_class_instances(rng):
+            for k in (2, 4, 8):
+                opt = two_class_optimum(jd, k, spec)
+                ml = max_likelihood_partition(jd, k, spec)
+                ratio = approximation_ratio(ml.e_max_achieved, 2, spec)
+                assert ml.stats.impurity <= ratio * opt + 1e-9, (jd.n_rows, k)
+                results = [ml] + ([greedy_split(jd, k, spec)] if k > 2 else [])
+                results += [iterative_refine(jd, r.partition, spec) for r in results]
+                for res in results:
+                    assert res.stats.impurity >= opt - 1e-9, (jd.n_rows, k)

@@ -8,7 +8,6 @@ import pytest
 from impuritypart import (
     ConcavityViolation,
     ImpuritySpec,
-    MissingL,
     compute_stats,
     custom_spec,
     entropy_spec,
@@ -28,9 +27,9 @@ class TestEntropySpec:
 
     def test_f_is_x_times_l(self):
         f = entropy_spec()
-        assert f.f(0.25) / 0.25 - f.l(0.25) == 0.0
+        assert f.f(0.25) / 0.25 - f.l_value(0.25) == 0.0
         for x in np.arange(0.01, 1.0, 0.01):
-            assert abs(f.f(x) - x * f.l(x)) <= 1e-12
+            assert abs(f.f(x) - x * f.l_value(x)) <= 1e-12
 
     def test_array_matches_scalar(self):
         f = entropy_spec()
@@ -49,9 +48,9 @@ class TestGiniSpec:
 
     def test_f_is_x_times_l(self):
         f = gini_spec()
-        assert f.f(0.3) - 0.3 * f.l(0.3) == 0.0
+        assert f.f(0.3) - 0.3 * f.l_value(0.3) == 0.0
         for x in np.arange(0.01, 1.0, 0.01):
-            assert abs(f.f(x) - x * f.l(x)) <= 1e-12
+            assert abs(f.f(x) - x * f.l_value(x)) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", [entropy_spec(), gini_spec()],
@@ -67,7 +66,7 @@ class TestConcaveFamilyProperties:
 
     def test_l_non_increasing(self, spec):
         xs = np.arange(0.001, 1.0001, 0.001)
-        ls = np.array([spec.l(x) for x in xs])
+        ls = np.array([spec.l_value(x) for x in xs])
         assert (np.diff(ls) <= 1e-12).all()
 
     def test_averaging_never_loses(self, spec):
@@ -83,7 +82,7 @@ class TestConcaveFamilyProperties:
 
 class TestCustomSpec:
     def test_matches_gini_supplied_directly(self):
-        custom = custom_spec(lambda x: x * (1.0 - x), l=lambda x: 1.0 - x)
+        custom = custom_spec(lambda x: x * (1.0 - x))
         gini = gini_spec()
         rng = np.random.default_rng(13)
         jd = random_joint(rng, 6, 3)
@@ -120,10 +119,18 @@ class TestCustomSpec:
         assert spec.kind == "custom"
         assert spec.f(0.25) == f(0.25)
 
-    def test_missing_l_blocks_ratio_operations(self):
-        spec = custom_spec(lambda x: x * (1.0 - x))
-        with pytest.raises(MissingL):
-            lower_bound(0.5, spec)
+    def test_lower_bound_is_the_quotient(self):
+        f = lambda x: math.sqrt(x) - x
+        spec = custom_spec(f)
+        for e in np.arange(0.001, 1.0001, 0.001).tolist():
+            assert lower_bound(e, spec) == float(f(e)) / e
+
+    def test_companion_is_not_an_input(self):
+        f = lambda x: x * (1.0 - x)
+        with pytest.raises(TypeError):
+            custom_spec(f, l=lambda x: 2.0 - x)
+        with pytest.raises(TypeError):
+            ImpuritySpec(kind="custom", f=f, l=lambda x: 2.0 - x)
 
     def test_hand_built_spec_vectorizes_lazily(self):
         from impuritypart import ImpuritySpec

@@ -132,7 +132,7 @@ def test_every_exported_error_is_raised_in_some_test():
               if isinstance(getattr(impuritypart, name), type)
               and issubclass(getattr(impuritypart, name), impuritypart.ImpurityPartError)
               and name != "ImpurityPartError"]
-    assert len(errors) >= 16
+    assert len(errors) >= 15
     assert sorted(set(errors) - expected) == []
 
 
