@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .errors import (
     ConcavityViolation,
+    ConvexityViolation,
     DimensionMismatch,
     EOutOfRange,
     ImpurityPartError,
@@ -60,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgoResult",
     "ConcavityViolation",
+    "ConvexityViolation",
     "DimensionMismatch",
     "EOutOfRange",
     "ImpurityPartError",

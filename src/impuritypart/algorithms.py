@@ -6,8 +6,16 @@ accumulation follows row order. Results therefore reproduce bit-for-bit. The
 k < N likelihood step keeps the first mask whose float coverage F(S), the sum
 of each point's largest entry in the mask, is strictly the largest, and
 reports the e of that mask's partition (see max_likelihood_partition). The
-scan keeps only running maxima; the winning mask alone is labelled, by the
-running argmax that also labels the k >= N step.
+scan walks the masks depth first, keeping only running maxima: one
+np.maximum per node of the mask tree and one sum per mask. The winning mask
+alone is labelled, by the running argmax that also labels the k >= N step.
+The exhaustive oracle scores one labelling per partition, the
+restricted-growth one (point 0 at label 0, each later point at most one
+above the largest label before it), sum_{j <= k} S(m, j) labellings instead
+of k**m. It returns the first of them in lexicographic order with the
+smallest float impurity and reports the largest float e among them (see
+exhaustive_oracle). masks_evaluated still counts the k**m assignments that
+the oracle's search covers, and the C(N, k) masks of the scan.
 Every function that takes k checks it first with prob.check_k: a k that is
 not an int raises ValueError and a k below 1 KTooSmall, before any work.
 
@@ -31,7 +39,6 @@ the statistics from scratch.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -71,10 +78,13 @@ class AlgoResult:
     """A partition together with its statistics and run metadata.
 
     e_max_achieved is the e value of the returned partition, except for the
-    exhaustive oracle where it is the global maximum e over every assignment
-    (the oracle's partition minimizes impurity instead). masks_evaluated
-    counts class masks for the likelihood algorithm (and its step inside
-    split/merge), and enumerated assignments for the oracle.
+    exhaustive oracle where it is the largest float e over the
+    restricted-growth labellings it scores, one per partition, which is the
+    global maximum e over every assignment in exact arithmetic (the
+    oracle's partition minimizes impurity instead). masks_evaluated counts
+    class masks for the likelihood algorithm (and its step inside
+    split/merge), and for the oracle the k**m assignments its search covers,
+    though it scores only sum_{j <= k} S(m, j) of them.
     """
 
     partition: Partition
@@ -133,15 +143,15 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     InstanceTooLarge, the refusal the oracle also uses, before any pass
     over the joint. The k >= n step is not capped.
 
-    Masks come in lexicographic order, so consecutive masks share a prefix
-    of columns. For each prefix depth the scan keeps only every point's
-    running maximum, and a mask recomputes only the depths past the prefix
-    it shares with the previous one, one np.maximum each; its F is one sum
-    of the last depth's maxima. No mask is labelled during the scan: the
-    maxima are exact, so folding the winner's columns afterwards gives the
-    labels its scan would have kept. Every mask is counted in
-    masks_evaluated. Each column read is contiguous in the column-major
-    joint. Memory is k rows of M floats, and no label rows.
+    The masks are the leaves of a depth-first walk in lexicographic order
+    (see _best_mask): each tree node above the leaves keeps every point's
+    running maximum over its columns, one np.maximum per node, and each mask
+    takes one np.maximum of its last column onto its parent's maxima and one
+    sum of those, its F. No mask is labelled during the scan: the maxima
+    are exact, so folding the winner's columns afterwards gives the labels
+    its scan would have kept. Every mask is counted in masks_evaluated.
+    Each column read is contiguous in the column-major joint. Memory is k
+    rows of M floats, and no label rows.
     """
     check_k(k)
     n = jd.n_cols
@@ -153,20 +163,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
             # C(n, k) by name: its value can be too long to format
             raise InstanceTooLarge(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
                                    f"points exceed budget {MASK_BUDGET}")
-        best_f = -math.inf
-        # row d: each point's largest entry among the mask's first d + 1 columns
-        chosen = np.empty((k, jd.n_rows))
-        previous = ()
-        for mask in combinations(range(n), k):
-            depth = next((d for d, (a, b) in enumerate(zip(previous, mask))
-                          if a != b), 0)
-            for d in range(depth, k):
-                np.maximum(chosen[d - 1] if d else -np.inf, p[:, mask[d]],
-                           out=chosen[d])
-            previous = mask
-            coverage = float(chosen[k - 1].sum())
-            if coverage > best_f:
-                best_f, cols = coverage, mask
+        cols = _best_mask(p, k)
     # the winning columns fold into one running argmax, without a row-major
     # copy of p; a point whose entries there are all zero keeps label 0
     top = np.empty(jd.n_rows)
@@ -174,6 +171,45 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     for d, j in enumerate(cols):
         _fold(p[:, j], d, label, top)
     return _result(jd, label, k, f, masks_evaluated=masks)
+
+
+def _best_mask(p: np.ndarray, k: int) -> tuple:
+    """The first size-k column mask of p, in lexicographic order, whose
+    float coverage F(S), the sum of each point's largest entry in S, is
+    strictly the largest; k is below the column count.
+
+    A loop walks the masks' tree depth first: a node at depth d is a
+    prefix of d + 1 columns, and row d of `chosen` holds every point's
+    largest entry among them. When the walk moves to the next prefix of
+    k - 1 columns, it recomputes the rows from the first depth that moved.
+    The masks below a prefix take its last row and one more column each,
+    so every mask costs one np.maximum and one contiguous 1-D sum.
+    """
+    m, n = p.shape
+    columns = [p[:, j] for j in range(n)]
+    chosen = np.empty((k, m))
+    last = chosen[k - 1]
+    prefix = list(range(k - 1))
+    # the first depth of the prefix whose row is stale
+    depth = 0
+    best_f, best = -math.inf, None
+    while True:
+        for d in range(depth, k - 1):
+            np.maximum(chosen[d - 1] if d else -np.inf, columns[prefix[d]],
+                       out=chosen[d])
+        above = chosen[k - 2] if k > 1 else -np.inf
+        for j in range(prefix[-1] + 1 if prefix else 0, n):
+            np.maximum(above, columns[j], out=last)
+            coverage = float(last.sum())
+            if coverage > best_f:
+                best_f, best = coverage, (*prefix, j)
+        # the next prefix moves its deepest column that can still move
+        depth = k - 2
+        while depth >= 0 and prefix[depth] == n - k + depth:
+            depth -= 1
+        if depth < 0:
+            return best
+        prefix[depth:] = range(prefix[depth] + 1, prefix[depth] + k - depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,27 +535,35 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
 
 
 def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
-    """Enumerate all k**m assignments for ground truth on small instances.
+    """Search every partition of the points into at most k labels for
+    ground truth on small instances.
 
-    Returns the assignment with the smallest impurity (first in enumeration
-    order on ties) and reports the global maximum e over every assignment in
-    e_max_achieved. Assignments are enumerated lexicographically with point 0
-    as the most significant digit. Refuses instances with k**m above
-    ORACLE_CAP by raising InstanceTooLarge, the refusal the mask scan of
-    max_likelihood_partition also uses, before any work; k == 1 is never
-    refused. When tables would be built, 2**m * N above ORACLE_TABLE_CAP
-    raises InstanceTooLarge too, before the tables.
+    The k! relabellings of a partition describe the same partition, so only
+    restricted-growth labellings are scored: point 0 takes label 0, and each
+    later point a label at most one above the largest before it (Knuth,
+    TAOCP Vol. 4A, 7.2.1.5). Each partition into at most k labels has one
+    such labelling, sum_{j <= k} S(m, j) of them in all (Stirling numbers of
+    the second kind), about k**m / k! for m well above k. They are scored
+    in lexicographic order, point 0 most significant. Returns the first with
+    the smallest float impurity and reports the largest float e over them
+    in e_max_achieved; in exact arithmetic both are the optimum and the
+    global maximum e over all k**m assignments, and masks_evaluated counts
+    those k**m assignments, the ones the search covers. Refuses instances
+    with k**m above ORACLE_CAP by raising InstanceTooLarge, the refusal the
+    mask scan of max_likelihood_partition also uses, before any work; k == 1
+    is never refused. When tables would be built, 2**m * N above
+    ORACLE_TABLE_CAP raises InstanceTooLarge too, before the tables.
 
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
-    O(2**m N) work and two tables of 2**m floats. Each assignment then costs
-    k lookups in each table. With k == 1 or m == 1 every assignment puts
-    all points in one label, so all score alike: the first is scored
-    directly, with no table. The m == 1 shortcut looks redundant, since
-    the table path gives the same bits there, but it must stay: at one
-    point the cap admits k up to ORACLE_CAP, and the table path would
-    build _label_bits(k, [0]), a k x k int64 table of 4e12 entries at
-    k = 2e6.
+    O(2**m N) work and two tables of 2**m floats. Each labelling then costs
+    k lookups in each table, O(k sum_{j <= k} S(m, j)) in all. A block
+    fixes a restricted-growth prefix of the leading points and scores its
+    valid continuations over the last points, at most _ORACLE_BLOCK of
+    them; they depend only on the prefix's largest label, so each table of
+    them (see _rgs_tables) is built once. With k == 1 or m == 1 there is
+    one labelling, all points at label 0, and it is scored directly, with
+    no table.
     """
     check_k(k)
     # a Python int, so k**m cannot wrap as a numpy int's power does
@@ -530,40 +574,41 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
         raise InstanceTooLarge(
             f"{k}**{m} assignments exceed cap {ORACLE_CAP}")
     if k == 1 or m == 1:
-        # every assignment has the same impurity bits, so the first, all
-        # points at label 0, wins, and its e is the global maximum
         return _result(jd, np.zeros(m, dtype=np.intp), k, f, masks_evaluated=k ** m)
     if (1 << m) * jd.n_cols > ORACLE_TABLE_CAP:
         raise InstanceTooLarge(
             f"2**{m}*{jd.n_cols} table sums exceed cap {ORACLE_TABLE_CAP}")
     weighted, top = _subset_tables(jd.p, f)
-    # a block fixes the labels of the leading points and runs through every
-    # labelling of the last `tail` ones; a label's subset is its bits among
-    # the trailing points plus its bits among the leading ones
+    # a label's subset is its bits among the last `tail` points plus its
+    # bits among the leading ones
     tail = 1
     while tail < m and k ** (tail + 1) <= _ORACLE_BLOCK:
         tail += 1
-    trailing = _label_bits(k, range(m - tail, m))
-    leading = _label_bits(k, range(m - tail))
-    size = trailing.shape[1]
+    leading = _rgs_tables(k, range(m - tail), [-1])[-1]
+    # the continuations of a prefix depend only on its largest label (-1
+    # when no point leads), and from k - 2 up every labelling is one
+    highs = np.minimum(
+        ((leading != 0) * np.arange(1, k + 1)[:, None]).max(axis=0) - 1,
+        k - 2).tolist()
+    trailing = _rgs_tables(k, range(m - tail, m), highs)
     best_imp = math.inf
-    best_imp_idx = -1
     best_e = -math.inf
     for block in range(leading.shape[1]):
-        e_vals = np.zeros(size)
-        imps = np.zeros(size)
+        table = trailing[highs[block]]
+        e_vals = np.zeros(table.shape[1])
+        imps = np.zeros(table.shape[1])
         for label in range(k):
-            subset = trailing[label] + leading[label, block]
+            subset = table[label] + leading[label, block]
             e_vals += top[subset]
             imps += weighted[subset]
         local = int(np.argmin(imps))
         if imps[local] < best_imp:
             best_imp = float(imps[local])
-            best_imp_idx = block * size + local
+            best = table[:, local] + leading[:, block]
         best_e = max(best_e, float(e_vals.max()))
-    pows = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return _result(jd, (best_imp_idx // pows) % k, k, f,
-                   masks_evaluated=k ** m, e_max=best_e)
+    # each point takes the one label whose subset holds its bit
+    assignment = ((best[:, None] >> np.arange(m)) & 1).argmax(axis=0)
+    return _result(jd, assignment, k, f, masks_evaluated=k ** m, e_max=best_e)
 
 
 def _subset_tables(p: np.ndarray, f: ImpuritySpec):
@@ -597,15 +642,33 @@ def _subset_tables(p: np.ndarray, f: ImpuritySpec):
     return weighted, top
 
 
-def _label_bits(k: int, points) -> np.ndarray:
-    """k x k**len(points) int64 table of the labellings of `points`.
+def _rgs_tables(k: int, points, highs) -> dict:
+    """The restricted-growth labellings of `points` after a largest label h,
+    as {h: table} for each h in `highs` (-1: no label before them).
 
-    Column t is the labelling whose digits, most significant first, give
-    the points' labels in order; entry [c, t] sets bit x for every point x
-    with label c.
+    Such a labelling gives each point, first to last, a label below k and
+    at most one above the largest before it; from h = k - 2 on every
+    labelling is one, so no h above k - 2 is asked for. Table h is k x P
+    int64, its columns the labellings in lexicographic order (first point
+    most significant), and entry [c, t] sets bit x for every point x that
+    column t labels c. The tables are built from the last point back: h's
+    table of the points from x on joins, for each label c of x, the table
+    of max(h, c) of the points after x, with bit x set in row c. Only h
+    from min(highs) up are built, at most k tables per point.
     """
-    bits = np.zeros((k, 1), dtype=np.int64)
-    for x in points:
-        bits = (bits[:, :, None] + (np.eye(k, dtype=np.int64) << x)[:, None, :]
-                ).reshape(k, -1)
-    return bits
+    points = list(points)
+    lo, hi = min(highs), max(highs)
+    # before the i-th point the largest label is at most hi + i
+    tables = {h: np.zeros((k, 1), dtype=np.int64)
+              for h in range(lo, min(hi + len(points), k - 2) + 1)}
+    for i in reversed(range(len(points))):
+        joined = {}
+        for h in range(lo, min(hi + i, k - 2) + 1):
+            parts = [tables[min(max(h, c), k - 2)] for c in range(min(h + 2, k))]
+            joined[h] = np.concatenate(parts, axis=1)
+            start = 0
+            for c, part in enumerate(parts):
+                joined[h][c, start:start + part.shape[1]] += 1 << points[i]
+                start += part.shape[1]
+        tables = joined
+    return tables

@@ -47,8 +47,10 @@ class LabelOutOfRange(ImpurityPartError, ValueError):
     """A partition label is outside {0, ..., k-1}."""
 
 
-class ConcavityViolation(ImpurityPartError, ValueError):
-    """A sampled triple shows the supplied function is not concave or not finite."""
+class _TripleViolation(ImpurityPartError, ValueError):
+    """An inequality fails by `gap` on a sampled triple (a, b, lam)."""
+
+    inequality = ""
 
     def __init__(self, a, b, lam, gap):
         self.a = a
@@ -56,9 +58,21 @@ class ConcavityViolation(ImpurityPartError, ValueError):
         self.lam = lam
         self.gap = gap
         super().__init__(
-            f"f(lam*a + (1-lam)*b) < lam*f(a) + (1-lam)*f(b) "
-            f"at a={a!r}, b={b!r}, lam={lam!r} (gap {gap:.3e})"
-        )
+            f"{self.inequality} at a={a!r}, b={b!r}, lam={lam!r} (gap {gap:.3e})")
+
+
+class ConcavityViolation(_TripleViolation):
+    """A sampled triple shows the supplied function is not concave or not finite."""
+
+    inequality = "f(lam*a + (1-lam)*b) < lam*f(a) + (1-lam)*f(b)"
+
+
+class ConvexityViolation(_TripleViolation):
+    """A sampled triple shows l(x) = f(x) / x is not convex, so the lower
+    bound from l would not be certified."""
+
+    inequality = ("l(lam*a + (1-lam)*b) > lam*l(a) + (1-lam)*l(b) "
+                  "for l(x) = f(x)/x")
 
 
 class EOutOfRange(ImpurityPartError, ValueError):

@@ -12,14 +12,14 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import ConcavityViolation
+from .errors import ConcavityViolation, ConvexityViolation
 
 ImpurityKind = Literal["entropy", "gini", "custom"]
 
-# Slack for the sampled concavity test; linear f evaluates the two sides of
-# the inequality along different float paths.
+# Slack for the sampled concavity and convexity tests; linear f evaluates
+# the two sides of the inequality along different float paths.
 _CONCAVITY_TOL = 1e-9
-# Random triples drawn for the concavity test.
+# Random triples drawn for the concavity and convexity tests.
 _CONCAVITY_SAMPLES = 1000
 
 
@@ -51,12 +51,14 @@ class ImpuritySpec:
 
     A spec without an array evaluator (custom_spec's, or one built here
     directly) spot-checks f at construction on _CONCAVITY_SAMPLES random
-    triples (a, b, lam) from a fixed seed: the first triple where
-    f(lam*a + (1-lam)*b) >= lam*f(a) + (1-lam)*f(b) fails beyond tolerance,
-    or either side is not finite, raises ConcavityViolation naming it. The
-    check is a sample, not a proof. Such a spec evaluates f on arrays
-    elementwise; the entropy and Gini specs bring array evaluators and skip
-    the check.
+    triples (a, b, lam) from a fixed seed, all in (0, 1). On each triple in
+    turn, f(lam*a + (1-lam)*b) >= lam*f(a) + (1-lam)*f(b) must hold within
+    tolerance with both sides finite, or ConcavityViolation names the
+    triple; then l(lam*a + (1-lam)*b) <= lam*l(a) + (1-lam)*l(b) must hold
+    within tolerance for l(x) = f(x)/x, which the lower bound needs, or
+    ConvexityViolation names it. The checks are a sample, not a proof. Such
+    a spec evaluates f on arrays elementwise; the entropy and Gini specs
+    bring array evaluators and skip the checks.
 
     Attributes:
         kind: "entropy", "gini", or "custom".
@@ -80,12 +82,16 @@ class ImpuritySpec:
         rng = np.random.default_rng(181168)
         a, b, lam = rng.random((3, _CONCAVITY_SAMPLES)).tolist()
         for ai, bi, li in zip(a, b, lam):
+            mid = li * ai + (1.0 - li) * bi
             # Python floats: inf - inf is nan here, not a numpy warning
-            lhs = float(f(li * ai + (1.0 - li) * bi))
-            rhs = li * float(f(ai)) + (1.0 - li) * float(f(bi))
-            if (not (math.isfinite(lhs) and math.isfinite(rhs))
-                    or lhs < rhs - _CONCAVITY_TOL):
-                raise ConcavityViolation(ai, bi, li, rhs - lhs)
+            fm, fa, fb = float(f(mid)), float(f(ai)), float(f(bi))
+            rhs = li * fa + (1.0 - li) * fb
+            if (not (math.isfinite(fm) and math.isfinite(rhs))
+                    or fm < rhs - _CONCAVITY_TOL):
+                raise ConcavityViolation(ai, bi, li, rhs - fm)
+            gap = fm / mid - (li * fa / ai + (1.0 - li) * fb / bi)
+            if gap > _CONCAVITY_TOL:
+                raise ConvexityViolation(ai, bi, li, gap)
         object.__setattr__(self, "_f_arr", np.vectorize(f, otypes=[float]))
 
     def f_values(self, x: np.ndarray) -> np.ndarray:
@@ -154,7 +160,8 @@ def custom_spec(f: Callable[[float], float]) -> ImpuritySpec:
     """Wrap a user-supplied concave f; its companion is l(x) = f(x) / x.
 
     The same as ImpuritySpec(kind="custom", f=f), which spot-checks f at
-    construction (see ImpuritySpec) and raises ConcavityViolation naming the
-    first sampled triple that shows f is not concave or not finite.
+    construction (see ImpuritySpec): ConcavityViolation names the first
+    sampled triple that shows f is not concave or not finite, and
+    ConvexityViolation the first that shows f(x)/x is not convex.
     """
     return ImpuritySpec(kind="custom", f=f)

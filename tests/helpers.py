@@ -239,9 +239,12 @@ def likelihood_e_reference(jd, k, f):
 def oracle_reference(jd, k, f, block=1 << 16):
     """(assignment, e_max_achieved, assignments) of the exhaustive oracle.
 
-    The plain enumeration the subset tables replace: blocks of `block`
-    assignments in lexicographic order (point 0 most significant), each
-    label's rows summed by an indicator matrix product.
+    The plain enumeration the subset tables replace: blocks of `block` of
+    the k**m assignments in lexicographic order (point 0 most significant),
+    of which only the restricted-growth ones are scored (point 0 at label 0,
+    every later point at most one above the largest label before it), each
+    label's rows summed by an indicator matrix product. The first with the
+    smallest impurity wins, and e_max_achieved is their largest e.
     """
     p = jd.p
     m = jd.n_rows
@@ -253,6 +256,11 @@ def oracle_reference(jd, k, f, block=1 << 16):
     for begin in range(0, total, block):
         idx = np.arange(begin, min(begin + block, total), dtype=np.int64)
         digits = (idx[:, None] // pows[None, :]) % k
+        before = np.maximum.accumulate(digits, axis=1)[:, :-1]
+        growth = (digits[:, 0] == 0) & (digits[:, 1:] <= before + 1).all(axis=1)
+        if not growth.any():
+            continue
+        idx, digits = idx[growth], digits[growth]
         e_vals = np.zeros(idx.size)
         imps = np.zeros(idx.size)
         for label in range(k):
@@ -262,7 +270,7 @@ def oracle_reference(jd, k, f, block=1 << 16):
         local = int(np.argmin(imps))
         if imps[local] < best_imp:
             best_imp = float(imps[local])
-            best_idx = begin + local
+            best_idx = int(idx[local])
         best_e = max(best_e, float(e_vals.max()))
     return (best_idx // pows) % k, best_e, total
 
@@ -334,6 +342,13 @@ def all_assignment_e_values(p, k):
     for label in range(k):
         e += ((digits == label).astype(float) @ p).max(axis=1)
     return digits, e
+
+
+def all_assignment_impurities(jd, k, f):
+    """The impurity of every k**m labeling of jd, lexicographic order."""
+    digits, _ = all_assignment_e_values(jd.p, k)
+    return sum(f.weighted((digits == label).astype(float) @ jd.p)
+               for label in range(k))
 
 
 def leq(a, b, rel=1e-12,_abs=1e-15) -> bool:

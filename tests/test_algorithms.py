@@ -1,5 +1,6 @@
 """Partitioning algorithms against oracles and structural properties."""
 
+import gc
 import itertools
 import math
 import re
@@ -36,6 +37,7 @@ from helpers import (
     Admitted,
     admit,
     all_assignment_e_values,
+    all_assignment_impurities,
     divergence_reference,
     dyadic_joint,
     greedy_reference,
@@ -158,12 +160,12 @@ class TestMaxLikelihoodPartition:
         jd = build_joint(np.ones((3, 2)))
         with pytest.raises(KTooSmall):
             max_likelihood_partition(jd, 0, ENT)
-        # one point past the work budget: refused before the first mask is
-        # enumerated, so an enumeration that raises Admitted is never reached
+        # one point past the work budget: refused before the scan starts, so
+        # a scan that raises Admitted is never reached
         m, n, k = 21199, 20, 10
         assert math.comb(n, k) * (m + 2048) > MASK_BUDGET
         wide = random_joint(np.random.default_rng(43), m, n)
-        monkeypatch.setattr(algorithms, "combinations", admit)
+        monkeypatch.setattr(algorithms, "_best_mask", admit)
         with pytest.raises(InstanceTooLarge,
                            match=r"C\(20, 10\) masks x \(21199 \+ 2048\) points "
                                  r"exceed budget 4294967296"):
@@ -171,11 +173,11 @@ class TestMaxLikelihoodPartition:
 
     def test_budget_edge_is_admitted(self, monkeypatch):
         # C(20, 10) * (21198 + 2048) <= 2**32: the scan starts; it would
-        # take several seconds, so the first mask's enumeration stops it
+        # take several seconds, so it is stopped before its first mask
         m, n, k = 21198, 20, 10
         assert math.comb(n, k) * (m + 2048) <= MASK_BUDGET
         jd = random_joint(np.random.default_rng(46), m, n)
-        monkeypatch.setattr(algorithms, "combinations", admit)
+        monkeypatch.setattr(algorithms, "_best_mask", admit)
         with pytest.raises(Admitted):
             max_likelihood_partition(jd, k, ENT)
 
@@ -733,6 +735,30 @@ class TestExhaustiveOracle:
         assert abs(res.stats.impurity - best_imp) <= 1e-12
         assert res.e_max_achieved == best_e
 
+    @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
+    def test_restricted_growth_labelling_of_an_optimum(self, spec):
+        # the oracle scores one labelling per partition; against every k**m
+        # labelling its impurity is the least and, where sums are exact,
+        # its e the largest bit for bit
+        rng = np.random.default_rng(73)
+        instances = [(jd, False) for jd in
+                     TestExactSearchReference.instances(rng, (2, 8), (2, 6))]
+        instances += [(dyadic_joint(rng, m, n, hi=4), True)
+                      for m, n in ((5, 2), (7, 3), (8, 4))]
+        for jd, exact in instances:
+            for k in range(2, 5):
+                if k ** jd.n_rows > 20_000:
+                    continue
+                res = exhaustive_oracle(jd, k, spec)
+                labels = res.partition.assignment.tolist()
+                assert labels[0] == 0
+                assert all(labels[x] <= max(labels[:x]) + 1 for x in range(1, len(labels)))
+                least = float(all_assignment_impurities(jd, k, spec).min())
+                assert leq(res.stats.impurity, least) and leq(least, res.stats.impurity)
+                if exact:
+                    e_all = all_assignment_e_values(jd.p, k)[1]
+                    assert res.e_max_achieved.hex() == float(e_all.max()).hex()
+
     def test_instance_cap(self):
         jd = build_joint(np.ones((30, 2)))
         with pytest.raises(InstanceTooLarge):
@@ -1112,6 +1138,22 @@ class TestTwoClassOptimum:
                 assert math.isclose(two_class_optimum(jd, k, spec), oracle,
                                     rel_tol=1e-12, abs_tol=1e-15), (case, spec.kind)
 
+    def test_equals_the_oracle_up_to_its_cap(self):
+        # the largest oracle sizes: k**m up to ORACLE_CAP at k = 2, 3 and 4,
+        # on continuous rows and on counts of 1 and 2, where many points tie
+        # in p(x0 | y); one tie-heavy input at k = 2, m = 20 per impurity
+        rng = np.random.default_rng(74)
+        cases = [(2, 20, dyadic_joint(rng, 20, 2, hi=3))]
+        for k, m in ((2, 16), (3, 13), (3, 11), (4, 10), (4, 8)):
+            cases += [(k, m, random_joint(rng, m, 2)),
+                      (k, m, dyadic_joint(rng, m, 2, hi=3))]
+        for k, m, jd in cases:
+            assert k ** m <= ORACLE_CAP
+            for spec in (ENT, GINI, SQRT):
+                oracle = exhaustive_oracle(jd, k, spec).stats.impurity
+                opt = two_class_optimum(jd, k, spec)
+                assert leq(oracle, opt) and leq(opt, oracle), (k, m, spec.kind)
+
     @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
     def test_certified_ratio_and_no_result_below_opt_at_scale(self, spec):
         rng = np.random.default_rng(69)
@@ -1125,3 +1167,23 @@ class TestTwoClassOptimum:
                 results += [iterative_refine(jd, r.partition, spec) for r in results]
                 for res in results:
                     assert res.stats.impurity >= opt - 1e-9, (jd.n_rows, k)
+
+
+class TestNoGarbageCycles:
+    """The exact searches leave no reference cycles: garbage that only the
+    cyclic collector frees would hold their buffers past the call."""
+
+    def test_exact_searches_leave_nothing_for_the_collector(self):
+        rng = np.random.default_rng(75)
+        wide = random_joint(rng, 2000, 9)
+        small = dyadic_joint(rng, 9, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            for k in (1, 3, 5):
+                max_likelihood_partition(wide, k, GINI)
+            for k in (1, 2, 3):
+                exhaustive_oracle(small, k, GINI)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -7,6 +7,7 @@ import pytest
 
 from impuritypart import (
     ConcavityViolation,
+    ConvexityViolation,
     ImpuritySpec,
     compute_stats,
     custom_spec,
@@ -15,6 +16,7 @@ from impuritypart import (
     lower_bound,
 )
 
+from impuritypart import impurity
 from helpers import random_joint, random_partition
 
 
@@ -108,6 +110,27 @@ class TestCustomSpec:
     def test_hand_built_convex_spec_rejected(self):
         with pytest.raises(ConcavityViolation):
             ImpuritySpec(kind="custom", f=lambda x: x * x)
+
+    def test_quotient_not_convex_rejected(self):
+        # min(x, 1/2) is concave, but f(x)/x = min(1, 1/(2x)) is not convex,
+        # and its lower bound read 0.953 against an impurity of 0.849
+        f = lambda x: min(x, 0.5)
+        for build in (lambda: custom_spec(f),
+                      lambda: ImpuritySpec(kind="custom", f=f)):
+            with pytest.raises(ConvexityViolation) as info:
+                build()
+            a, b, lam = info.value.a, info.value.b, info.value.lam
+            assert f"a={a!r}, b={b!r}, lam={lam!r}" in str(info.value)
+            mid = lam * a + (1 - lam) * b
+            assert f(mid) / mid - (lam * f(a) / a + (1 - lam) * f(b) / b) == info.value.gap > 0
+
+    def test_builtin_specs_skip_the_checks(self, monkeypatch):
+        def unsampled(x):
+            raise AssertionError("a built-in f is not sampled")
+
+        monkeypatch.setattr(impurity, "_entropy_f_scalar", unsampled)
+        monkeypatch.setattr(impurity, "_gini_f", unsampled)
+        assert entropy_spec().kind == "entropy" and gini_spec().kind == "gini"
 
     def test_sqrt_based_function_accepted(self):
         f = lambda x: math.sqrt(x) * (1.0 - math.sqrt(x))
