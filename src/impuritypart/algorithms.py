@@ -485,9 +485,10 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     better partitions the lowest label wins). The divergence is the Bregman
     divergence of -sum f: KL for entropy, squared Euclidean for Gini (see
     _divergences). Stops after a pass with no moves or after `max_iters`
-    passes; a `max_iters` that is not an integer (a bool counts as none)
-    raises ValueError before any work. Impurity never increases between
-    passes for entropy and Gini.
+    passes. Before any work, a `max_iters` that is not an integer (a bool
+    counts as none) or is below 1 raises ValueError, with the messages of
+    cli.RunConfig. Impurity never increases between passes for entropy and
+    Gini.
 
     A pass scores the points in balanced row blocks of at least
     _REFINE_BLOCK rows (see _row_blocks) against the same centroids, so it
@@ -499,6 +500,8 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     """
     if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
         raise ValueError(f"max_iters must be an int, got {max_iters!r}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     assignment = np.array(start.assignment)
     k = start.k
     stats = compute_stats(jd, Partition(assignment, k), f)

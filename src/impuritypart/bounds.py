@@ -33,7 +33,11 @@ def binary_entropy(p: float) -> float:
 
 
 def _check_n(n: int) -> int:
-    if int(n) != n or n < 2:
+    """Return the class count n as an int, or raise EOutOfRange naming it
+    unless n is an int >= 2. The type rule is prob.check_k's: numpy ints
+    pass, and a bool, a float (3.0 too), None or any other type does not.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise EOutOfRange(f"class count n must be an integer >= 2, got {n!r}")
     return int(n)
 

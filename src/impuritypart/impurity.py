@@ -4,6 +4,10 @@ An impurity function is a concave f on [0, 1] with f applied to conditional
 class probabilities. Ratio and lower-bound computations use the companion
 l(x) = f(x) / x, fixed by f(x) = x * l(x); the lower bound is certified where
 l is convex.
+
+An ImpuritySpec is built from f alone. Its kind and its closed forms (l, f
+on arrays, f') are derived from f: entropy and Gini have them in
+_CLOSED_FORMS, and any other f is a checked "custom" spec.
 """
 
 import math
@@ -45,54 +49,66 @@ def _gini_f(x):
     return x * (1.0 - x)
 
 
+# The built-in f, each with its kind and closed forms: l, f on arrays, and
+# f'. ImpuritySpec finds f here by identity, so an unhashable f still works.
+_CLOSED_FORMS = {
+    _entropy_f_scalar: ("entropy", lambda x: -math.log2(x), _entropy_f_array,
+                        _entropy_f_prime),
+    _gini_f: ("gini", lambda x: 1.0 - x, _gini_f, lambda x: 1.0 - 2.0 * x),
+}
+
+
 @dataclass(frozen=True)
 class ImpuritySpec:
     """A concave impurity function and its companion l(x) = f(x) / x.
 
-    A spec without an array evaluator (custom_spec's, or one built here
-    directly) spot-checks f at construction on _CONCAVITY_SAMPLES random
+    A spec is built from f alone, ImpuritySpec(f); everything else is
+    derived from f at construction. The entropy and Gini f (the ones
+    entropy_spec and gini_spec pass) bring their kind and closed forms for
+    l, f on arrays and f'. Any other f gets kind "custom", is evaluated on
+    arrays elementwise, and is spot-checked on _CONCAVITY_SAMPLES random
     triples (a, b, lam) from a fixed seed, all in (0, 1). On each triple in
     turn, f(lam*a + (1-lam)*b) >= lam*f(a) + (1-lam)*f(b) must hold within
     tolerance with both sides finite, or ConcavityViolation names the
     triple; then l(lam*a + (1-lam)*b) <= lam*l(a) + (1-lam)*l(b) must hold
     within tolerance for l(x) = f(x)/x, which the lower bound needs, or
-    ConvexityViolation names it. The checks are a sample, not a proof. Such
-    a spec evaluates f on arrays elementwise; the entropy and Gini specs
-    bring array evaluators and skip the checks.
+    ConvexityViolation names it. The checks are a sample, not a proof.
+    dataclasses.replace(spec, f=g) builds and checks a spec from g alone.
 
     Attributes:
-        kind: "entropy", "gini", or "custom".
         f: scalar concave function on [0, 1] with finite values (f(0) is 0
-           for the built-in kinds).
+           for the built-in kinds); the only constructor argument.
+        kind: "entropy", "gini", or "custom", derived from f.
     """
 
-    kind: ImpurityKind
     f: Callable[[float], float]
-    _l: Callable[[float], float] = field(
-        default=None, repr=False, compare=False)
+    kind: ImpurityKind = field(init=False)
+    _l: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _f_arr: Callable[[np.ndarray], np.ndarray] = field(
-        default=None, repr=False, compare=False)
+        init=False, repr=False, compare=False)
     _f_prime_arr: Callable[[np.ndarray], np.ndarray] = field(
-        default=None, repr=False, compare=False)
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._f_arr is not None:
-            return
         f = self.f
-        rng = np.random.default_rng(181168)
-        a, b, lam = rng.random((3, _CONCAVITY_SAMPLES)).tolist()
-        for ai, bi, li in zip(a, b, lam):
-            mid = li * ai + (1.0 - li) * bi
-            # Python floats: inf - inf is nan here, not a numpy warning
-            fm, fa, fb = float(f(mid)), float(f(ai)), float(f(bi))
-            rhs = li * fa + (1.0 - li) * fb
-            if (not (math.isfinite(fm) and math.isfinite(rhs))
-                    or fm < rhs - _CONCAVITY_TOL):
-                raise ConcavityViolation(ai, bi, li, rhs - fm)
-            gap = fm / mid - (li * fa / ai + (1.0 - li) * fb / bi)
-            if gap > _CONCAVITY_TOL:
-                raise ConvexityViolation(ai, bi, li, gap)
-        object.__setattr__(self, "_f_arr", np.vectorize(f, otypes=[float]))
+        forms = next((closed for g, closed in _CLOSED_FORMS.items() if g is f), None)
+        if forms is None:
+            rng = np.random.default_rng(181168)
+            a, b, lam = rng.random((3, _CONCAVITY_SAMPLES)).tolist()
+            for ai, bi, li in zip(a, b, lam):
+                mid = li * ai + (1.0 - li) * bi
+                # Python floats: inf - inf is nan here, not a numpy warning
+                fm, fa, fb = float(f(mid)), float(f(ai)), float(f(bi))
+                rhs = li * fa + (1.0 - li) * fb
+                if (not (math.isfinite(fm) and math.isfinite(rhs))
+                        or fm < rhs - _CONCAVITY_TOL):
+                    raise ConcavityViolation(ai, bi, li, rhs - fm)
+                gap = fm / mid - (li * fa / ai + (1.0 - li) * fb / bi)
+                if gap > _CONCAVITY_TOL:
+                    raise ConvexityViolation(ai, bi, li, gap)
+            forms = ("custom", None, np.vectorize(f, otypes=[float]), None)
+        for name, value in zip(("kind", "_l", "_f_arr", "_f_prime_arr"), forms):
+            object.__setattr__(self, name, value)
 
     def f_values(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f elementwise on an array of probabilities."""
@@ -136,32 +152,21 @@ class ImpuritySpec:
 
 def entropy_spec() -> ImpuritySpec:
     """Base-2 entropy impurity: f(x) = -x*log2(x), l(x) = -log2(x)."""
-    return ImpuritySpec(
-        kind="entropy",
-        f=_entropy_f_scalar,
-        _l=lambda x: -math.log2(x),
-        _f_arr=_entropy_f_array,
-        _f_prime_arr=_entropy_f_prime,
-    )
+    return ImpuritySpec(_entropy_f_scalar)
 
 
 def gini_spec() -> ImpuritySpec:
     """Gini impurity: f(x) = x*(1-x), l(x) = 1-x."""
-    return ImpuritySpec(
-        kind="gini",
-        f=_gini_f,
-        _l=lambda x: 1.0 - x,
-        _f_arr=_gini_f,
-        _f_prime_arr=lambda x: 1.0 - 2.0 * x,
-    )
+    return ImpuritySpec(_gini_f)
 
 
 def custom_spec(f: Callable[[float], float]) -> ImpuritySpec:
     """Wrap a user-supplied concave f; its companion is l(x) = f(x) / x.
 
-    The same as ImpuritySpec(kind="custom", f=f), which spot-checks f at
-    construction (see ImpuritySpec): ConcavityViolation names the first
+    The same as ImpuritySpec(f), which derives the kind and spot-checks f
+    at construction (see ImpuritySpec): ConcavityViolation names the first
     sampled triple that shows f is not concave or not finite, and
-    ConvexityViolation the first that shows f(x)/x is not convex.
+    ConvexityViolation the first that shows f(x)/x is not convex. The kind
+    is "custom" unless f is the entropy or Gini f itself.
     """
-    return ImpuritySpec(kind="custom", f=f)
+    return ImpuritySpec(f)

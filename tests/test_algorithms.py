@@ -586,6 +586,16 @@ class TestIterativeRefine:
             iterative_refine(jd, Partition(np.array([0, 1, 2]), 3), ENT,
                              max_iters=max_iters)
 
+    @pytest.mark.parametrize("max_iters", [0, -3, np.int64(0)])
+    def test_max_iters_below_one_rejected(self, monkeypatch, max_iters):
+        # zero passes leave a trace with no iteration event, which a
+        # record of the passes cannot be read from
+        monkeypatch.setattr(algorithms, "compute_stats", admit)
+        jd = build_joint(np.eye(3))
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            iterative_refine(jd, Partition(np.array([0, 1, 2]), 3), ENT,
+                             max_iters=max_iters)
+
     def test_respects_max_iters(self):
         rng = np.random.default_rng(54)
         jd = random_joint(rng, 12, 4)

@@ -245,6 +245,18 @@ class TestDomainEdges:
         with pytest.raises(EOutOfRange):
             fano_bound(0.5, 1)
 
+    @pytest.mark.parametrize("n", [None, math.nan, math.inf, 3.0, 2.5, True,
+                                   "3", 1, np.int64(1)])
+    def test_class_count_follows_the_k_rule(self, n):
+        # an int or a numpy int >= 2, as for k: a whole float and a bool
+        # are refused, and every refusal is EOutOfRange
+        for bound in (lambda: upper_bound(0.5, n, ENT),
+                      lambda: approximation_ratio(0.5, n, GINI),
+                      lambda: fano_bound(0.5, n)):
+            with pytest.raises(EOutOfRange, match="class count n"):
+                bound()
+        assert upper_bound(0.5, np.int64(3), ENT) == upper_bound(0.5, 3, ENT)
+
 
 class TestHighPrecisionCrossCheck:
     """The double-precision closed forms agree with 50-digit evaluations."""

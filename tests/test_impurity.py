@@ -1,5 +1,6 @@
 """Impurity function family: built-in specs, custom specs, concavity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -109,14 +110,14 @@ class TestCustomSpec:
 
     def test_hand_built_convex_spec_rejected(self):
         with pytest.raises(ConcavityViolation):
-            ImpuritySpec(kind="custom", f=lambda x: x * x)
+            ImpuritySpec(lambda x: x * x)
 
     def test_quotient_not_convex_rejected(self):
         # min(x, 1/2) is concave, but f(x)/x = min(1, 1/(2x)) is not convex,
         # and its lower bound read 0.953 against an impurity of 0.849
         f = lambda x: min(x, 0.5)
         for build in (lambda: custom_spec(f),
-                      lambda: ImpuritySpec(kind="custom", f=f)):
+                      lambda: ImpuritySpec(f)):
             with pytest.raises(ConvexityViolation) as info:
                 build()
             a, b, lam = info.value.a, info.value.b, info.value.lam
@@ -125,11 +126,10 @@ class TestCustomSpec:
             assert f(mid) / mid - (lam * f(a) / a + (1 - lam) * f(b) / b) == info.value.gap > 0
 
     def test_builtin_specs_skip_the_checks(self, monkeypatch):
-        def unsampled(x):
+        def unsampled(seed):
             raise AssertionError("a built-in f is not sampled")
 
-        monkeypatch.setattr(impurity, "_entropy_f_scalar", unsampled)
-        monkeypatch.setattr(impurity, "_gini_f", unsampled)
+        monkeypatch.setattr(impurity.np.random, "default_rng", unsampled)
         assert entropy_spec().kind == "entropy" and gini_spec().kind == "gini"
 
     def test_sqrt_based_function_accepted(self):
@@ -153,10 +153,49 @@ class TestCustomSpec:
         with pytest.raises(TypeError):
             custom_spec(f, l=lambda x: 2.0 - x)
         with pytest.raises(TypeError):
-            ImpuritySpec(kind="custom", f=f, l=lambda x: 2.0 - x)
+            ImpuritySpec(f, l=lambda x: 2.0 - x)
 
     def test_hand_built_spec_vectorizes_lazily(self):
         from impuritypart import ImpuritySpec
-        spec = ImpuritySpec(kind="custom", f=lambda x: x * (1.0 - x))
+        spec = ImpuritySpec(lambda x: x * (1.0 - x))
         np.testing.assert_allclose(spec.f_values(np.array([0.2, 0.5])),
                                    [0.16, 0.25])
+
+
+class TestSpecFromF:
+    """A spec is built from f alone; its kind and closed forms follow f."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("kind", "custom"), ("_l", lambda x: 2.0 - x),
+        ("_f_arr", lambda x: x * x), ("_f_prime_arr", lambda x: 2.0 * x)])
+    def test_only_f_is_an_argument(self, name, value):
+        # each of these once let a caller set a kind or a closed form that
+        # f does not have; _f_arr also skipped the checks
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            ImpuritySpec(f=lambda x: x * (1.0 - x), **{name: value})
+
+    def test_replace_rebuilds_from_f(self):
+        with pytest.raises(ConcavityViolation):
+            dataclasses.replace(entropy_spec(), f=lambda x: x * x)
+        assert dataclasses.replace(entropy_spec(), f=impurity._gini_f) == gini_spec()
+
+    def test_kind_follows_f(self):
+        gini = ImpuritySpec(impurity._gini_f)
+        assert gini.kind == "gini" and gini == gini_spec()
+        assert gini.l_value(0.25) == 0.75
+        assert ImpuritySpec(impurity._entropy_f_scalar).kind == "entropy"
+        assert custom_spec(lambda x: x * (1.0 - x)).kind == "custom"
+
+    def test_unhashable_f_is_custom(self):
+        class Gini:
+            __hash__ = None
+
+            def __eq__(self, other):
+                return True
+
+            def __call__(self, x):
+                return x * (1.0 - x)
+
+        spec = ImpuritySpec(Gini())
+        assert spec.kind == "custom"
+        np.testing.assert_allclose(spec.f_values(np.array([0.2, 0.5])), [0.16, 0.25])

@@ -12,8 +12,9 @@ input keys and record keys the CLI writes, the README's `--format`,
 CLI accepts, and the README's work caps must give the values the code
 uses. Frozen objects must be complete at
 construction: no function other than a __post_init__ may call
-object.__setattr__. A partition count k is checked in one place: no
-function other than prob.check_k may build a KTooSmall.
+object.__setattr__, and no exported dataclass (nor cli.RunConfig) may take a
+private field as a constructor argument. A partition count k is checked in
+one place: no function other than prob.check_k may build a KTooSmall.
 """
 
 import ast
@@ -23,7 +24,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,19 @@ def test_only_post_init_sets_frozen_attributes():
                          and getattr(call.func.value, "id", None) == "object")
     assert len(owners) >= 4
     assert [entry for entry in owners if entry[1] != "__post_init__"] == []
+
+
+def test_no_private_field_is_a_constructor_argument():
+    # a `_name` field that __init__ takes only looks internal: any caller
+    # can pass it and bypass what __post_init__ derives or checks
+    classes = [RunConfig] + [value for value in map(vars(impuritypart).get,
+                                                    impuritypart.__all__)
+                             if isinstance(value, type) and is_dataclass(value)]
+    assert len(classes) >= 4
+    exposed = [(cls.__name__, field.name) for cls in classes
+               for field in fields(cls)
+               if field.init and field.name.startswith("_")]
+    assert exposed == []
 
 
 def test_only_check_k_raises_k_too_small():
