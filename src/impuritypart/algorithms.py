@@ -16,8 +16,11 @@ of k**m. It returns the first of them in lexicographic order with the
 smallest float impurity and reports the largest float e among them (see
 exhaustive_oracle). masks_evaluated still counts the k**m assignments that
 the oracle's search covers, and the C(N, k) masks of the scan.
-Every function that takes k checks it first with prob.check_k: a k that is
+Every function that takes k binds k = prob.check_k(k) first: a k that is
 not an int raises ValueError and a k below 1 KTooSmall, before any work.
+Any other k becomes a Python int, and the work is done with that int, so a
+numpy int of any width gives the result of the same Python int; each
+result's partition.k and masks_evaluated are Python ints.
 
 Traces, when present, are lists of dict events. Every event carries
 "impurity" (the total impurity after the event); the first event is
@@ -55,6 +58,7 @@ from .prob import (
     PartitionStats,
     aggregate,
     check_k,
+    check_max_iters,
     compute_stats,
     stats_from_pxz,
 )
@@ -153,7 +157,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     Each column read is contiguous in the column-major joint. Memory is k
     rows of M floats, and no label rows.
     """
-    check_k(k)
+    k = check_k(k)
     n = jd.n_cols
     p = jd.p
     cols, masks = range(n), 1
@@ -414,7 +418,7 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     before any work. The CLI walks split_states itself, for the k above n
     that 'auto' gives it.
     """
-    check_k(k)
+    k = check_k(k)
     if k <= jd.n_cols:
         raise KNotGreaterThanN(f"need k > {jd.n_cols} classes, got k={k}")
     base = max_likelihood_partition(jd, jd.n_cols, f)
@@ -436,7 +440,7 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     check_k, a k >= n raises KNotLessThanN before any work. The CLI walks
     merge_states itself, for the k below n that 'auto' gives it.
     """
-    check_k(k)
+    k = check_k(k)
     if k >= jd.n_cols:
         raise KNotLessThanN(f"need k < {jd.n_cols} classes, got k={k}")
     base = max_likelihood_partition(jd, jd.n_cols, f)
@@ -485,10 +489,9 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     better partitions the lowest label wins). The divergence is the Bregman
     divergence of -sum f: KL for entropy, squared Euclidean for Gini (see
     _divergences). Stops after a pass with no moves or after `max_iters`
-    passes. Before any work, a `max_iters` that is not an integer (a bool
-    counts as none) or is below 1 raises ValueError, with the messages of
-    cli.RunConfig. Impurity never increases between passes for entropy and
-    Gini.
+    passes. Before any work, prob.check_max_iters rejects a `max_iters` that
+    is not an int or is below 1. Impurity never increases between passes for
+    entropy and Gini.
 
     A pass scores the points in balanced row blocks of at least
     _REFINE_BLOCK rows (see _row_blocks) against the same centroids, so it
@@ -498,10 +501,7 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     so every partition, trace and impurity is that of one unblocked pass.
     Fewer than 2 * _REFINE_BLOCK rows are scored as one block.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
-        raise ValueError(f"max_iters must be an int, got {max_iters!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    max_iters = check_max_iters(max_iters)
     assignment = np.array(start.assignment)
     k = start.k
     stats = compute_stats(jd, Partition(assignment, k), f)
@@ -568,9 +568,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     one labelling, all points at label 0, and it is scored directly, with
     no table.
     """
-    check_k(k)
-    # a Python int, so k**m cannot wrap as a numpy int's power does
-    k = int(k)
+    k = check_k(k)
     m = jd.n_rows
     # past the cap's bit length, m is over it without building k**m
     if k > 1 and (m > ORACLE_CAP.bit_length() or k ** m > ORACLE_CAP):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import EOutOfRange, NotAChannel
 from .impurity import ImpuritySpec
+from .prob import is_int
 
 # Slack when validating that e sits inside [1/n, 1]; partition statistics
 # can undershoot 1/n by a few ulps.
@@ -33,11 +34,11 @@ def binary_entropy(p: float) -> float:
 
 
 def _check_n(n: int) -> int:
-    """Return the class count n as an int, or raise EOutOfRange naming it
-    unless n is an int >= 2. The type rule is prob.check_k's: numpy ints
+    """Return the class count n as a Python int, or raise EOutOfRange naming
+    it unless n is an int >= 2. The type rule is prob.is_int: numpy ints
     pass, and a bool, a float (3.0 too), None or any other type does not.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+    if not is_int(n) or n < 2:
         raise EOutOfRange(f"class count n must be an integer >= 2, got {n!r}")
     return int(n)
 

@@ -38,6 +38,7 @@ from .bounds import approximation_ratio, fano_bound, lower_bound, upper_bound
 from .errors import ImpurityPartError, IngestWarning
 from .impurity import entropy_spec, gini_spec
 from .ingestion import FORMATS, ingest
+from .prob import check_max_iters, is_int
 
 SCHEMA = "impuritypart/4"
 ALGORITHMS = ("ml", "auto", "oracle")
@@ -61,10 +62,13 @@ class RunConfig:
 
     Construction checks each field's type as well as its value, so a
     library caller gets the ValueError, naming the field, that main maps
-    to exit code 2. k is an int or a pair of ints, max_iters an int, and a
-    bool counts as neither; refine and emit_assignment are bools; the
-    choice fields are strings in their tables; the paths are str or
-    os.PathLike, and csv_path may be None.
+    to exit code 2. k is an int or a pair of ints and max_iters an int, by
+    the library's rule prob.is_int (numpy ints of every width pass, a bool
+    does not); max_iters is checked by prob.check_max_iters. Both are stored
+    as Python ints, a list k staying a list, so the report's "config" block
+    is JSON. refine and emit_assignment are bools; the choice fields are
+    strings in their tables; the paths are str or os.PathLike, and csv_path
+    may be None.
     """
 
     input_path: str
@@ -79,26 +83,21 @@ class RunConfig:
     csv_path: str = None
 
     def __post_init__(self):
-        def whole(value):
-            return isinstance(value, int) and not isinstance(value, bool)
-
         for label, value, table in (("format", self.input_format, FORMATS),
                                     ("impurity", self.impurity, IMPURITIES),
                                     ("algorithm", self.algorithm, ALGORITHMS)):
             if not isinstance(value, str) or value not in table:
                 raise ValueError(f"unknown {label} {value!r}")
-        if whole(self.k):
+        if is_int(self.k):
             self.k = (self.k, self.k)
         if not (isinstance(self.k, (tuple, list)) and len(self.k) == 2
-                and all(map(whole, self.k))):
+                and all(map(is_int, self.k))):
             raise ValueError(f"k must be an int or a pair of ints, got {self.k!r}")
-        lo, hi = self.k
+        lo, hi = map(int, self.k)
+        self.k = [lo, hi] if isinstance(self.k, list) else (lo, hi)
         if lo < 1 or hi < lo:
             raise ValueError(f"bad k range {self.k!r}: need 1 <= start <= end")
-        if not whole(self.max_iters):
-            raise ValueError(f"max_iters must be an int, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        self.max_iters = check_max_iters(self.max_iters)
         for name in ("refine", "emit_assignment"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -246,11 +245,8 @@ def run(config: RunConfig) -> dict:
 
 
 def _parse_k(text: str):
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return (int(lo), int(hi))
-    value = int(text)
-    return (value, value)
+    lo, colon, hi = text.partition(":")
+    return (int(lo), int(hi if colon else lo))
 
 
 def build_parser() -> argparse.ArgumentParser:

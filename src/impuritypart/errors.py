@@ -9,22 +9,26 @@ class DimensionMismatch(ImpurityPartError, ValueError):
     """An array has the wrong rank, shape, or length for the operation."""
 
 
-class NegativeEntry(ImpurityPartError, ValueError):
+class _EntryError(ImpurityPartError, ValueError):
+    """The entry at `index` holds a `value` no matrix of weights may hold;
+    the subclass's `what` names the fault."""
+
+    def __init__(self, index, value):
+        self.index = index
+        self.value = value
+        super().__init__(f"{self.what} entry {value!r} at index {index}")
+
+
+class NegativeEntry(_EntryError):
     """A probability or count entry is negative."""
 
-    def __init__(self, index, value):
-        self.index = index
-        self.value = value
-        super().__init__(f"negative entry {value!r} at index {index}")
+    what = "negative"
 
 
-class NonFinite(ImpurityPartError, ValueError):
+class NonFinite(_EntryError):
     """A probability or count entry is NaN or infinite."""
 
-    def __init__(self, index, value):
-        self.index = index
-        self.value = value
-        super().__init__(f"non-finite entry {value!r} at index {index}")
+    what = "non-finite"
 
 
 class ZeroTotal(ImpurityPartError, ValueError):

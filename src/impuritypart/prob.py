@@ -4,6 +4,10 @@ The joint distribution is stored as an M x N matrix: rows are data points
 y_j, columns are classes x_i, entry (j, i) holds p(x_i, y_j). A partition
 assigns each row a label in {0, ..., k-1}; its statistics aggregate the rows
 of each label into the k x N matrix p(x_i, z_label).
+
+The package's count arguments are checked here too: is_int is its one
+integer type rule, and check_k and check_max_iters return the Python int
+every caller then computes with.
 """
 
 from dataclasses import dataclass, field
@@ -53,15 +57,36 @@ def check_matrix(arr: np.ndarray) -> None:
             raise error((int(j), int(i)), float(arr[j, i]))
 
 
-def check_k(k) -> None:
-    """Reject a partition count k that is not an int, with a ValueError
-    naming it (a bool counts as none; numpy ints pass), then a k below 1
-    with KTooSmall. Every library entry that takes k calls this first.
+def is_int(value) -> bool:
+    """The package's one integer type rule, for every count it takes (k, n,
+    max_iters): an int or a numpy integer of any width, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_k(k) -> int:
+    """Return the partition count k as a Python int, rejecting a k that
+    is_int refuses with a ValueError naming it, then a k below 1 with
+    KTooSmall. Every library entry that takes k binds k = check_k(k) first
+    and computes with that int, so no arithmetic runs in a numpy int's
+    dtype, where it could wrap.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not is_int(k):
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise KTooSmall(f"k must be >= 1, got {k}")
+    return int(k)
+
+
+def check_max_iters(max_iters) -> int:
+    """Return the refinement pass cap max_iters as a Python int, rejecting
+    one that is_int refuses, then one below 1, with a ValueError. The one
+    check of max_iters, for algorithms.iterative_refine and cli.RunConfig.
+    """
+    if not is_int(max_iters):
+        raise ValueError(f"max_iters must be an int, got {max_iters!r}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    return int(max_iters)
 
 
 def aggregate(p: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
@@ -161,14 +186,15 @@ class Partition:
     """An assignment of each data point to one of k labels.
 
     Labels may be unused; empty partitions are representable and carry zero
-    weight in every statistic. Float labels must be whole numbers.
+    weight in every statistic. Float labels must be whole numbers. k is
+    stored as the Python int check_k returns.
     """
 
     assignment: np.ndarray
     k: int
 
     def __post_init__(self):
-        check_k(self.k)
+        object.__setattr__(self, "k", check_k(self.k))
         a = np.asarray(self.assignment)
         if a.ndim != 1:
             raise DimensionMismatch(

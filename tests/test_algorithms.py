@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -223,12 +224,38 @@ class TestCheckK:
             with pytest.raises(KTooSmall, match=f"^k must be >= 1, got {k}$"):
                 entry(None, k, None)
 
+    WIDTHS = (np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64)
+
     @pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.__name__)
     def test_numpy_int_k_passes(self, entry):
+        # every width gives the Python int's result, which holds Python ints;
+        # N = 3, and the likelihood step is run on both sides of it
         jd = random_joint(np.random.default_rng(78), 6, 3)
-        k = 4 if entry is greedy_split else 2
-        expected = entry(jd, k, ENT)
-        result = entry(jd, np.int64(k), ENT)
+        ks = {max_likelihood_partition: (2, 4), greedy_split: (4,)}.get(entry, (2,))
+        for k, width in itertools.product(ks, self.WIDTHS):
+            expected = entry(jd, k, ENT)
+            result = entry(jd, width(k), ENT)
+            assert result.partition.assignment.tolist() == expected.partition.assignment.tolist()
+            assert result.stats.impurity == expected.stats.impurity
+            assert type(result.partition.k) is int and result.partition.k == k
+            assert type(result.masks_evaluated) is int
+            assert result.masks_evaluated == expected.masks_evaluated
+
+    @pytest.mark.parametrize("entry, shape, k", [
+        # the mask scan's arithmetic with k meets n = 130, outside int8
+        (max_likelihood_partition, (50, 130), np.int8(2)),
+        # ... and differences that wrap in uint8
+        (max_likelihood_partition, (50, 130), np.uint8(2)),
+        # the merge walk reaches -1, outside uint8
+        (greedy_merge, (300, 140), np.uint8(130)),
+    ], ids=["ml-int8", "ml-uint8", "merge-uint8"])
+    def test_small_numpy_int_k_does_not_wrap(self, entry, shape, k):
+        jd = random_joint(np.random.default_rng(80), *shape)
+        expected = entry(jd, int(k), GINI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = entry(jd, k, GINI)
         assert result.partition.assignment.tolist() == expected.partition.assignment.tolist()
         assert result.stats.impurity == expected.stats.impurity
 
@@ -595,6 +622,17 @@ class TestIterativeRefine:
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             iterative_refine(jd, Partition(np.array([0, 1, 2]), 3), ENT,
                              max_iters=max_iters)
+
+    @pytest.mark.parametrize("width", [np.int8, np.uint8, np.uint64],
+                             ids=lambda width: width.__name__)
+    def test_numpy_int_max_iters_passes(self, width):
+        rng = np.random.default_rng(82)
+        jd = random_joint(rng, 30, 3)
+        start = random_partition(rng, 30, 4)
+        expected = iterative_refine(jd, start, ENT, max_iters=2)
+        result = iterative_refine(jd, start, ENT, max_iters=width(2))
+        assert result.partition.assignment.tolist() == expected.partition.assignment.tolist()
+        assert result.trace == expected.trace
 
     def test_respects_max_iters(self):
         rng = np.random.default_rng(54)

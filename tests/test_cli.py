@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -68,7 +69,10 @@ class TestRunConfig:
         ("k", (True, 3), r"k must be an int or a pair of ints, got \(True, 3\)"),
         ("k", "2:5", "k must be an int or a pair of ints, got '2:5'"),
         ("k", [2, 3, 4], r"k must be an int or a pair of ints, got \[2, 3, 4\]"),
+        ("k", np.True_, "k must be an int or a pair of ints, got np.True_"),
+        ("k", (2, np.True_), r"k must be an int or a pair of ints, got \(2, np.True_\)"),
         ("max_iters", True, "max_iters must be an int, got True"),
+        ("max_iters", np.True_, "max_iters must be an int, got np.True_"),
         ("max_iters", 2.5, "max_iters must be an int, got 2.5"),
         ("refine", "no", "refine must be a bool, got 'no'"),
         ("emit_assignment", 1, "emit_assignment must be a bool, got 1"),
@@ -89,6 +93,32 @@ class TestRunConfig:
                         csv_path=tmp_path / "z", k=[2, 60], refine=True,
                         max_iters=3, emit_assignment=True)
         assert cfg.k == [2, 60]
+
+    @pytest.mark.parametrize("width", [np.int8, np.uint8, np.int64, np.uint64],
+                             ids=lambda width: width.__name__)
+    def test_numpy_ints_are_stored_as_python_ints(self, width):
+        # the library's rule: numpy ints of every width pass, and the config
+        # keeps Python ints, so its report block is JSON
+        for k, stored in ((width(3), (3, 3)), ((width(2), 5), (2, 5)),
+                          ((2, width(5)), (2, 5)), ([width(2), width(60)], [2, 60])):
+            cfg = RunConfig(input_path="x", output_path="y", k=k, max_iters=width(7))
+            assert cfg.k == stored and type(cfg.k) is type(stored)
+            assert [type(value) for value in cfg.k] == [int, int]
+            assert type(cfg.max_iters) is int and cfg.max_iters == 7
+
+    def test_numpy_int_config_writes_the_python_int_report(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_counts(data, np.random.default_rng(81).integers(1, 30, size=(12, 4)))
+        out = tmp_path / "report.json"
+        texts = []
+        for k, max_iters in (((2, 6), 3), ((np.int16(2), np.uint8(6)), np.int64(3))):
+            run(RunConfig(input_path=str(data), output_path=str(out),
+                          input_format="counts", k=k, refine=True,
+                          max_iters=max_iters, emit_assignment=True))
+            texts.append(re.sub(r'"wall_ms": [^,\n]+', '"wall_ms": null',
+                                out.read_text(encoding="utf-8")))
+        assert texts[0] == texts[1]
+        assert texts[0].count('"wall_ms": null') == 5
 
     def test_flag_dests_are_the_fields(self):
         dests = [action.dest for action in build_parser()._actions

@@ -8,6 +8,7 @@ import pytest
 
 from impuritypart import (
     DimensionMismatch,
+    ImpurityPartError,
     InvalidDistribution,
     JointDistribution,
     KTooSmall,
@@ -43,9 +44,12 @@ class TestBuildJoint:
         assert info.value.row == 1
 
     def test_negative_entry_names_the_index(self):
-        with pytest.raises(NegativeEntry) as info:
+        with pytest.raises(NegativeEntry,
+                           match=r"^negative entry -4.0 at index \(1, 1\)$") as info:
             build_joint([[1, 2], [3, -4]])
-        assert info.value.index == (1, 1)
+        assert info.value.index == (1, 1) and info.value.value == -4.0
+        assert isinstance(info.value, ImpurityPartError)
+        assert isinstance(info.value, ValueError)
 
     def test_zero_total(self):
         with pytest.raises(ZeroTotal):
@@ -96,9 +100,12 @@ class TestOneNormalization:
 
 class TestNonFiniteInput:
     def test_nan_entry_names_the_index(self):
-        with pytest.raises(NonFinite) as info:
+        with pytest.raises(NonFinite,
+                           match=r"^non-finite entry nan at index \(0, 1\)$") as info:
             build_joint([[1, np.nan], [1, 1]])
-        assert info.value.index == (0, 1)
+        assert info.value.index == (0, 1) and math.isnan(info.value.value)
+        assert isinstance(info.value, ImpurityPartError)
+        assert isinstance(info.value, ValueError)
 
     def test_inf_entry_is_not_reported_as_zero_row(self):
         with pytest.raises(NonFinite) as info:
@@ -195,8 +202,12 @@ class TestPartition:
                 Partition(np.array([0, 1]), k)
         with pytest.raises(KTooSmall, match="^k must be >= 1, got 0$"):
             Partition(np.array([0]), np.int64(0))
-        part = Partition(np.array([0, 1]), np.int64(2))
-        assert part.k == 2 and part.assignment.tolist() == [0, 1]
+        # a numpy int of any width is stored as the Python int
+        for width in (np.int8, np.int16, np.int32, np.int64,
+                      np.uint8, np.uint16, np.uint32, np.uint64):
+            part = Partition(np.array([0, 1]), width(2))
+            assert part.k == 2 and part.assignment.tolist() == [0, 1]
+            assert type(part.k) is int
 
     def test_unused_labels_allowed(self):
         part = Partition(np.array([0, 0, 0]), 5)

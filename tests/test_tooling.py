@@ -14,7 +14,10 @@ uses. Frozen objects must be complete at
 construction: no function other than a __post_init__ may call
 object.__setattr__, and no exported dataclass (nor cli.RunConfig) may take a
 private field as a constructor argument. A partition count k is checked in
-one place: no function other than prob.check_k may build a KTooSmall.
+one place: no function other than prob.check_k may build a KTooSmall. Every
+count argument follows one integer type rule: no function other than
+prob.is_int may name np.integer, and no function other than
+prob.check_max_iters may build a `max_iters must be ...` message.
 """
 
 import ast
@@ -188,21 +191,26 @@ def test_every_private_module_name_is_used():
     assert unused == []
 
 
-def call_owners(is_target):
-    """(module, innermost function around it, or None) for each call in the
-    package's source for which is_target(call) holds."""
+def node_owners(is_target):
+    """(module, innermost function around it, or None) for each syntax node
+    in the package's source for which is_target(node) holds."""
     def owners(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from owners(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and is_target(child):
+            if is_target(child):
                 yield owner
             yield from owners(child, owner)
 
     return [(path.stem, owner)
             for path in sorted(Path(impuritypart.__file__).parent.glob("*.py"))
             for owner in owners(ast.parse(path.read_text(encoding="utf-8")), None)]
+
+
+def call_owners(is_target):
+    """node_owners of the calls for which is_target(call) holds."""
+    return node_owners(lambda node: isinstance(node, ast.Call) and is_target(node))
 
 
 def test_only_post_init_sets_frozen_attributes():
@@ -234,6 +242,22 @@ def test_only_check_k_raises_k_too_small():
     owners = call_owners(lambda call: getattr(call.func, "id", None) == "KTooSmall"
                          or getattr(call.func, "attr", None) == "KTooSmall")
     assert owners == [("prob", "check_k")]
+
+
+def test_one_function_spells_the_integer_type_rule():
+    # every count (k, n, max_iters) takes prob.is_int's rule; a copy of it
+    # drifts (a numpy int refused by one caller and passed by another)
+    owners = node_owners(lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "integer")
+    assert owners == [("prob", "is_int")]
+
+
+def test_one_function_builds_the_max_iters_messages():
+    # the messages in f-strings are constants inside the JoinedStr
+    owners = node_owners(lambda node: isinstance(node, ast.Constant)
+                         and isinstance(node.value, str)
+                         and node.value.startswith("max_iters must be"))
+    assert owners == [("prob", "check_max_iters")] * 2
 
 
 def test_every_export_is_used_or_documented():
