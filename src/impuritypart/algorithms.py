@@ -35,9 +35,11 @@ The greedy trajectories are the generators split_states and merge_states,
 and greedy_walk is the one loop that advances them: greedy_split and
 greedy_merge walk to one k and keep the trace, whose events are the states'
 own events, and the CLI walks a whole sweep of k without one. The decisions
-do not depend on k, so one trajectory serves every k of a sweep, and each
-round updates only the partitions it touches, bitwise equal to recomputing
-the statistics from scratch.
+do not depend on k, so one trajectory serves every k of a sweep. Each state
+carries the PartitionStats that prob.stats_from_pxz gives for its label
+rows: a round re-aggregates only the labels it touches, rebuilds the
+statistics from the updated rows, and is bitwise equal to recomputing them
+from scratch. Every AlgoResult is built by _result.
 """
 
 import math
@@ -98,14 +100,14 @@ class AlgoResult:
     trace: Optional[list] = None
 
 
-def _result(jd: JointDistribution, assignment, k: int, f: ImpuritySpec,
-            masks_evaluated: int, e_max: Optional[float] = None) -> AlgoResult:
-    """The k-label result of an assignment; e_max defaults to its own e_q."""
-    part = Partition(assignment, k)
-    stats = compute_stats(jd, part, f)
+def _result(part: Partition, stats: PartitionStats, masks_evaluated: int,
+            e_max: Optional[float] = None,
+            trace: Optional[list] = None) -> AlgoResult:
+    """The result of a partition and its statistics; e_max defaults to
+    their own e_q."""
     return AlgoResult(part, stats,
                       e_max_achieved=stats.e_q if e_max is None else e_max,
-                      masks_evaluated=masks_evaluated)
+                      masks_evaluated=masks_evaluated, trace=trace)
 
 
 def _fold(column: np.ndarray, d: int, label: np.ndarray, top: np.ndarray) -> None:
@@ -174,7 +176,8 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     label = np.zeros(jd.n_rows, dtype=np.intp)
     for d, j in enumerate(cols):
         _fold(p[:, j], d, label, top)
-    return _result(jd, label, k, f, masks_evaluated=masks)
+    part = Partition(label, k)
+    return _result(part, compute_stats(jd, part, f), masks)
 
 
 def _best_mask(p: np.ndarray, k: int) -> tuple:
@@ -220,70 +223,67 @@ def _best_mask(p: np.ndarray, k: int) -> tuple:
 class GreedyState:
     """One step of a greedy split or merge trajectory.
 
-    `assignment` labels every point in [0, labels); `pxz` holds the labels'
-    joint rows and `own` their weighted impurities, bitwise what
-    compute_stats gives for the same assignment. Split states may carry empty
-    labels; merge states never do. `event` is the trace event that produced
-    the state, without its "impurity". No later step writes to its arrays.
+    `assignment` labels every point in [0, labels), and `stats` is what
+    stats_from_pxz gives for the labels' joint rows, bitwise what
+    compute_stats gives for the same assignment. Split states may carry
+    empty labels; merge states never do. `event` is the trace event that
+    produced the state, without its "impurity". The assignment and the
+    statistics are read-only, and no later step writes to any array of a
+    state.
     """
 
     assignment: np.ndarray
-    pxz: np.ndarray
-    own: np.ndarray
+    stats: PartitionStats
     event: dict
+
+    def __post_init__(self):
+        self.assignment.setflags(write=False)
 
     @property
     def labels(self) -> int:
-        return self.pxz.shape[0]
-
-    @property
-    def impurity(self) -> float:
-        """The total impurity: own summed over the nonempty labels, as
-        compute_stats sums it."""
-        return float(self.own[self.pxz.sum(axis=1) > 0.0].sum())
+        return self.stats.pz.size
 
     def result(self, k: int, f: ImpuritySpec, masks_evaluated: int,
                trace: Optional[list] = None) -> AlgoResult:
-        """The state as a k-label result (k >= labels); its statistics are
-        those of pxz zero-padded to k rows, as compute_stats gives them."""
-        pxz = np.zeros((k, self.pxz.shape[1]))
-        pxz[:self.labels] = self.pxz
-        stats = stats_from_pxz(pxz, f)
-        return AlgoResult(Partition(self.assignment, k), stats,
-                          e_max_achieved=stats.e_q,
-                          masks_evaluated=masks_evaluated, trace=trace)
+        """The state as a k-label result (k >= labels): its own statistics
+        when k == labels, else those of its rows zero-padded to k, as
+        compute_stats gives them."""
+        stats = self.stats
+        if k > self.labels:
+            stats = stats_from_pxz(
+                np.pad(stats.pxz, ((0, k - self.labels), (0, 0))), f)
+        return _result(Partition(self.assignment, k), stats, masks_evaluated,
+                       trace=trace)
 
 
 def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     """Generate the greedy split trajectory from the likelihood result `base`.
 
-    The first state is base itself with its n labels, then each round adds
-    one nonempty label (see greedy_split for the rule). The decisions do not
-    depend on a target k, so one trajectory serves every k. When no
-    partition has two points, a final "stop" state repeats the last
+    The first state is base itself with its n labels and statistics, then
+    each round adds one nonempty label (see greedy_split for the rule). The
+    decisions do not depend on a target k, so one trajectory serves every k.
+    When no partition has two points, a final "stop" state repeats the last
     partition and the generator ends, after at most M + 1 states. A round
-    re-aggregates only the source partition's members and rescores two rows:
-    O(|source| N) plus an O(M) label scan and an O(M) copy. The init state
-    holds base's read-only arrays; every round makes new assignment, pxz and
-    own arrays and writes only into those.
+    re-aggregates only the source partition's members into its two rows,
+    O(|source| N), rebuilds the statistics of the K rows with
+    stats_from_pxz, O(K N), and scans and copies the labels, O(M). It
+    writes only into the new assignment and rows it makes.
     """
     p = jd.p
     assignment = base.partition.assignment
-    pxz = base.stats.pxz
-    own = base.stats.per_partition_impurity
-    counts = np.bincount(assignment, minlength=pxz.shape[0])
-    yield GreedyState(assignment, pxz, own, {"event": "init"})
+    stats = base.stats
+    counts = np.bincount(assignment, minlength=base.partition.k)
+    yield GreedyState(assignment, stats, {"event": "init"})
     while True:
         eligible = counts >= 2
         if not eligible.any():
-            yield GreedyState(assignment, pxz, own,
+            yield GreedyState(assignment, stats,
                               {"event": "stop",
                                "reason": "no partition with 2+ points"})
             return
-        source = int(np.argmax(np.where(eligible, own, -np.inf)))
-        # the row sum as stats_from_pxz takes it, so cond is bitwise its
-        # px_given_z row
-        cond = pxz[source] / pxz[source:source + 1].sum(axis=1)[0]
+        source = int(np.argmax(np.where(eligible, stats.per_partition_impurity,
+                                        -np.inf)))
+        cond = stats.px_given_z[source]
         j_star = int(np.argmax(cond))
         members = np.flatnonzero(assignment == source)
         attribution = p[members, j_star] / jd.row_masses[members]
@@ -292,23 +292,22 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         fallback = not move.any() or bool(move.all())
         if fallback:
             move = np.arange(members.size) == int(np.argmax(attribution))
-        target = pxz.shape[0]
+        target = counts.size
         assignment = assignment.copy()
         assignment[members[move]] = target
         halves = aggregate(p[members], move, 2)
-        pxz = np.vstack([pxz, halves[1:]])
+        pxz = np.vstack([stats.pxz, halves[1:]])
         pxz[source] = halves[0]
-        own = np.append(own, 0.0)
-        own[[source, target]] = f.weighted(halves)
+        stats = stats_from_pxz(pxz, f)
         moved = int(move.sum())
         counts = np.append(counts, moved)
         counts[source] -= moved
-        yield GreedyState(assignment, pxz, own,
+        yield GreedyState(assignment, stats,
                           {"event": "split", "source": source, "target": target,
                            "moved": moved, "fallback": fallback})
 
 
-def _merge_losses(pxz: np.ndarray, own: np.ndarray, i: int, start: int,
+def _merge_losses(stats: PartitionStats, i: int, start: int,
                   f: ImpuritySpec) -> np.ndarray:
     """Impurity loss of merging partition i with each partition j >= start.
 
@@ -316,9 +315,10 @@ def _merge_losses(pxz: np.ndarray, own: np.ndarray, i: int, start: int,
     so a pair's loss has the same bits whichever of its labels is i. O(N)
     floats per partition scored.
     """
+    own = stats.per_partition_impurity
     lower = np.arange(start, own.size) < i
     rest = own[start:]
-    return (f.weighted(pxz[start:] + pxz[i])
+    return (f.weighted(stats.pxz[start:] + stats.pxz[i])
             - np.where(lower, rest, own[i]) - np.where(lower, own[i], rest))
 
 
@@ -332,24 +332,23 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     triangle), a fresh array that no later round writes. Scoring every pair
     costs O(count^2 N) once, one partition against the partitions after it
     at a time. After a merge only the merged partition's members are
-    re-aggregated and only its row and column of losses are rescored, in
-    one O(count N) call; the relabelling is O(M) and the argmin and matrix
-    deletions touch O(count^2) floats. Memory is O(count N) beside the
-    O(count^2) loss matrix.
+    re-aggregated, the statistics of the count rows are rebuilt with
+    stats_from_pxz, and only the merged row and column of losses are
+    rescored, each O(count N); the relabelling is O(M) and the argmin and
+    matrix deletions touch O(count^2) floats. Memory is O(count N) beside
+    the O(count^2) loss matrix.
     """
     p = jd.p
-    used = np.flatnonzero(np.bincount(base.partition.assignment,
-                                      minlength=base.partition.k) > 0)
+    used = np.flatnonzero(base.stats.nonempty)
     remap = np.full(base.partition.k, -1, dtype=np.intp)
     remap[used] = np.arange(used.size)
     assignment = remap[base.partition.assignment]
-    pxz = base.stats.pxz[used]
-    own = base.stats.per_partition_impurity[used]
+    stats = stats_from_pxz(base.stats.pxz[used], f)
     count = int(used.size)
     losses = np.full((count, count), np.inf)
     for i in range(count - 1):
-        losses[i, i + 1:] = _merge_losses(pxz, own, i, i + 1, f)
-    yield GreedyState(assignment, pxz, own, {"event": "init"})
+        losses[i, i + 1:] = _merge_losses(stats, i, i + 1, f)
+    yield GreedyState(assignment, stats, {"event": "init"})
     while count > 1:
         # row-major argmin over the upper triangle keeps the first
         # lowest-loss pair in (i, j) lexicographic order
@@ -363,15 +362,14 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         assignment = relabel[assignment]
         count -= 1
         members = np.flatnonzero(assignment == i)
-        pxz = np.delete(pxz, j, axis=0)
+        pxz = np.delete(stats.pxz, j, axis=0)
         pxz[i] = aggregate(p[members], np.zeros(members.size, dtype=np.intp), 1)[0]
-        own = np.delete(own, j)
-        own[i] = f.weighted(pxz[i:i + 1])[0]
+        stats = stats_from_pxz(pxz, f)
         losses = np.delete(np.delete(losses, j, axis=0), j, axis=1)
-        fresh = _merge_losses(pxz, own, i, 0, f)
+        fresh = _merge_losses(stats, i, 0, f)
         losses[:i, i] = fresh[:i]
         losses[i, i + 1:] = fresh[i + 1:]
-        yield GreedyState(assignment, pxz, own, event)
+        yield GreedyState(assignment, stats, event)
 
 
 def greedy_walk(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec,
@@ -398,7 +396,7 @@ def greedy_walk(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec,
                 break
             state = following
             if trace is not None:
-                trace.append({**state.event, "impurity": state.impurity})
+                trace.append({**state.event, "impurity": state.stats.impurity})
         yield state.result(k, f, base.masks_evaluated, trace)
 
 
@@ -413,10 +411,10 @@ def greedy_split(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     conditional moves instead, so every round adds a nonempty label; when
     no partition has two points, the remaining labels stay empty. Total
     impurity never increases across rounds. greedy_walk runs split_states
-    to k labels: one likelihood run, then per round O(|source| N) work and
-    an O(M) label scan. After check_k, a k <= n raises KNotGreaterThanN
-    before any work. The CLI walks split_states itself, for the k above n
-    that 'auto' gives it.
+    to k labels: one likelihood run, then per round O(|source| N) work, an
+    O(K N) rebuild of the statistics and an O(M) label scan. After check_k,
+    a k <= n raises KNotGreaterThanN before any work. The CLI walks
+    split_states itself, for the k above n that 'auto' gives it.
     """
     k = check_k(k)
     if k <= jd.n_cols:
@@ -433,12 +431,13 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     loss merges, labels are renumbered densely, and the process repeats until
     at most k nonempty partitions remain. greedy_walk runs merge_states down
     to k: all pairs are scored once, O(count^2 N), then each merge rescores
-    O(count) pairs, O(count N), and relabels in O(M). Scoring holds
-    O(count N) floats at a time beside the count x count losses; each merge
-    event of the trace keeps the loss matrix it chose from, the array
-    merge_states built, not a copy. No approximation guarantee. After
-    check_k, a k >= n raises KNotLessThanN before any work. The CLI walks
-    merge_states itself, for the k below n that 'auto' gives it.
+    O(count) pairs and rebuilds the statistics, O(count N), and relabels in
+    O(M). Scoring holds O(count N) floats at a time beside the count x count
+    losses; each merge event of the trace keeps the loss matrix it chose
+    from, the array merge_states built, not a copy. No approximation
+    guarantee. After check_k, a k >= n raises KNotLessThanN before any
+    work. The CLI walks merge_states itself, for the k below n that 'auto'
+    gives it.
     """
     k = check_k(k)
     if k >= jd.n_cols:
@@ -532,9 +531,7 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
                       "impurity": stats.impurity})
         if not changed:
             break
-    part = Partition(assignment, k)
-    return AlgoResult(part, stats, e_max_achieved=stats.e_q,
-                      masks_evaluated=0, trace=trace)
+    return _result(Partition(assignment, k), stats, 0, trace=trace)
 
 
 def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
@@ -575,7 +572,8 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
         raise InstanceTooLarge(
             f"{k}**{m} assignments exceed cap {ORACLE_CAP}")
     if k == 1 or m == 1:
-        return _result(jd, np.zeros(m, dtype=np.intp), k, f, masks_evaluated=k ** m)
+        part = Partition(np.zeros(m, dtype=np.intp), k)
+        return _result(part, compute_stats(jd, part, f), k ** m)
     if (1 << m) * jd.n_cols > ORACLE_TABLE_CAP:
         raise InstanceTooLarge(
             f"2**{m}*{jd.n_cols} table sums exceed cap {ORACLE_TABLE_CAP}")
@@ -608,8 +606,8 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
             best = table[:, local] + leading[:, block]
         best_e = max(best_e, float(e_vals.max()))
     # each point takes the one label whose subset holds its bit
-    assignment = ((best[:, None] >> np.arange(m)) & 1).argmax(axis=0)
-    return _result(jd, assignment, k, f, masks_evaluated=k ** m, e_max=best_e)
+    part = Partition(((best[:, None] >> np.arange(m)) & 1).argmax(axis=0), k)
+    return _result(part, compute_stats(jd, part, f), k ** m, e_max=best_e)
 
 
 def _subset_tables(p: np.ndarray, f: ImpuritySpec):

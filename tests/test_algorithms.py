@@ -553,10 +553,35 @@ class TestGreedyTrajectories:
                     for name in ("pxz", "px_given_z", "per_partition_impurity"):
                         assert (getattr(ours, name).tobytes()
                                 == getattr(stats, name).tobytes()), name
+                    # a record at the state's own k keeps the state's
+                    # statistics rather than rebuilding them
+                    assert ours is state.stats
+                    for name in ("pz", "pxz", "px_given_z", "nonempty",
+                                 "per_partition_impurity"):
+                        mine, theirs = getattr(state.stats, name), getattr(stats, name)
+                        assert mine.shape == theirs.shape, name
+                        assert mine.tobytes() == theirs.tobytes(), name
+                    assert state.stats.impurity == stats.impurity
+                    assert state.stats.e_q == stats.e_q
                     if state.event["event"] == "merge":
                         ours, theirs = state.event["losses"], trace[-1]["losses"]
                         assert ours.shape == theirs.shape
                         assert ours.tobytes() == theirs.tobytes()
+
+    def test_kept_states_are_read_only(self):
+        # every round copies or gathers from the previous state's arrays,
+        # so a write into a kept state would change every later state
+        rng = np.random.default_rng(54)
+        jd = build_joint(rng.integers(1, 9, size=(12, 3)))
+        base = max_likelihood_partition(jd, jd.n_cols, ENT)
+        for states in (split_states, merge_states):
+            kept = list(itertools.islice(states(jd, base, ENT), 5))
+            assert len(kept) >= 3
+            for state in kept:
+                with pytest.raises(ValueError, match="read-only"):
+                    state.assignment[0] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    state.stats.pxz[0, 0] = 0.0
 
 
 class TestIterativeRefine:

@@ -17,7 +17,12 @@ private field as a constructor argument. A partition count k is checked in
 one place: no function other than prob.check_k may build a KTooSmall. Every
 count argument follows one integer type rule: no function other than
 prob.is_int may name np.integer, and no function other than
-prob.check_max_iters may build a `max_iters must be ...` message.
+prob.check_max_iters may build a `max_iters must be ...` message. Label
+sums become statistics in one place: no function other than
+prob.stats_from_pxz may build a PartitionStats, and only it,
+algorithms._merge_losses and algorithms._subset_tables may call
+`.weighted(`. No function other than algorithms._result may build an
+AlgoResult.
 """
 
 import ast
@@ -213,6 +218,12 @@ def call_owners(is_target):
     return node_owners(lambda node: isinstance(node, ast.Call) and is_target(node))
 
 
+def calls_named(name):
+    """call_owners of the calls of `name`, bare or as an attribute."""
+    return call_owners(lambda call: getattr(call.func, "id", None) == name
+                       or getattr(call.func, "attr", None) == name)
+
+
 def test_only_post_init_sets_frozen_attributes():
     # a frozen object set up later (on first use, say) can be seen half
     # built; object.__setattr__ belongs in __post_init__ alone
@@ -239,9 +250,7 @@ def test_no_private_field_is_a_constructor_argument():
 def test_only_check_k_raises_k_too_small():
     # one check of k: a second copy of the k < 1 test would drift from it
     # (the float k that check_k refuses, say)
-    owners = call_owners(lambda call: getattr(call.func, "id", None) == "KTooSmall"
-                         or getattr(call.func, "attr", None) == "KTooSmall")
-    assert owners == [("prob", "check_k")]
+    assert calls_named("KTooSmall") == [("prob", "check_k")]
 
 
 def test_one_function_spells_the_integer_type_rule():
@@ -258,6 +267,21 @@ def test_one_function_builds_the_max_iters_messages():
                          and isinstance(node.value, str)
                          and node.value.startswith("max_iters must be"))
     assert owners == [("prob", "check_max_iters")] * 2
+
+
+def test_one_function_builds_every_result():
+    # the e_max default (the result's own e_q) and the trace are set in
+    # one place, not once per algorithm
+    assert calls_named("AlgoResult") == [("algorithms", "_result")]
+
+
+def test_one_function_turns_label_sums_into_statistics():
+    # a second copy of the nonempty-total or conditional-row rules would
+    # drift from stats_from_pxz's bits; the greedy states keep its stats
+    assert calls_named("PartitionStats") == [("prob", "stats_from_pxz")]
+    assert calls_named("weighted") == [("algorithms", "_merge_losses"),
+                                       ("algorithms", "_subset_tables"),
+                                       ("prob", "stats_from_pxz")]
 
 
 def test_every_export_is_used_or_documented():
