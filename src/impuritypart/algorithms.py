@@ -5,17 +5,22 @@ lowest index, candidate class masks are visited in lexicographic order, and
 accumulation follows row order. Results therefore reproduce bit-for-bit. The
 k < N likelihood step keeps the first mask whose float coverage F(S), the sum
 of each point's largest entry in the mask, is strictly the largest, and
-reports the e of that mask's partition (see max_likelihood_partition). The
-scan walks the masks depth first, keeping only running maxima: one
-np.maximum per node of the mask tree and one sum per mask. The winning mask
-alone is labelled, by the running argmax that also labels the k >= N step.
+reports the e of that mask's partition (see max_likelihood_partition). Two
+searches find that mask, chosen from the input's size (see _best_mask). The
+coverage table reads every mask's F from one zeta-transformed table of
+subset sums over the 2**N column sets, then recomputes the float F of the
+few masks whose table value is within a stated rounding bound of the best,
+in lexicographic order. The scan walks the masks depth first, keeping only
+running maxima: one np.maximum per node of the mask tree and one sum per
+mask. The winning mask alone is labelled, by the running argmax that also
+labels the k >= N step.
 The exhaustive oracle scores one labelling per partition, the
 restricted-growth one (point 0 at label 0, each later point at most one
 above the largest label before it), sum_{j <= k} S(m, j) labellings instead
 of k**m. It returns the first of them in lexicographic order with the
 smallest float impurity and reports the largest float e among them (see
 exhaustive_oracle). masks_evaluated still counts the k**m assignments that
-the oracle's search covers, and the C(N, k) masks of the scan.
+the oracle's search covers, and the C(N, k) masks of the k < N search.
 Every function that takes k binds k = prob.check_k(k) first: a k that is
 not an int raises ValueError and a k below 1 KTooSmall, before any work.
 Any other k becomes a Python int, and the work is done with that int, so a
@@ -65,9 +70,10 @@ from .prob import (
     stats_from_pxz,
 )
 
-# work cap of the k < N mask scan, in point reads: C(N, k) masks over M
-# points cost C(N, k) * (M + 2048), 2048 points standing for one mask's
-# fixed cost; 2**32 took 6-12 s at the edges on a 2-CPU machine
+# work cap of the k < N mask search, in the scan's point reads: C(N, k)
+# masks over M points cost C(N, k) * (M + 2048), 2048 points standing for
+# one mask's fixed cost; at the edges of 2**32 the scan took 6-12 s on a
+# 2-CPU machine, and the coverage table, where it serves, under 0.2 s
 MASK_BUDGET = 1 << 32
 ORACLE_CAP = 2_000_000
 # work cap of the oracle's subset tables, in entry sums: 2**m subsets of N
@@ -77,6 +83,14 @@ ORACLE_TABLE_CAP = 1 << 32
 _ORACLE_BLOCK = 1 << 16
 _TABLE_CHUNK = 1 << 18
 _REFINE_BLOCK = 8192
+# the k < N coverage table's cost in the scan's point reads, fitted on flat
+# random data on a 2-CPU machine: a fixed _COVER_START, _COVER_READS per
+# joint entry and one per table entry and column; it holds 2**N floats, so
+# N is at most _COVER_BITS
+_COVER_START = 1 << 16
+_COVER_READS = 24
+_COVER_BITS = 20
+_COVER_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +144,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     each point's largest entry so far and its label, O(M) memory beside the
     joint and the k x n statistics of the result.
 
-    For k < n the scan maximizes the coverage F(S) = sum_x max_{j in S}
+    For k < n the search maximizes the coverage F(S) = sum_x max_{j in S}
     p(x, j) over the size-k class masks S, the facility-location objective
     (Cornuejols, Fisher & Nemhauser 1977), and returns P_S, each point
     assigned to its largest entry in S. The largest e over k-partitions
@@ -142,22 +156,31 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     masks with equal F but different e(P_S) are not told apart.
 
     Both branches fold the columns (all n of them for k >= n, the winning
-    mask's after the scan for k < n) one at a time through _fold, the one
-    running argmax and the one place that keeps the first maximum. A mask
-    costs O(M) plus a fixed cost the cap counts as 2048 points, so an
-    instance with C(n, k) * (M + 2048) above MASK_BUDGET raises
-    InstanceTooLarge, the refusal the oracle also uses, before any pass
-    over the joint. The k >= n step is not capped.
+    mask's after the search for k < n) one at a time through _fold, the one
+    running argmax and the one place that keeps the first maximum. The cap
+    counts the scan's cost: a mask costs O(M) plus a fixed cost counted as
+    2048 points, so an instance with C(n, k) * (M + 2048) above MASK_BUDGET
+    raises InstanceTooLarge, the refusal the oracle also uses, before any
+    pass over the joint, whichever search would run. The k >= n step is not
+    capped.
 
-    The masks are the leaves of a depth-first walk in lexicographic order
-    (see _best_mask): each tree node above the leaves keeps every point's
-    running maximum over its columns, one np.maximum per node, and each mask
-    takes one np.maximum of its last column onto its parent's maxima and one
-    sum of those, its F. No mask is labelled during the scan: the maxima
-    are exact, so folding the winner's columns afterwards gives the labels
-    its scan would have kept. Every mask is counted in masks_evaluated.
-    Each column read is contiguous in the column-major joint. Memory is k
-    rows of M floats, and no label rows.
+    _best_mask picks the search from the input's size. The coverage table
+    (_coverage_candidates) sorts each point's entries once and builds one
+    table of subset sums over the 2**n column sets, from which every mask's
+    F is one lookup: O(M n log n + n 2**n) work, memory the table and
+    row blocks of about 2**14 entries. Its values only propose candidates;
+    the float F of each candidate is recomputed as the scan computes it,
+    in lexicographic order (_first_best), so the winner is the scan's. The
+    scan (_scan_mask) visits the masks as the leaves of a depth-first walk
+    in lexicographic order: each tree node above the leaves keeps every
+    point's running maximum over its columns, one np.maximum per node, and
+    each mask takes one np.maximum of its last column onto its parent's
+    maxima and one sum of those, its F; its memory is k rows of M floats.
+    No mask is labelled during either search: the maxima are exact, so
+    folding the winner's columns afterwards gives the labels a scan would
+    have kept. masks_evaluated counts all C(n, k) masks, which both
+    searches cover. Each column read is contiguous in the column-major
+    joint.
     """
     k = check_k(k)
     n = jd.n_cols
@@ -184,6 +207,106 @@ def _best_mask(p: np.ndarray, k: int) -> tuple:
     """The first size-k column mask of p, in lexicographic order, whose
     float coverage F(S), the sum of each point's largest entry in S, is
     strictly the largest; k is below the column count.
+
+    Two searches find it, chosen from the input's size alone. The coverage
+    table (_coverage_candidates, then _first_best) costs about
+    _COVER_START + _COVER_READS * M N + N 2**N point reads and the scan
+    (_scan_mask) C(N, k) (M + 2048), the reads MASK_BUDGET counts; the
+    table runs when its cost is not the larger and N <= _COVER_BITS. When
+    its candidates would cost more to re-check, k columns each, than the
+    scan's C(N, k) masks, the scan runs after all: on all-tie inputs such
+    as identical columns every mask is a candidate.
+    """
+    m, n = p.shape
+    masks = math.comb(n, k)
+    if (n <= _COVER_BITS and _COVER_START + _COVER_READS * m * n + (n << n)
+            <= masks * (m + 2048)):
+        candidates = _coverage_candidates(p, k)
+        if len(candidates) * k <= masks:
+            return _first_best(p, candidates)
+    return _scan_mask(p, k)
+
+
+def _coverage_candidates(p: np.ndarray, k: int) -> np.ndarray:
+    """The size-k column masks of p that can hold the largest float
+    coverage, as the rows of a C x k array of columns in lexicographic
+    order.
+
+    A point whose entries sorted in decreasing order are v_1 >= ... >= v_N,
+    v_{N+1} = 0, with T_r its top r columns, has its largest entry in S
+    equal to the sum of v_r - v_{r+1} over the r whose T_r meets S. So
+    F(S) = total - G(U), where U is the complement of S, total the sum of
+    every point's v_1, and G(U) = sum over T inside U of h(T), h(T) the sum
+    of the differences v_r - v_{r+1} of the (point, r) with T_r = T; only
+    r <= N - k can have T_r inside U. The rows are sorted in blocks of
+    about _COVER_BLOCK entries, or 2**N / 4 so that adding up the blocks'
+    2**N-entry tables costs at most 4 per joint entry, and each block's
+    differences are bincounted onto the bitmasks of their T_r; Yates' zeta
+    transform (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007) then
+    gives G for all 2**N subsets. O(M N log N + N 2**N) work; memory is
+    the 2**N table and a few block-sized arrays.
+
+    The table only proposes masks. All its terms are nonnegative, so a
+    float sum of them along an addition tree of height h is within
+    gamma_h = h u / (1 - h u) of the exact sum, relative, with u = 2**-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2). A term
+    of G meets one rounding in its difference, at most one per row of its
+    block in the bincount, one per block and N in the transform, height
+    M + N + 2 at most; the float F of a mask, numpy's pairwise sum of M
+    entries, has height below M. Both errors are at most their gamma times
+    total, so the float winner's G lies within 2 delta of the smallest G,
+    delta = (2M + N + 2) 2**-52 total bounding gamma_M + gamma_{M+N+2}
+    with room for total's own rounding. Every mask within 2 delta is a
+    candidate, and every mask with the winner's float F is among them.
+    """
+    m, n = p.shape
+    keep = n - k
+    table = np.zeros(1 << n)
+    total = 0.0
+    bit = 1 << np.arange(n, dtype=np.int64)
+    rows = max(_COVER_BLOCK, (1 << n) >> 2) // n
+    for lo in range(0, m, rows):
+        block = p[lo:lo + rows]
+        order = np.argsort(np.negative(block), axis=1)[:, :keep + 1]
+        top = np.take_along_axis(block, order, axis=1)
+        total += float(top[:, 0].sum())
+        tops = np.cumsum(bit[order[:, :keep]], axis=1)
+        table += np.bincount(tops.ravel(), (top[:, :-1] - top[:, 1:]).ravel(),
+                             minlength=1 << n)
+    for i in range(n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 1] += pairs[:, 0]
+    # sizes[U] is the number of columns in U
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])
+    complements = np.flatnonzero(sizes == keep)
+    g = table[complements]
+    delta = (2 * m + n + 2) * 2.0 ** -52 * total
+    candidates = ((1 << n) - 1) ^ complements[g <= g.min() + 2 * delta]
+    cols = np.nonzero((candidates[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
+    return cols[np.lexsort(cols.T[::-1])]
+
+
+def _first_best(p: np.ndarray, candidates: np.ndarray) -> tuple:
+    """The first of the candidate masks, taken in order, whose float
+    coverage is strictly the largest. Each coverage is the 1-D sum of a
+    contiguous vector of each point's largest entry in the mask, the vector
+    and the sum that _scan_mask takes, so it has the scan's bits."""
+    covered = np.empty(p.shape[0])
+    best_f, best = -math.inf, None
+    for mask in candidates.tolist():
+        np.copyto(covered, p[:, mask[0]])
+        for j in mask[1:]:
+            np.maximum(covered, p[:, j], out=covered)
+        coverage = float(covered.sum())
+        if coverage > best_f:
+            best_f, best = coverage, tuple(mask)
+    return best
+
+
+def _scan_mask(p: np.ndarray, k: int) -> tuple:
+    """_best_mask by a scan of all C(N, k) masks.
 
     A loop walks the masks' tree depth first: a node at depth d is a
     prefix of d + 1 columns, and row d of `chosen` holds every point's

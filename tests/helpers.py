@@ -202,19 +202,26 @@ def likelihood_reference(jd, k, f):
     F(S), and the first mask with the largest F wins. Its points go to their
     argmax column in the mask, and e_max_achieved is that partition's e.
     """
-    p = jd.p
-    best_f = -math.inf
-    best_assignment = None
-    masks = 0
-    for cols in itertools.combinations(range(jd.n_cols), k):
-        sub = p[:, list(cols)]
-        coverage = float(sub.max(axis=1).sum())
-        if coverage > best_f:
-            best_f = coverage
-            best_assignment = np.argmax(sub, axis=1)
-        masks += 1
+    best, masks = best_mask_reference(jd.p, k)
+    best_assignment = np.argmax(jd.p[:, list(best)], axis=1)
     stats = compute_stats(jd, Partition(best_assignment, k), f)
     return best_assignment, stats.e_q, masks
+
+
+def best_mask_reference(p, k):
+    """(mask, masks visited): the first size-k column mask of p, in
+    lexicographic order, with the largest float coverage F(S), each mask's
+    columns copied and each point's largest entry among them summed."""
+    best_f = -math.inf
+    best = None
+    masks = 0
+    for cols in itertools.combinations(range(p.shape[1]), k):
+        coverage = float(p[:, list(cols)].max(axis=1).sum())
+        if coverage > best_f:
+            best_f = coverage
+            best = cols
+        masks += 1
+    return best, masks
 
 
 def likelihood_e_reference(jd, k, f):

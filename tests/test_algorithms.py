@@ -39,6 +39,7 @@ from helpers import (
     admit,
     all_assignment_e_values,
     all_assignment_impurities,
+    best_mask_reference,
     divergence_reference,
     dyadic_joint,
     greedy_reference,
@@ -161,8 +162,8 @@ class TestMaxLikelihoodPartition:
         jd = build_joint(np.ones((3, 2)))
         with pytest.raises(KTooSmall):
             max_likelihood_partition(jd, 0, ENT)
-        # one point past the work budget: refused before the scan starts, so
-        # a scan that raises Admitted is never reached
+        # one point past the work budget: refused before the mask search
+        # starts, so a search that raises Admitted is never reached
         m, n, k = 21199, 20, 10
         assert math.comb(n, k) * (m + 2048) > MASK_BUDGET
         wide = random_joint(np.random.default_rng(43), m, n)
@@ -173,8 +174,10 @@ class TestMaxLikelihoodPartition:
             max_likelihood_partition(wide, k, ENT)
 
     def test_budget_edge_is_admitted(self, monkeypatch):
-        # C(20, 10) * (21198 + 2048) <= 2**32: the scan starts; it would
-        # take several seconds, so it is stopped before its first mask
+        # C(20, 10) * (21198 + 2048) <= 2**32: the mask search starts, and
+        # is stopped before it reads the joint; only the admission is under
+        # test (the coverage table serves this edge in about 0.05 s, the
+        # scan would take several seconds)
         m, n, k = 21198, 20, 10
         assert math.comb(n, k) * (m + 2048) <= MASK_BUDGET
         jd = random_joint(np.random.default_rng(46), m, n)
@@ -900,8 +903,9 @@ class TestExhaustiveOracle:
 
 
 class TestExactSearchReference:
-    """The prefix-shared mask scan and the subset-table oracle against the
-    per-candidate loops of tests/helpers: equal bit for bit."""
+    """The k < N mask search, coverage table or scan as _best_mask picks,
+    and the subset-table oracle against the per-candidate loops of
+    tests/helpers: equal bit for bit."""
 
     @staticmethod
     def check(res, jd, k, spec, reference):
@@ -1053,13 +1057,12 @@ class TestCoverageRule:
             differ += res.partition.assignment.tolist() != assignment.tolist()
         return differ
 
-    def test_dyadic_inputs_agree_bitwise(self):
-        # counts padded to a power-of-two total in the last class: every mass
-        # and sum is exact. Small counts, many zeros and one class per row
-        # make a point's best column often lie outside a mask, where the two
-        # rules can pick different masks
-        rng = np.random.default_rng(71)
-        differ = 0
+    @staticmethod
+    def tied_instances(rng):
+        """Counts padded to a power-of-two total in the last class: every
+        mass and sum is exact. Small counts, many zeros and one class per
+        row make a point's best column often lie outside a mask, where the
+        two rules can pick different masks, and make many masks tie."""
         for case in range(24):
             m, n = int(rng.integers(3, 40)), int(rng.integers(3, 8))
             counts = rng.integers(0, 3, size=(m, n)).astype(float)
@@ -1071,8 +1074,11 @@ class TestCoverageRule:
             counts[counts.sum(axis=1) == 0.0, 0] = 1.0
             total = counts.sum()
             counts[0, -1] += 2.0 ** math.ceil(math.log2(total)) - total
-            differ += self.compare(build_joint(counts), exact=True)
-        assert differ > 0
+            yield build_joint(counts)
+
+    def test_dyadic_inputs_agree_bitwise(self):
+        rng = np.random.default_rng(71)
+        assert sum(self.compare(jd, exact=True) for jd in self.tied_instances(rng)) > 0
 
     def test_reference_grids_and_continuous_data_agree(self):
         rng = np.random.default_rng(72)
@@ -1084,9 +1090,9 @@ class TestCoverageRule:
 
 
 class TestMaskScanPruning:
-    """The k < N scan on flat, skewed and tied data, the inputs on which a
+    """The k < N search on flat, skewed and tied data, the inputs on which a
     per-mask pruning rule would prune nothing, something or only ties, and
-    its memory: every mask is scanned, and results equal
+    its memory: whichever search _best_mask picks, results equal
     tests/helpers.likelihood_reference bit for bit."""
 
     @staticmethod
@@ -1157,13 +1163,116 @@ class TestMaskScanPruning:
     def test_memory_is_k_columns(self):
         # k running maxima and about 5 more vectors of M floats; a label row
         # per depth, a copy of p or of the mask's columns would exceed the
-        # bound
+        # bound. k = 4 and 6 take the coverage table, built in row blocks:
+        # an M x N sort order would exceed it
         rng = np.random.default_rng(69)
         m, n = 20000, 12
         jd = random_joint(rng, m, n)
-        for k in (2, 3, 6):
+        for k in (2, 3, 4, 6):
             peak, _ = peak_bytes(lambda: max_likelihood_partition(jd, k, GINI))
             assert peak <= (k + 6) * 8 * m
+
+
+class TestMaskSearches:
+    """The coverage table and the depth-first scan, each called directly,
+    against tests/helpers.best_mask_reference bit for bit, and the rule by
+    which _best_mask picks one of them."""
+
+    @staticmethod
+    def check_both(p, k):
+        expected, _ = best_mask_reference(p, k)
+        assert algorithms._scan_mask(p, k) == expected
+        candidates = algorithms._coverage_candidates(p, k)
+        assert algorithms._first_best(p, candidates) == expected
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("the other search must run")
+
+    def test_reference_instances(self):
+        rng = np.random.default_rng(57)
+        for jd in TestExactSearchReference.instances(rng, (5, 120), (3, 11)):
+            for k in range(1, jd.n_cols):
+                self.check_both(jd.p, k)
+
+    def test_ties_and_near_ties(self):
+        rng = np.random.default_rng(71)
+        for jd in TestCoverageRule.tied_instances(rng):
+            for k in range(1, jd.n_cols):
+                self.check_both(jd.p, k)
+        # F(0, 1) and F(0, 2) differ by 2**-53 either way
+        for delta in (2.0 ** -53, -2.0 ** -53):
+            jd = TestMaskScanPruning.one_class_per_row(
+                [0.25, 0.125, 0.125, 0.25, 0.125, 0.125 + delta])
+            for k in (1, 2):
+                self.check_both(jd.p, k)
+        # columns that permute one vector's rows: every F ties exactly, but
+        # the float sums differ in their last bits, and the table's sums
+        # round otherwise than numpy's pairwise sum; without the rounding
+        # bound the table proposes another column than the first largest
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            column = rng.random(1000)
+            p = build_joint(np.stack([rng.permutation(column)
+                                      for _ in range(6)], axis=1)).p
+            for k in (1, 5):
+                self.check_both(p, k)
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_table_serves_the_certify_shape(self, monkeypatch, k):
+        # 5000 x 12 counts floor(1000 U**4), as the certify benchmark draws
+        rng = np.random.default_rng(80)
+        counts = np.floor(1000.0 * rng.random((5000, 12)) ** 4)
+        counts[counts.sum(axis=1) == 0.0, 0] = 1.0
+        jd = build_joint(counts)
+        expected = likelihood_reference(jd, k, GINI)
+        monkeypatch.setattr(algorithms, "_scan_mask", self.refuse)
+        res = max_likelihood_partition(jd, k, GINI)
+        TestExactSearchReference.check(res, jd, k, GINI, expected)
+
+    @pytest.mark.parametrize("k", [1, 11])
+    def test_scan_serves_one_and_n_minus_one_on_a_tall_input(self, monkeypatch, k):
+        # 12 masks: the table's sort of 50000 x 12 entries would cost more
+        jd = random_joint(np.random.default_rng(81), 50000, 12)
+        monkeypatch.setattr(algorithms, "_coverage_candidates", self.refuse)
+        TestMaskScanPruning.scan(jd, k)
+
+    def test_scan_serves_past_the_table_column_limit(self, monkeypatch):
+        # C(21, 10) masks of 30 points: by cost the table would serve, as it
+        # does once the limit admits 21 columns, but it would hold 2**21
+        # floats
+        n = algorithms._COVER_BITS + 1
+        jd = random_joint(np.random.default_rng(82), 30, n)
+        monkeypatch.setattr(algorithms, "_scan_mask", self.refuse)
+        monkeypatch.setattr(algorithms, "_coverage_candidates", admit)
+        monkeypatch.setattr(algorithms, "_COVER_BITS", n)
+        with pytest.raises(Admitted):
+            max_likelihood_partition(jd, 10, ENT)
+        monkeypatch.undo()
+        monkeypatch.setattr(algorithms, "_coverage_candidates", self.refuse)
+        monkeypatch.setattr(algorithms, "_scan_mask", admit)
+        with pytest.raises(Admitted):
+            max_likelihood_partition(jd, 10, ENT)
+
+    def test_scan_serves_identical_columns(self, monkeypatch):
+        # every mask ties, so every mask is a candidate, and re-checking k
+        # columns for each would cost more than the scan
+        rng = np.random.default_rng(83)
+        jd = build_joint(np.tile(rng.random((3000, 1)), (1, 12)))
+        sizes = []
+        table = algorithms._coverage_candidates
+
+        def counted(p, k):
+            candidates = table(p, k)
+            sizes.append(len(candidates))
+            return candidates
+
+        monkeypatch.setattr(algorithms, "_coverage_candidates", counted)
+        monkeypatch.setattr(algorithms, "_first_best", self.refuse)
+        for k in (5, 6, 7):
+            res = TestMaskScanPruning.scan(jd, k)
+            assert res.partition.assignment.tolist() == [0] * 3000
+        assert sizes == [math.comb(12, k) for k in (5, 6, 7)]
 
 
 class TestApproximationGuarantee:

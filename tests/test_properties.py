@@ -26,9 +26,10 @@ from impuritypart import (
     max_likelihood_partition,
     upper_bound,
 )
+from impuritypart import algorithms
 from impuritypart.algorithms import split_states
 
-from helpers import leq, stats_reference
+from helpers import best_mask_reference, leq, stats_reference
 
 SPECS = st.sampled_from([entropy_spec(), gini_spec()])
 PROPERTY = settings(max_examples=60, derandomize=True, database=None,
@@ -53,6 +54,29 @@ def tiled_joints(draw):
     rows put every member of a group on the same side of a split threshold."""
     jd = draw(joints(max_m=5))
     return build_joint(np.tile(jd.p, (draw(st.integers(1, 3)), 1)))
+
+
+@st.composite
+def tied_joints(draw):
+    """A tie-heavy joint with up to 14 classes: counts in [0, 3], some
+    columns copies of others or all zero, some rows one-hot, and a last
+    one-hot row that pads the total to a power of two, so every mass and
+    every sum of them is exact and equal coverages tie exactly."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 14))
+    cells = st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)
+    counts = np.array(draw(cells), dtype=float).reshape(m, n)
+    column = st.integers(0, n - 1)
+    for row in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        counts[row, np.arange(n) != draw(column)] = 0.0
+    for source, copy in draw(st.lists(st.tuples(column, column), max_size=4)):
+        counts[:, copy] = counts[:, source]
+    counts[:, draw(st.lists(column, max_size=n - 1))] = 0.0
+    counts[counts.sum(axis=1) == 0.0, draw(column)] = 1.0
+    total = counts.sum()
+    pad = np.zeros((1, n))
+    pad[0, draw(column)] = 2.0 ** int(np.ceil(np.log2(total))) - total
+    return build_joint(np.vstack([counts, pad]) if pad.any() else counts)
 
 
 def trace_impurities(result):
@@ -131,3 +155,14 @@ def test_every_split_round_adds_a_nonempty_label(jd, spec):
     # alone, repeats the last partition
     assert nonempty[:-1] == list(range(nonempty[0], nonempty[0] + len(states) - 1))
     assert nonempty[-1] == nonempty[-2] == m
+
+
+@settings(PROPERTY, max_examples=40)
+@given(jd=tied_joints())
+def test_both_mask_searches_equal_the_reference_on_ties(jd):
+    p = jd.p
+    for k in range(1, jd.n_cols):
+        expected, _ = best_mask_reference(p, k)
+        assert algorithms._scan_mask(p, k) == expected
+        candidates = algorithms._coverage_candidates(p, k)
+        assert algorithms._first_best(p, candidates) == expected
