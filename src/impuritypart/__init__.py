@@ -46,7 +46,7 @@ from .errors import (
     ZeroRow,
     ZeroTotal,
 )
-from .impurity import ImpuritySpec, custom_spec, entropy_spec, gini_spec
+from .impurity import ImpuritySpec, entropy_spec, gini_spec
 from .ingestion import emit, ingest
 from .prob import (
     JointDistribution,
@@ -89,7 +89,6 @@ __all__ = [
     "boyd_chiang_bound",
     "build_joint",
     "compute_stats",
-    "custom_spec",
     "emit",
     "entropy_spec",
     "exhaustive_oracle",

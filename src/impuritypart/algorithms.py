@@ -5,15 +5,14 @@ lowest index, candidate class masks are visited in lexicographic order, and
 accumulation follows row order. Results therefore reproduce bit-for-bit. The
 k < N likelihood step keeps the first mask whose float coverage F(S), the sum
 of each point's largest entry in the mask, is strictly the largest, and
-reports the e of that mask's partition (see max_likelihood_partition). Two
-searches find that mask, chosen from the input's size (see _best_mask). The
-coverage table reads every mask's F from one zeta-transformed table of
-subset sums over the 2**N column sets, then recomputes the float F of the
-few masks whose table value is within a stated rounding bound of the best,
-in lexicographic order. The scan walks the masks depth first, keeping only
-running maxima: one np.maximum per node of the mask tree and one sum per
-mask. The winning mask alone is labelled, by the running argmax that also
-labels the k >= N step.
+reports the e of that mask's partition (see max_likelihood_partition). One
+walk computes every float F (_scan_mask): it visits masks in lexicographic
+order, depth first, keeping only running maxima, one np.maximum per node of
+the mask tree and one sum per mask. It walks either every mask or the few
+whose value in one zeta-transformed table of subset sums over the 2**N
+column sets is within a stated rounding bound of the best, chosen from the
+input's size (see _best_mask). The winning mask alone is labelled, by the
+running argmax that also labels the k >= N step.
 The exhaustive oracle scores one labelling per partition, the
 restricted-growth one (point 0 at label 0, each later point at most one
 above the largest label before it), sum_{j <= k} S(m, j) labellings instead
@@ -47,6 +46,7 @@ statistics from the updated rows, and is bitwise equal to recomputing them
 from scratch. Every AlgoResult is built by _result.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -164,23 +164,23 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     pass over the joint, whichever search would run. The k >= n step is not
     capped.
 
-    _best_mask picks the search from the input's size. The coverage table
-    (_coverage_candidates) sorts each point's entries once and builds one
-    table of subset sums over the 2**n column sets, from which every mask's
-    F is one lookup: O(M n log n + n 2**n) work, memory the table and
-    row blocks of about 2**14 entries. Its values only propose candidates;
-    the float F of each candidate is recomputed as the scan computes it,
-    in lexicographic order (_first_best), so the winner is the scan's. The
-    scan (_scan_mask) visits the masks as the leaves of a depth-first walk
-    in lexicographic order: each tree node above the leaves keeps every
-    point's running maximum over its columns, one np.maximum per node, and
-    each mask takes one np.maximum of its last column onto its parent's
-    maxima and one sum of those, its F; its memory is k rows of M floats.
-    No mask is labelled during either search: the maxima are exact, so
-    folding the winner's columns afterwards gives the labels a scan would
-    have kept. masks_evaluated counts all C(n, k) masks, which both
-    searches cover. Each column read is contiguous in the column-major
-    joint.
+    One walk (_scan_mask) computes the float F of the masks it visits, as
+    the leaves of a depth-first walk in lexicographic order: each tree
+    node above the leaves keeps every point's running maximum over its
+    columns, one np.maximum per node, and each mask takes one np.maximum
+    of its last column onto its parent's maxima and one sum of those, its
+    F; its memory is k rows of M floats. _best_mask picks, from the
+    input's size, whether it walks every mask or the candidates of the
+    coverage table (_coverage_candidates), which sorts each point's
+    entries once and builds one table of subset sums over the 2**n column
+    sets, from which every mask's F is one lookup: O(M n log n + n 2**n)
+    work, memory the table and row blocks of about 2**14 entries. The
+    table's values only propose candidates, and the walk over them gives
+    the winner the walk over every mask gives. No mask is labelled during
+    the walk: the maxima are exact, so folding the winner's columns
+    afterwards gives the labels a scan would have kept. masks_evaluated
+    counts all C(n, k) masks, which both walks cover. Each column read is
+    contiguous in the column-major joint.
     """
     k = check_k(k)
     n = jd.n_cols
@@ -208,23 +208,21 @@ def _best_mask(p: np.ndarray, k: int) -> tuple:
     float coverage F(S), the sum of each point's largest entry in S, is
     strictly the largest; k is below the column count.
 
-    Two searches find it, chosen from the input's size alone. The coverage
-    table (_coverage_candidates, then _first_best) costs about
-    _COVER_START + _COVER_READS * M N + N 2**N point reads and the scan
-    (_scan_mask) C(N, k) (M + 2048), the reads MASK_BUDGET counts; the
-    table runs when its cost is not the larger and N <= _COVER_BITS. When
-    its candidates would cost more to re-check, k columns each, than the
-    scan's C(N, k) masks, the scan runs after all: on all-tie inputs such
-    as identical columns every mask is a candidate.
+    _scan_mask walks either every mask or the candidates of the coverage
+    table (_coverage_candidates), chosen from the input's size alone. The
+    table costs about _COVER_START + _COVER_READS * M N + N 2**N point
+    reads and the walk over every mask C(N, k) (M + 2048), the reads
+    MASK_BUDGET counts; the table runs when its cost is not the larger and
+    N <= _COVER_BITS. Walking its candidates never costs more than walking
+    every mask, even on all-tie inputs such as identical columns, where
+    every mask is a candidate.
     """
     m, n = p.shape
-    masks = math.comb(n, k)
+    candidates = None
     if (n <= _COVER_BITS and _COVER_START + _COVER_READS * m * n + (n << n)
-            <= masks * (m + 2048)):
+            <= math.comb(n, k) * (m + 2048)):
         candidates = _coverage_candidates(p, k)
-        if len(candidates) * k <= masks:
-            return _first_best(p, candidates)
-    return _scan_mask(p, k)
+    return _scan_mask(p, k, candidates)
 
 
 def _coverage_candidates(p: np.ndarray, k: int) -> np.ndarray:
@@ -288,58 +286,57 @@ def _coverage_candidates(p: np.ndarray, k: int) -> np.ndarray:
     return cols[np.lexsort(cols.T[::-1])]
 
 
-def _first_best(p: np.ndarray, candidates: np.ndarray) -> tuple:
-    """The first of the candidate masks, taken in order, whose float
-    coverage is strictly the largest. Each coverage is the 1-D sum of a
-    contiguous vector of each point's largest entry in the mask, the vector
-    and the sum that _scan_mask takes, so it has the scan's bits."""
-    covered = np.empty(p.shape[0])
-    best_f, best = -math.inf, None
-    for mask in candidates.tolist():
-        np.copyto(covered, p[:, mask[0]])
-        for j in mask[1:]:
-            np.maximum(covered, p[:, j], out=covered)
-        coverage = float(covered.sum())
-        if coverage > best_f:
-            best_f, best = coverage, tuple(mask)
-    return best
+def _scan_mask(p: np.ndarray, k: int,
+               candidates: Optional[np.ndarray] = None) -> tuple:
+    """The first of the size-k masks, walked in lexicographic order, whose
+    float coverage is strictly the largest: every mask when `candidates`
+    is None, else the rows of the lexicographically sorted C x k array
+    `candidates`.
 
-
-def _scan_mask(p: np.ndarray, k: int) -> tuple:
-    """_best_mask by a scan of all C(N, k) masks.
-
-    A loop walks the masks' tree depth first: a node at depth d is a
-    prefix of d + 1 columns, and row d of `chosen` holds every point's
-    largest entry among them. When the walk moves to the next prefix of
-    k - 1 columns, it recomputes the rows from the first depth that moved.
-    The masks below a prefix take its last row and one more column each,
-    so every mask costs one np.maximum and one contiguous 1-D sum.
+    The walk groups the masks by their prefix, their first k - 1 columns:
+    every prefix of k - 1 of the first N - 1 columns, whose masks end in
+    each later column, or the runs of candidate rows with equal prefixes.
+    Row d of `chosen` holds every point's largest entry among the prefix's
+    first d + 1 columns, and a new prefix recomputes the rows from the
+    first depth where it differs from the prefix before. Each mask then
+    costs one np.maximum of its last column onto the prefix's row and one
+    contiguous 1-D sum, its F. Between two candidate prefixes the walk
+    recomputes no more rows than the walk over every mask, so walking the
+    candidates never costs more np.maximum calls than walking every mask.
     """
     m, n = p.shape
     columns = [p[:, j] for j in range(n)]
+    if candidates is None:
+        groups = ((prefix, range(prefix[-1] + 1 if prefix else 0, n))
+                  for prefix in itertools.combinations(range(n - 1), k - 1))
+    else:
+        # a group starts where a row's prefix differs from the row before
+        starts = np.flatnonzero(
+            (candidates[1:, :-1] != candidates[:-1, :-1]).any(axis=1)) + 1
+        edges = [0, *starts.tolist(), len(candidates)]
+        lasts = candidates[:, -1].tolist()
+        groups = zip(candidates[edges[:-1], :-1].tolist(),
+                     (lasts[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])))
     chosen = np.empty((k, m))
     last = chosen[k - 1]
-    prefix = list(range(k - 1))
-    # the first depth of the prefix whose row is stale
-    depth = 0
+    # no column is -1, so the first prefix recomputes every row
+    previous = [-1] * (k - 1)
     best_f, best = -math.inf, None
-    while True:
+    for prefix, ends in groups:
+        depth = 0
+        while depth < k - 1 and prefix[depth] == previous[depth]:
+            depth += 1
         for d in range(depth, k - 1):
             np.maximum(chosen[d - 1] if d else -np.inf, columns[prefix[d]],
                        out=chosen[d])
         above = chosen[k - 2] if k > 1 else -np.inf
-        for j in range(prefix[-1] + 1 if prefix else 0, n):
+        for j in ends:
             np.maximum(above, columns[j], out=last)
             coverage = float(last.sum())
             if coverage > best_f:
                 best_f, best = coverage, (*prefix, j)
-        # the next prefix moves its deepest column that can still move
-        depth = k - 2
-        while depth >= 0 and prefix[depth] == n - k + depth:
-            depth -= 1
-        if depth < 0:
-            return best
-        prefix[depth:] = range(prefix[depth] + 1, prefix[depth] + k - depth)
+        previous = prefix
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,7 +670,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     global maximum e over all k**m assignments, and masks_evaluated counts
     those k**m assignments, the ones the search covers. Refuses instances
     with k**m above ORACLE_CAP by raising InstanceTooLarge, the refusal the
-    mask scan of max_likelihood_partition also uses, before any work; k == 1
+    mask search of max_likelihood_partition also uses, before any work; k == 1
     is never refused. When tables would be built, 2**m * N above
     ORACLE_TABLE_CAP raises InstanceTooLarge too, before the tables.
 

@@ -102,9 +102,10 @@ class KNotLessThanN(ImpurityPartError, ValueError):
 class InstanceTooLarge(ImpurityPartError, ValueError):
     """An exact search is too large to run; refused before any work.
 
-    Raised by the mask scan of max_likelihood_partition (k < n) when
-    C(n, k) * (M + 2048) exceeds MASK_BUDGET, and by exhaustive_oracle when
-    k**m exceeds ORACLE_CAP or 2**m * N exceeds ORACLE_TABLE_CAP.
+    Raised by the k < n mask search of max_likelihood_partition, whichever
+    search would run, when C(n, k) * (M + 2048) exceeds MASK_BUDGET, and
+    by exhaustive_oracle when k**m exceeds ORACLE_CAP or 2**m * N exceeds
+    ORACLE_TABLE_CAP.
     """
 
 

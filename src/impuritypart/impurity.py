@@ -158,15 +158,3 @@ def entropy_spec() -> ImpuritySpec:
 def gini_spec() -> ImpuritySpec:
     """Gini impurity: f(x) = x*(1-x), l(x) = 1-x."""
     return ImpuritySpec(_gini_f)
-
-
-def custom_spec(f: Callable[[float], float]) -> ImpuritySpec:
-    """Wrap a user-supplied concave f; its companion is l(x) = f(x) / x.
-
-    The same as ImpuritySpec(f), which derives the kind and spot-checks f
-    at construction (see ImpuritySpec): ConcavityViolation names the first
-    sampled triple that shows f is not concave or not finite, and
-    ConvexityViolation the first that shows f(x)/x is not convex. The kind
-    is "custom" unless f is the entropy or Gini f itself.
-    """
-    return ImpuritySpec(f)

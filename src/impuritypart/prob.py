@@ -110,7 +110,7 @@ class JointDistribution:
     total is 1 within 1e-9, every row mass is positive, and N >= 2.
 
     `p` is stored column-major (Fortran order), so each class column p[:, i]
-    is contiguous: every pass over the joint (aggregate, the mask scan, the
+    is contiguous: every pass over the joint (aggregate, the mask walk, the
     refine centroids) reads it one column at a time. The total and the row
     masses are summed over the input in C order before that copy, so their
     bits do not depend on the stored layout. A C-ordered float input is

@@ -210,18 +210,23 @@ def likelihood_reference(jd, k, f):
 
 def best_mask_reference(p, k):
     """(mask, masks visited): the first size-k column mask of p, in
-    lexicographic order, with the largest float coverage F(S), each mask's
-    columns copied and each point's largest entry among them summed."""
+    lexicographic order, with the largest float coverage F(S)."""
+    masks = list(itertools.combinations(range(p.shape[1]), k))
+    return first_best_reference(p, masks), len(masks)
+
+
+def first_best_reference(p, masks):
+    """The first of `masks`, taken in order, with strictly the largest float
+    coverage F(S), each mask's columns copied and each point's largest
+    entry among them summed."""
     best_f = -math.inf
     best = None
-    masks = 0
-    for cols in itertools.combinations(range(p.shape[1]), k):
+    for cols in masks:
         coverage = float(p[:, list(cols)].max(axis=1).sum())
         if coverage > best_f:
             best_f = coverage
-            best = cols
-        masks += 1
-    return best, masks
+            best = tuple(cols)
+    return best
 
 
 def likelihood_e_reference(jd, k, f):

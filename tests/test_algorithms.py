@@ -13,6 +13,7 @@ from impuritypart import (
     MASK_BUDGET,
     ORACLE_CAP,
     DimensionMismatch,
+    ImpuritySpec,
     InstanceTooLarge,
     KNotGreaterThanN,
     KNotLessThanN,
@@ -21,7 +22,6 @@ from impuritypart import (
     approximation_ratio,
     build_joint,
     compute_stats,
-    custom_spec,
     entropy_spec,
     exhaustive_oracle,
     gini_spec,
@@ -42,6 +42,7 @@ from helpers import (
     best_mask_reference,
     divergence_reference,
     dyadic_joint,
+    first_best_reference,
     greedy_reference,
     leq,
     likelihood_e_reference,
@@ -57,7 +58,7 @@ from helpers import (
 
 ENT = entropy_spec()
 GINI = gini_spec()
-SQRT = custom_spec(lambda x: math.sqrt(x) - x)
+SQRT = ImpuritySpec(lambda x: math.sqrt(x) - x)
 
 
 def trace_impurities(result):
@@ -672,7 +673,7 @@ class TestIterativeRefine:
     def test_custom_impurity_matches_gini_behavior(self):
         # the generic divergence ranks centroids like the squared distance
         # when f is the Gini function, so the refinements agree
-        custom = custom_spec(lambda x: x * (1.0 - x))
+        custom = ImpuritySpec(lambda x: x * (1.0 - x))
         rng = np.random.default_rng(57)
         for _ in range(5):
             jd = random_joint(rng, 10, 3)
@@ -1174,20 +1175,36 @@ class TestMaskScanPruning:
 
 
 class TestMaskSearches:
-    """The coverage table and the depth-first scan, each called directly,
-    against tests/helpers.best_mask_reference bit for bit, and the rule by
-    which _best_mask picks one of them."""
+    """The depth-first walk over every mask and over the coverage table's
+    candidates, called directly, against tests/helpers' references bit for
+    bit, and the rule by which _best_mask picks which masks it walks."""
 
     @staticmethod
     def check_both(p, k):
         expected, _ = best_mask_reference(p, k)
         assert algorithms._scan_mask(p, k) == expected
         candidates = algorithms._coverage_candidates(p, k)
-        assert algorithms._first_best(p, candidates) == expected
+        assert algorithms._scan_mask(p, k, candidates) == expected
 
     @staticmethod
     def refuse(*args):
         raise AssertionError("the other search must run")
+
+    @staticmethod
+    def table_walks(monkeypatch):
+        """Refuse the walk over every mask, and record the candidate count
+        of each walk over the table's candidates."""
+        walk = algorithms._scan_mask
+        calls = []
+
+        def counted(p, k, candidates=None):
+            if candidates is None:
+                raise AssertionError("the table's candidates must be walked")
+            calls.append(len(candidates))
+            return walk(p, k, candidates)
+
+        monkeypatch.setattr(algorithms, "_scan_mask", counted)
+        return calls
 
     def test_reference_instances(self):
         rng = np.random.default_rng(57)
@@ -1226,9 +1243,10 @@ class TestMaskSearches:
         counts[counts.sum(axis=1) == 0.0, 0] = 1.0
         jd = build_joint(counts)
         expected = likelihood_reference(jd, k, GINI)
-        monkeypatch.setattr(algorithms, "_scan_mask", self.refuse)
+        calls = self.table_walks(monkeypatch)
         res = max_likelihood_partition(jd, k, GINI)
         TestExactSearchReference.check(res, jd, k, GINI, expected)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("k", [1, 11])
     def test_scan_serves_one_and_n_minus_one_on_a_tall_input(self, monkeypatch, k):
@@ -1254,25 +1272,45 @@ class TestMaskSearches:
         with pytest.raises(Admitted):
             max_likelihood_partition(jd, 10, ENT)
 
-    def test_scan_serves_identical_columns(self, monkeypatch):
-        # every mask ties, so every mask is a candidate, and re-checking k
-        # columns for each would cost more than the scan
+    def test_table_candidates_serve_identical_columns(self, monkeypatch):
+        # every mask ties, so every mask is a candidate; they are walked
+        # once, as the walk over every mask would walk them, and no second
+        # search runs
         rng = np.random.default_rng(83)
         jd = build_joint(np.tile(rng.random((3000, 1)), (1, 12)))
-        sizes = []
-        table = algorithms._coverage_candidates
-
-        def counted(p, k):
-            candidates = table(p, k)
-            sizes.append(len(candidates))
-            return candidates
-
-        monkeypatch.setattr(algorithms, "_coverage_candidates", counted)
-        monkeypatch.setattr(algorithms, "_first_best", self.refuse)
+        calls = self.table_walks(monkeypatch)
         for k in (5, 6, 7):
             res = TestMaskScanPruning.scan(jd, k)
             assert res.partition.assignment.tolist() == [0] * 3000
-        assert sizes == [math.comb(12, k) for k in (5, 6, 7)]
+        assert calls == [math.comb(12, k) for k in (5, 6, 7)]
+
+    @staticmethod
+    def ordered_subsets(rng, n, k):
+        """Lexicographically ordered subsets of the size-k masks of n
+        columns: random ones, one mask per prefix, and one whose
+        consecutive prefixes differ at every depth."""
+        masks = list(itertools.combinations(range(n), k))
+        for _ in range(3):
+            keep = rng.random(len(masks)) < rng.random()
+            keep[rng.integers(len(masks))] = True
+            yield [mask for mask, kept in zip(masks, keep) if kept]
+        yield list({mask[:-1]: mask for mask in masks}.values())
+        yield [tuple(range(start, start + k)) for start in range(n - k + 1)]
+
+    def test_walk_over_ordered_subsets_equals_the_reference(self):
+        rng = np.random.default_rng(84)
+        inputs = [random_joint(rng, 40, n).p for n in (2, 3, 5, 7)]
+        tied = TestCoverageRule.tied_instances(rng)
+        inputs += [jd.p for jd in itertools.islice(tied, 8)]
+        # copied columns: masks tie exactly
+        inputs.append(build_joint(np.tile(rng.random((50, 2)), (1, 3))).p)
+        for p in inputs:
+            n = p.shape[1]
+            for k in range(1, n):
+                for masks in self.ordered_subsets(rng, n, k):
+                    candidates = np.array(masks, dtype=np.int64)
+                    assert (algorithms._scan_mask(p, k, candidates)
+                            == first_best_reference(p, masks))
 
 
 class TestApproximationGuarantee:

@@ -8,11 +8,11 @@ import pytest
 
 from impuritypart import (
     EOutOfRange,
+    ImpuritySpec,
     NotAChannel,
     approximation_ratio,
     boyd_chiang_bound,
     compute_stats,
-    custom_spec,
     entropy_spec,
     fano_bound,
     gini_spec,
@@ -107,7 +107,7 @@ class TestApproximationRatio:
         assert approximation_ratio(1.0, 4, ENT) == 1.0
 
     def test_custom_spec_uses_quotient(self):
-        custom = custom_spec(lambda x: x * (1.0 - x))
+        custom = ImpuritySpec(lambda x: x * (1.0 - x))
         assert abs(approximation_ratio(0.5, 3, custom)
                    - approximation_ratio(0.5, 3, GINI)) <= 1e-12
 
@@ -172,7 +172,7 @@ class TestSandwich:
 
     def test_holds_for_a_custom_concave_function(self):
         # the bound derivations only need concavity and f(x) = x*l(x)
-        spec = custom_spec(lambda x: math.sqrt(x) * (1.0 - math.sqrt(x)))
+        spec = ImpuritySpec(lambda x: math.sqrt(x) * (1.0 - math.sqrt(x)))
         rng = np.random.default_rng(34)
         for _ in range(60):
             m = int(rng.integers(3, 12))

@@ -11,7 +11,6 @@ from impuritypart import (
     ConvexityViolation,
     ImpuritySpec,
     compute_stats,
-    custom_spec,
     entropy_spec,
     gini_spec,
     lower_bound,
@@ -85,7 +84,7 @@ class TestConcaveFamilyProperties:
 
 class TestCustomSpec:
     def test_matches_gini_supplied_directly(self):
-        custom = custom_spec(lambda x: x * (1.0 - x))
+        custom = ImpuritySpec(lambda x: x * (1.0 - x))
         gini = gini_spec()
         rng = np.random.default_rng(13)
         jd = random_joint(rng, 6, 3)
@@ -97,7 +96,7 @@ class TestCustomSpec:
 
     def test_convex_function_rejected(self):
         with pytest.raises(ConcavityViolation) as info:
-            custom_spec(lambda x: x * x)
+            ImpuritySpec(lambda x: x * x)
         # the error names the violating triple
         assert info.value.a is not None and info.value.lam is not None
 
@@ -106,24 +105,18 @@ class TestCustomSpec:
         # only an explicit finiteness check catches these
         for value in (math.nan, math.inf):
             with pytest.raises(ConcavityViolation):
-                custom_spec(lambda x, value=value: value)
-
-    def test_hand_built_convex_spec_rejected(self):
-        with pytest.raises(ConcavityViolation):
-            ImpuritySpec(lambda x: x * x)
+                ImpuritySpec(lambda x, value=value: value)
 
     def test_quotient_not_convex_rejected(self):
         # min(x, 1/2) is concave, but f(x)/x = min(1, 1/(2x)) is not convex,
         # and its lower bound read 0.953 against an impurity of 0.849
         f = lambda x: min(x, 0.5)
-        for build in (lambda: custom_spec(f),
-                      lambda: ImpuritySpec(f)):
-            with pytest.raises(ConvexityViolation) as info:
-                build()
-            a, b, lam = info.value.a, info.value.b, info.value.lam
-            assert f"a={a!r}, b={b!r}, lam={lam!r}" in str(info.value)
-            mid = lam * a + (1 - lam) * b
-            assert f(mid) / mid - (lam * f(a) / a + (1 - lam) * f(b) / b) == info.value.gap > 0
+        with pytest.raises(ConvexityViolation) as info:
+            ImpuritySpec(f)
+        a, b, lam = info.value.a, info.value.b, info.value.lam
+        assert f"a={a!r}, b={b!r}, lam={lam!r}" in str(info.value)
+        mid = lam * a + (1 - lam) * b
+        assert f(mid) / mid - (lam * f(a) / a + (1 - lam) * f(b) / b) == info.value.gap > 0
 
     def test_builtin_specs_skip_the_checks(self, monkeypatch):
         def unsampled(seed):
@@ -138,20 +131,18 @@ class TestCustomSpec:
         h = 1e-4
         for x in np.arange(0.01, 0.99, 0.01):
             assert f(x - h) - 2 * f(x) + f(x + h) <= 1e-12
-        spec = custom_spec(f)
+        spec = ImpuritySpec(f)
         assert spec.kind == "custom"
         assert spec.f(0.25) == f(0.25)
 
     def test_lower_bound_is_the_quotient(self):
         f = lambda x: math.sqrt(x) - x
-        spec = custom_spec(f)
+        spec = ImpuritySpec(f)
         for e in np.arange(0.001, 1.0001, 0.001).tolist():
             assert lower_bound(e, spec) == float(f(e)) / e
 
     def test_companion_is_not_an_input(self):
         f = lambda x: x * (1.0 - x)
-        with pytest.raises(TypeError):
-            custom_spec(f, l=lambda x: 2.0 - x)
         with pytest.raises(TypeError):
             ImpuritySpec(f, l=lambda x: 2.0 - x)
 
@@ -184,7 +175,7 @@ class TestSpecFromF:
         assert gini.kind == "gini" and gini == gini_spec()
         assert gini.l_value(0.25) == 0.75
         assert ImpuritySpec(impurity._entropy_f_scalar).kind == "entropy"
-        assert custom_spec(lambda x: x * (1.0 - x)).kind == "custom"
+        assert ImpuritySpec(lambda x: x * (1.0 - x)).kind == "custom"
 
     def test_unhashable_f_is_custom(self):
         class Gini:

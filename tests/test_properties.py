@@ -165,4 +165,4 @@ def test_both_mask_searches_equal_the_reference_on_ties(jd):
         expected, _ = best_mask_reference(p, k)
         assert algorithms._scan_mask(p, k) == expected
         candidates = algorithms._coverage_candidates(p, k)
-        assert algorithms._first_best(p, candidates) == expected
+        assert algorithms._scan_mask(p, k, candidates) == expected

@@ -275,6 +275,14 @@ def test_one_function_builds_every_result():
     assert calls_named("AlgoResult") == [("algorithms", "_result")]
 
 
+def test_one_loop_computes_the_coverage():
+    # the k < N searches' float F comes from one walk; a second loop that
+    # recomputes it (a re-check of candidates, say) can drift from its bits
+    owners = {owner for module, owner in calls_named("maximum")
+              if module == "algorithms"}
+    assert owners == {"_fold", "_scan_mask"}
+
+
 def test_one_function_turns_label_sums_into_statistics():
     # a second copy of the nonempty-total or conditional-row rules would
     # drift from stats_from_pxz's bits; the greedy states keep its stats
