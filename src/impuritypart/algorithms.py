@@ -11,8 +11,11 @@ order, depth first, keeping only running maxima, one np.maximum per node of
 the mask tree and one sum per mask. It walks either every mask or the few
 whose value in one zeta-transformed table of subset sums over the 2**N
 column sets is within a stated rounding bound of the best, chosen from the
-input's size (see _best_mask). The winning mask alone is labelled, by the
-running argmax that also labels the k >= N step.
+input's size (see _best_mask). A joint keeps its table (_COVER_TABLES)
+for every later k it serves, so calls with increasing k, as the CLI makes
+them, build at most one table per joint, and the candidates, and so every
+result, are those of a table built for that k alone. The winning mask
+alone is labelled, by the running argmax that also labels the k >= N step.
 The exhaustive oracle scores one labelling per partition, the
 restricted-growth one (point 0 at label 0, each later point at most one
 above the largest label before it), sum_{j <= k} S(m, j) labellings instead
@@ -48,6 +51,7 @@ from scratch. Every AlgoResult is built by _result.
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,6 +95,10 @@ _COVER_START = 1 << 16
 _COVER_READS = 24
 _COVER_BITS = 20
 _COVER_BLOCK = 1 << 14
+# each joint's coverage table, (keep, table, total), kept by _best_mask for
+# every later k < N it serves; a joint's p is read-only, so a table never
+# goes stale, and the entry goes when its joint does
+_COVER_TABLES = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +179,15 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     of its last column onto its parent's maxima and one sum of those, its
     F; its memory is k rows of M floats. _best_mask picks, from the
     input's size, whether it walks every mask or the candidates of the
-    coverage table (_coverage_candidates), which sorts each point's
-    entries once and builds one table of subset sums over the 2**n column
-    sets, from which every mask's F is one lookup: O(M n log n + n 2**n)
-    work, memory the table and row blocks of about 2**14 entries. The
-    table's values only propose candidates, and the walk over them gives
-    the winner the walk over every mask gives. No mask is labelled during
+    coverage table (_coverage_table, _coverage_candidates), which sorts
+    each point's entries once and builds one table of subset sums over the
+    2**n column sets, from which every mask's F is one lookup:
+    O(M n log n + n 2**n) work, memory the table and row blocks of about
+    2**14 entries. The table is kept with jd, 2**n floats, and serves every
+    later call on jd whose n - k it reaches without being built again, so
+    a sweep of increasing k builds it once. The table's values only
+    propose candidates, and the walk over them gives the winner the walk
+    over every mask gives. No mask is labelled during
     the walk: the maxima are exact, so folding the winner's columns
     afterwards gives the labels a scan would have kept. masks_evaluated
     counts all C(n, k) masks, which both walks cover. Each column read is
@@ -192,7 +203,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
             # C(n, k) by name: its value can be too long to format
             raise InstanceTooLarge(f"C({n}, {k}) masks x ({jd.n_rows} + 2048) "
                                    f"points exceed budget {MASK_BUDGET}")
-        cols = _best_mask(p, k)
+        cols = _best_mask(jd, k)
     # the winning columns fold into one running argmax, without a row-major
     # copy of p; a point whose entries there are all zero keeps label 0
     top = np.empty(jd.n_rows)
@@ -203,62 +214,64 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     return _result(part, compute_stats(jd, part, f), masks)
 
 
-def _best_mask(p: np.ndarray, k: int) -> tuple:
-    """The first size-k column mask of p, in lexicographic order, whose
+def _best_mask(jd: JointDistribution, k: int) -> tuple:
+    """The first size-k column mask of jd.p, in lexicographic order, whose
     float coverage F(S), the sum of each point's largest entry in S, is
     strictly the largest; k is below the column count.
 
-    _scan_mask walks either every mask or the candidates of the coverage
-    table (_coverage_candidates), chosen from the input's size alone. The
-    table costs about _COVER_START + _COVER_READS * M N + N 2**N point
-    reads and the walk over every mask C(N, k) (M + 2048), the reads
-    MASK_BUDGET counts; the table runs when its cost is not the larger and
-    N <= _COVER_BITS. Walking its candidates never costs more than walking
+    _scan_mask walks either every mask or the candidates of the joint's
+    coverage table (_coverage_candidates). A table built for a complement
+    size keep serves every k with N - k <= keep, so once jd has one that
+    serves k, its candidates are walked without more ado. Otherwise the
+    input's size alone decides: the table costs about _COVER_START +
+    _COVER_READS * M N + N 2**N point reads and the walk over every mask
+    C(N, k) (M + 2048), the reads MASK_BUDGET counts; the table is built
+    with keep = N - k, and kept in _COVER_TABLES in place of a shallower
+    one, when its cost is not the larger and N <= _COVER_BITS. A joint's
+    first call therefore does the work it would do if no table were kept,
+    and calls with increasing k, as a CLI sweep makes them, build at most
+    one table per joint. Walking the candidates never costs more than walking
     every mask, even on all-tie inputs such as identical columns, where
     every mask is a candidate.
     """
+    p = jd.p
     m, n = p.shape
-    candidates = None
-    if (n <= _COVER_BITS and _COVER_START + _COVER_READS * m * n + (n << n)
-            <= math.comb(n, k) * (m + 2048)):
-        candidates = _coverage_candidates(p, k)
-    return _scan_mask(p, k, candidates)
+    keep = n - k
+    cover = _COVER_TABLES.get(jd)
+    if cover is None or cover[0] < keep:
+        if (n > _COVER_BITS or _COVER_START + _COVER_READS * m * n + (n << n)
+                > math.comb(n, k) * (m + 2048)):
+            return _scan_mask(p, k)
+        cover = _COVER_TABLES[jd] = (keep, *_coverage_table(p, keep))
+    _, table, total = cover
+    return _scan_mask(p, k, _coverage_candidates(table, total, m, k))
 
 
-def _coverage_candidates(p: np.ndarray, k: int) -> np.ndarray:
-    """The size-k column masks of p that can hold the largest float
-    coverage, as the rows of a C x k array of columns in lexicographic
-    order.
+def _coverage_table(p: np.ndarray, keep: int) -> tuple:
+    """(table, total): G(U), below, for every column set U of p with at
+    most keep columns, and total, the sum of every point's largest entry.
 
     A point whose entries sorted in decreasing order are v_1 >= ... >= v_N,
     v_{N+1} = 0, with T_r its top r columns, has its largest entry in S
     equal to the sum of v_r - v_{r+1} over the r whose T_r meets S. So
-    F(S) = total - G(U), where U is the complement of S, total the sum of
-    every point's v_1, and G(U) = sum over T inside U of h(T), h(T) the sum
-    of the differences v_r - v_{r+1} of the (point, r) with T_r = T; only
-    r <= N - k can have T_r inside U. The rows are sorted in blocks of
-    about _COVER_BLOCK entries, or 2**N / 4 so that adding up the blocks'
+    F(S) = total - G(U), where U is the complement of S and G(U) = sum over
+    T inside U of h(T), h(T) the sum of the differences v_r - v_{r+1} of
+    the (point, r) with T_r = T. The rows are sorted in blocks of about
+    _COVER_BLOCK entries, or 2**N / 4 so that adding up the blocks'
     2**N-entry tables costs at most 4 per joint entry, and each block's
-    differences are bincounted onto the bitmasks of their T_r; Yates' zeta
-    transform (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007) then
-    gives G for all 2**N subsets. O(M N log N + N 2**N) work; memory is
-    the 2**N table and a few block-sized arrays.
+    differences of the ranks r <= keep are bincounted onto the bitmasks of
+    their T_r; Yates' zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto,
+    STOC 2007) then sums each entry over its subsets. O(M N log N + N 2**N)
+    work; memory is the 2**N table and a few block-sized arrays.
 
-    The table only proposes masks. All its terms are nonnegative, so a
-    float sum of them along an addition tree of height h is within
-    gamma_h = h u / (1 - h u) of the exact sum, relative, with u = 2**-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2). A term
-    of G meets one rounding in its difference, at most one per row of its
-    block in the bincount, one per block and N in the transform, height
-    M + N + 2 at most; the float F of a mask, numpy's pairwise sum of M
-    entries, has height below M. Both errors are at most their gamma times
-    total, so the float winner's G lies within 2 delta of the smallest G,
-    delta = (2M + N + 2) 2**-52 total bounding gamma_M + gamma_{M+N+2}
-    with room for total's own rounding. Every mask within 2 delta is a
-    candidate, and every mask with the winner's float F is among them.
+    keep only bounds which entries hold G. A rank r lands on a bitmask of r
+    columns, and the transform sums an entry over subsets, which have no
+    more columns, so ranks above |U| never reach G(U): every table with
+    keep >= |U| holds G(U) with the same bits, each bincount and transform
+    sum taking the same terms in the same order, and total does not depend
+    on keep either. Entries of more than keep columns hold partial sums.
     """
     m, n = p.shape
-    keep = n - k
     table = np.zeros(1 << n)
     total = 0.0
     bit = 1 << np.arange(n, dtype=np.int64)
@@ -274,11 +287,38 @@ def _coverage_candidates(p: np.ndarray, k: int) -> np.ndarray:
     for i in range(n):
         pairs = table.reshape(-1, 2, 1 << i)
         pairs[:, 1] += pairs[:, 0]
+    return table, total
+
+
+def _coverage_candidates(table: np.ndarray, total: float, m: int,
+                         k: int) -> np.ndarray:
+    """The size-k column masks of an M-row joint that can hold the largest
+    float coverage, as the rows of a C x k array of columns in
+    lexicographic order, from _coverage_table's (table, total) for a keep
+    of at least N - k: every such table gives the same candidates.
+
+    The table only proposes masks. All its terms are nonnegative, so a
+    float sum of them along an addition tree of height h is within
+    gamma_h = h u / (1 - h u) of the exact sum, relative, with u = 2**-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2). A term
+    of G meets one rounding in its difference, at most one per row of its
+    block in the bincount (a row's T_r differ in size, so one bin takes at
+    most one of them, whatever keep is), one per block and N in the
+    transform, height M + N + 2 at most; the float F of a mask, numpy's
+    pairwise sum of M entries, has height below M. Both errors are at most
+    their gamma times total, so the float winner's G lies within 2 delta of
+    the smallest G over the complements of size N - k, delta =
+    (2M + N + 2) 2**-52 total bounding gamma_M + gamma_{M+N+2} with room
+    for total's own rounding; delta does not depend on keep. Every mask
+    within 2 delta is a candidate, and every mask with the winner's float
+    F is among them.
+    """
+    n = table.size.bit_length() - 1
     # sizes[U] is the number of columns in U
     sizes = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         sizes = np.concatenate([sizes, sizes + 1])
-    complements = np.flatnonzero(sizes == keep)
+    complements = np.flatnonzero(sizes == n - k)
     g = table[complements]
     delta = (2 * m + n + 2) * 2.0 ** -52 * total
     candidates = ((1 << n) - 1) ^ complements[g <= g.min() + 2 * delta]

@@ -14,7 +14,8 @@ from impuritypart import (
     compute_stats,
     max_likelihood_partition,
 )
-from impuritypart.algorithms import _divergences
+from impuritypart.algorithms import (_coverage_candidates, _coverage_table,
+                                     _divergences)
 from impuritypart.prob import aggregate
 
 
@@ -213,6 +214,15 @@ def best_mask_reference(p, k):
     lexicographic order, with the largest float coverage F(S)."""
     masks = list(itertools.combinations(range(p.shape[1]), k))
     return first_best_reference(p, masks), len(masks)
+
+
+def coverage_candidates(p, k, keep=None):
+    """The coverage table's candidates for the size-k masks of p, from a
+    table built for complements of at most `keep` columns (N - k, the
+    shallowest that serves k, by default)."""
+    m, n = p.shape
+    table, total = _coverage_table(p, n - k if keep is None else keep)
+    return _coverage_candidates(table, total, m, k)
 
 
 def first_best_reference(p, masks):

@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from helpers import (
     all_assignment_e_values,
     all_assignment_impurities,
     best_mask_reference,
+    coverage_candidates,
     divergence_reference,
     dyadic_joint,
     first_best_reference,
@@ -1183,8 +1185,7 @@ class TestMaskSearches:
     def check_both(p, k):
         expected, _ = best_mask_reference(p, k)
         assert algorithms._scan_mask(p, k) == expected
-        candidates = algorithms._coverage_candidates(p, k)
-        assert algorithms._scan_mask(p, k, candidates) == expected
+        assert algorithms._scan_mask(p, k, coverage_candidates(p, k)) == expected
 
     @staticmethod
     def refuse(*args):
@@ -1252,7 +1253,7 @@ class TestMaskSearches:
     def test_scan_serves_one_and_n_minus_one_on_a_tall_input(self, monkeypatch, k):
         # 12 masks: the table's sort of 50000 x 12 entries would cost more
         jd = random_joint(np.random.default_rng(81), 50000, 12)
-        monkeypatch.setattr(algorithms, "_coverage_candidates", self.refuse)
+        monkeypatch.setattr(algorithms, "_coverage_table", self.refuse)
         TestMaskScanPruning.scan(jd, k)
 
     def test_scan_serves_past_the_table_column_limit(self, monkeypatch):
@@ -1262,12 +1263,12 @@ class TestMaskSearches:
         n = algorithms._COVER_BITS + 1
         jd = random_joint(np.random.default_rng(82), 30, n)
         monkeypatch.setattr(algorithms, "_scan_mask", self.refuse)
-        monkeypatch.setattr(algorithms, "_coverage_candidates", admit)
+        monkeypatch.setattr(algorithms, "_coverage_table", admit)
         monkeypatch.setattr(algorithms, "_COVER_BITS", n)
         with pytest.raises(Admitted):
             max_likelihood_partition(jd, 10, ENT)
         monkeypatch.undo()
-        monkeypatch.setattr(algorithms, "_coverage_candidates", self.refuse)
+        monkeypatch.setattr(algorithms, "_coverage_table", self.refuse)
         monkeypatch.setattr(algorithms, "_scan_mask", admit)
         with pytest.raises(Admitted):
             max_likelihood_partition(jd, 10, ENT)
@@ -1311,6 +1312,102 @@ class TestMaskSearches:
                     candidates = np.array(masks, dtype=np.int64)
                     assert (algorithms._scan_mask(p, k, candidates)
                             == first_best_reference(p, masks))
+
+
+class TestCoverageTableCache:
+    """One coverage table per joint, kept in algorithms._COVER_TABLES and
+    walked for every later k < N it serves: each result equals that of a
+    fresh joint, bit for bit, whatever order the ks come in."""
+
+    @staticmethod
+    def certify_counts(rng, m):
+        """m x 12 counts floor(1000 U**4), as the certify benchmark draws."""
+        counts = np.floor(1000.0 * rng.random((m, 12)) ** 4)
+        counts[counts.sum(axis=1) == 0.0, 0] = 1.0
+        return counts
+
+    @staticmethod
+    def recorded(monkeypatch, name):
+        """Record each call of algorithms.<name>: (its arguments after the
+        first, what it returned)."""
+        original = getattr(algorithms, name)
+        calls = []
+
+        def recording(first, *rest):
+            result = original(first, *rest)
+            calls.append((rest, result))
+            return result
+
+        monkeypatch.setattr(algorithms, name, recording)
+        return calls
+
+    def check_fresh(self, monkeypatch, jd, ks, spec=GINI):
+        """Each k of ks on jd against a fresh copy of jd, which has no
+        table: the same mask, assignment, e_max_achieved and statistics."""
+        masks = self.recorded(monkeypatch, "_best_mask")
+        for k in ks:
+            res = max_likelihood_partition(jd, k, spec)
+            fresh = max_likelihood_partition(build_joint(jd.p), k, spec)
+            assert masks[-2][1] == masks[-1][1]
+            TestExactSearchReference.check(
+                res, jd, k, spec, (fresh.partition.assignment,
+                                   fresh.e_max_achieved, fresh.masks_evaluated))
+        monkeypatch.undo()
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    def test_any_order_of_k_equals_a_fresh_joint(self, monkeypatch, order):
+        rng = np.random.default_rng(86)
+        copied = rng.random((2000, 12))
+        copied[:, 6:] = copied[:, :6]
+        inputs = [build_joint(self.certify_counts(rng, 2000)),
+                  build_joint(copied),
+                  build_joint(np.tile(rng.random((3000, 1)), (1, 12))),
+                  *itertools.islice(TestCoverageRule.tied_instances(rng), 6)]
+        for jd in inputs:
+            ks = list(range(1, jd.n_cols))
+            if order == "decreasing":
+                ks.reverse()
+            elif order == "shuffled":
+                ks = rng.permutation(ks).tolist()
+            self.check_fresh(monkeypatch, jd, ks)
+
+    def test_increasing_ks_build_one_table(self, monkeypatch):
+        # at 2000 x 12 the rule picks the table from k = 3 to 9; k = 10 and
+        # 11, where it picks the scan, walk the k = 3 table's candidates
+        rng = np.random.default_rng(87)
+        jd = build_joint(self.certify_counts(rng, 2000))
+        builds = self.recorded(monkeypatch, "_coverage_table")
+        walks = self.recorded(monkeypatch, "_scan_mask")
+        for k in range(1, 12):
+            max_likelihood_partition(jd, k, GINI)
+        assert [keep for (keep,), _ in builds] == [9]
+        assert [len(rest) == 2 for rest, _ in walks] == [False] * 2 + [True] * 9
+        assert algorithms._COVER_TABLES[jd][0] == 9
+        monkeypatch.undo()
+        self.check_fresh(monkeypatch, jd, range(1, 12))
+
+    def test_a_deeper_k_rebuilds_a_shallower_table_once(self, monkeypatch):
+        rng = np.random.default_rng(88)
+        jd = build_joint(self.certify_counts(rng, 5000))
+        builds = self.recorded(monkeypatch, "_coverage_table")
+        results = [(k, max_likelihood_partition(jd, k, GINI)) for k in (7, 5, 6, 7)]
+        assert [keep for (keep,), _ in builds] == [5, 7]
+        assert algorithms._COVER_TABLES[jd][0] == 7
+        for k, res in results:
+            TestExactSearchReference.check(res, jd, k, GINI,
+                                           likelihood_reference(jd, k, GINI))
+
+    def test_a_table_goes_with_its_joint(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "_COVER_TABLES", weakref.WeakKeyDictionary())
+        rng = np.random.default_rng(89)
+        jd = build_joint(self.certify_counts(rng, 5000))
+        # the result stays alive and does not hold its joint
+        res = max_likelihood_partition(jd, 6, GINI)
+        assert len(algorithms._COVER_TABLES) == 1
+        del jd
+        gc.collect()
+        assert len(algorithms._COVER_TABLES) == 0
+        assert res.partition.k == 6
 
 
 class TestApproximationGuarantee:

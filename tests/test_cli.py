@@ -22,7 +22,7 @@ from impuritypart import (
     max_likelihood_partition,
     upper_bound,
 )
-from impuritypart import cli
+from impuritypart import algorithms, cli
 from impuritypart.cli import ALGORITHMS, RunConfig, _parse_k, build_parser, main, run
 
 from helpers import admit, peak_bytes
@@ -237,6 +237,34 @@ class TestRun:
             if refine:
                 expected["assignment"] = result.partition.assignment.tolist()
             assert record == expected
+
+    def test_ml_sweep_builds_one_coverage_table(self, tmp_path, monkeypatch):
+        # certify's ml --k 5:7 on floor(1000 U**4) counts at 5000 x 12: the
+        # first k builds the table, the later ks walk its candidates
+        rng = np.random.default_rng(29)
+        counts = np.floor(1000.0 * rng.random((5000, 12)) ** 4).astype(int)
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        data = tmp_path / "counts.csv"
+        write_counts(data, counts)
+        build = algorithms._coverage_table
+        keeps = []
+
+        def counted(p, keep):
+            keeps.append(keep)
+            return build(p, keep)
+
+        monkeypatch.setattr(algorithms, "_coverage_table", counted)
+        config = RunConfig(input_path=str(data), output_path=str(tmp_path / "r.json"),
+                           input_format="counts", impurity="gini", k=(5, 7),
+                           algorithm="ml")
+        records = run(config)["records"]
+        assert keeps == [7]
+        monkeypatch.undo()
+        for record in records:
+            res = max_likelihood_partition(ingest(str(data), "counts"), record["k"],
+                                           gini_spec())
+            assert record["impurity"] == res.stats.impurity
+            assert record["e_q"] == res.stats.e_q
 
     def test_oracle_and_refine_paths(self, tmp_path):
         rng = np.random.default_rng(72)
