@@ -21,8 +21,10 @@ restricted-growth one (point 0 at label 0, each later point at most one
 above the largest label before it), sum_{j <= k} S(m, j) labellings instead
 of k**m. It returns the first of them in lexicographic order with the
 smallest float impurity and reports the largest float e among them (see
-exhaustive_oracle). masks_evaluated still counts the k**m assignments that
-the oracle's search covers, and the C(N, k) masks of the k < N search.
+exhaustive_oracle). Its blocks of labellings and chunks of subset sums are
+sized to one budget of bytes, _BLOCK_BYTES, and no result depends on it.
+masks_evaluated still counts the k**m assignments that the oracle's search
+covers, and the C(N, k) masks of the k < N search.
 Every function that takes k binds k = prob.check_k(k) first: a k that is
 not an int raises ValueError and a k below 1 KTooSmall, before any work.
 Any other k becomes a Python int, and the work is done with that int, so a
@@ -84,8 +86,12 @@ ORACLE_CAP = 2_000_000
 # classes; at m = 20 it admits N <= 4096
 ORACLE_TABLE_CAP = 1 << 32
 
-_ORACLE_BLOCK = 1 << 16
-_TABLE_CHUNK = 1 << 18
+# working-set budget of the oracle's blocked loops, in bytes: its blocks of
+# labellings and its chunks of subset sums are each sized to fit it, half
+# of a 2 MiB L2 cache; 2**20 and 2**21 took the same time on the grid of
+# shapes at the oracle's caps in tests/oracle_shapes.py, and 2**20 took
+# less memory
+_BLOCK_BYTES = 1 << 20
 _REFINE_BLOCK = 8192
 # the k < N coverage table's cost in the scan's point reads, fitted on flat
 # random data on a 2-CPU machine: a fixed _COVER_START, _COVER_READS per
@@ -99,6 +105,8 @@ _COVER_BLOCK = 1 << 14
 # every later k < N it serves; a joint's p is read-only, so a table never
 # goes stale, and the entry goes when its joint does
 _COVER_TABLES = weakref.WeakKeyDictionary()
+# the column counts of the 2**n column sets, one read-only array per n
+_COLUMN_COUNTS = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,16 +322,25 @@ def _coverage_candidates(table: np.ndarray, total: float, m: int,
     F is among them.
     """
     n = table.size.bit_length() - 1
-    # sizes[U] is the number of columns in U
-    sizes = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        sizes = np.concatenate([sizes, sizes + 1])
-    complements = np.flatnonzero(sizes == n - k)
+    complements = np.flatnonzero(_column_counts(n) == n - k)
     g = table[complements]
     delta = (2 * m + n + 2) * 2.0 ** -52 * total
     candidates = ((1 << n) - 1) ^ complements[g <= g.min() + 2 * delta]
     cols = np.nonzero((candidates[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
     return cols[np.lexsort(cols.T[::-1])]
+
+
+def _column_counts(n: int) -> np.ndarray:
+    """The number of columns in each column set U of n columns, indexed by
+    U's bitmask: built once per n and kept, read-only, in _COLUMN_COUNTS."""
+    sizes = _COLUMN_COUNTS.get(n)
+    if sizes is None:
+        sizes = np.zeros(1, dtype=np.uint8)
+        for _ in range(n):
+            sizes = np.concatenate([sizes, sizes + 1])
+        sizes.setflags(write=False)
+        _COLUMN_COUNTS[n] = sizes
+    return sizes
 
 
 def _scan_mask(p: np.ndarray, k: int,
@@ -719,11 +736,17 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     O(2**m N) work and two tables of 2**m floats. Each labelling then costs
     k lookups in each table, O(k sum_{j <= k} S(m, j)) in all. A block
     fixes a restricted-growth prefix of the leading points and scores its
-    valid continuations over the last points, at most _ORACLE_BLOCK of
+    valid continuations over the last `tail` points, at most k**tail of
     them; they depend only on the prefix's largest label, so each table of
-    them (see _rgs_tables) is built once. With k == 1 or m == 1 there is
-    one labelling, all points at label 0, and it is scored directly, with
-    no table.
+    them (see _rgs_tables) is built once. A block touches about 8 (k + 5)
+    bytes per labelling: its k-row int64 column of the continuation table,
+    the subset indices, the two rows gathered from the tables and the e and
+    impurity sums. tail is the largest, at least 1, whose k**tail
+    labellings fit _BLOCK_BYTES at that rate. Blocks are scored in
+    lexicographic order and each sum keeps its terms and their order, so
+    the result does not depend on the budget. With k == 1 or m == 1 there
+    is one labelling, all points at label 0, and it is scored directly,
+    with no table.
     """
     k = check_k(k)
     m = jd.n_rows
@@ -741,7 +764,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     # a label's subset is its bits among the last `tail` points plus its
     # bits among the leading ones
     tail = 1
-    while tail < m and k ** (tail + 1) <= _ORACLE_BLOCK:
+    while tail < m and k ** (tail + 1) * 8 * (k + 5) <= _BLOCK_BYTES:
         tail += 1
     leading = _rgs_tables(k, range(m - tail), [-1])[-1]
     # the continuations of a prefix depend only on its largest label (-1
@@ -778,11 +801,14 @@ def _subset_tables(p: np.ndarray, f: ImpuritySpec):
     as an indicator-matrix product does. The sums of subsets of the first
     `low` rows are built once by doubling, T[2**x : 2**(x+1)] =
     T[:2**x] + p[x]; each further chunk adds the later rows of one subset
-    to that table. Only one chunk of sums, about _TABLE_CHUNK floats, exists
-    at a time, beside the two 2**m tables.
+    to that table. A chunk of 2**low x N sums keeps about 6 floats per
+    entry alive (the table, the chunk, and the copies and temporaries of
+    f.weighted), 48 bytes, so low is the largest, at most m, whose chunk
+    fits _BLOCK_BYTES at that rate, and at least 0: one row per chunk.
+    Beside the two 2**m tables, only one chunk of sums exists at a time.
     """
     m, n = p.shape
-    low = min(m, max(0, (_TABLE_CHUNK // n).bit_length() - 1))
+    low = min(m, max(0, (_BLOCK_BYTES // (48 * n)).bit_length() - 1))
     sums = np.zeros((1 << low, n))
     for x in range(low):
         np.add(sums[:1 << x], p[x], out=sums[1 << x:2 << x])

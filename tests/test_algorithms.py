@@ -991,14 +991,34 @@ class TestExactSearchReference:
 
     @pytest.mark.parametrize("chunk", [1, 40, 300])
     def test_oracle_tables_built_in_chunks(self, monkeypatch, chunk):
-        # small chunks fix several of the later rows per chunk of sums
-        monkeypatch.setattr(algorithms, "_TABLE_CHUNK", chunk)
+        # small chunks fix several of the later rows per chunk of sums; at
+        # 48 bytes per sum, a budget of 48 * chunk bytes gives the chunk
+        # rows of `chunk` floats: 2**low rows, low the largest with
+        # 2**low * N <= chunk
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", 48 * chunk)
         rng = np.random.default_rng(64)
         for m, n, k in ((9, 5, 2), (7, 9, 3), (6, 3, 4)):
             jd = random_joint(rng, m, n)
             for spec in (ENT, GINI, SQRT):
                 res = exhaustive_oracle(jd, k, spec)
                 self.check(res, jd, k, spec, oracle_reference(jd, k, spec))
+
+    @pytest.mark.parametrize("budget", [1024, 48, 1 << 40],
+                             ids=["small-blocks", "one-row-chunks", "one-block"])
+    def test_oracle_does_not_depend_on_the_budget(self, monkeypatch, budget):
+        # 1024 bytes: labelling blocks of at most 16 columns (K = 2 to 4),
+        # so many blocks and several prefix highs; 48 bytes: subset sums
+        # one row per chunk and one trailing point per block; 2**40 bytes:
+        # every labelling in one block and every sum in one chunk
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(59)
+        for jd in self.instances(rng, (2, 8), (2, 6)):
+            for k in range(2, 5):
+                if k ** jd.n_rows > 20_000:
+                    continue
+                for spec in (ENT, GINI):
+                    res = exhaustive_oracle(jd, k, spec)
+                    self.check(res, jd, k, spec, oracle_reference(jd, k, spec))
 
     @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
     def test_oracle_single_label_closed_form(self, spec):
@@ -1029,6 +1049,15 @@ class TestExactSearchReference:
         assert res.masks_evaluated == 2000
         assert res.e_max_achieved == jd.p.max()
         assert peak <= 2 ** 20
+
+    def test_oracle_memory_at_certify_shape_fits_the_budget(self):
+        # 13 x 4 dyadic counts at K = 3 under Gini: beside the two 2**13
+        # subset tables, a block of labellings and a chunk of subset sums
+        # each fit the working-set budget
+        jd = dyadic_joint(np.random.default_rng(65), 13, 4)
+        peak, res = peak_bytes(lambda: exhaustive_oracle(jd, 3, GINI))
+        assert res.masks_evaluated == 3 ** 13
+        assert peak <= algorithms._BLOCK_BYTES + 2 * 8 * 2 ** 13
 
     def test_oracle_memory_stays_bounded(self):
         rng = np.random.default_rng(63)
