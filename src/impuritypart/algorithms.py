@@ -21,8 +21,10 @@ restricted-growth one (point 0 at label 0, each later point at most one
 above the largest label before it), sum_{j <= k} S(m, j) labellings instead
 of k**m. It returns the first of them in lexicographic order with the
 smallest float impurity and reports the largest float e among them (see
-exhaustive_oracle). Its blocks of labellings and chunks of subset sums are
-sized to one budget of bytes, _BLOCK_BYTES, and no result depends on it.
+exhaustive_oracle). Every blocked loop is sized to one budget of bytes,
+_BLOCK_BYTES: the oracle's blocks of labellings and chunks of subset sums,
+refinement's row blocks (never below _GEMM_ROWS rows) and the coverage
+table's row blocks; no result depends on it.
 masks_evaluated still counts the k**m assignments that the oracle's search
 covers, and the C(N, k) masks of the k < N search.
 Every function that takes k binds k = prob.check_k(k) first: a k that is
@@ -86,13 +88,16 @@ ORACLE_CAP = 2_000_000
 # classes; at m = 20 it admits N <= 4096
 ORACLE_TABLE_CAP = 1 << 32
 
-# working-set budget of the oracle's blocked loops, in bytes: its blocks of
-# labellings and its chunks of subset sums are each sized to fit it, half
-# of a 2 MiB L2 cache; 2**20 and 2**21 took the same time on the grid of
-# shapes at the oracle's caps in tests/oracle_shapes.py, and 2**20 took
-# less memory
+# working-set budget of every blocked loop, in bytes: the oracle's blocks
+# of labellings and chunks of subset sums, refinement's row blocks and the
+# coverage table's row blocks are each sized to fit it, half of a 2 MiB L2
+# cache; 2**20 and 2**21 took the same time on the grid of shapes at the
+# oracle's caps in tests/oracle_shapes.py, and 2**20 took less memory
 _BLOCK_BYTES = 1 << 20
-_REFINE_BLOCK = 8192
+# the fewest rows of a refinement block: with OpenBLAS 0.3.31 a product over
+# 1000 rows or more has the bits of the whole-matrix product, and shorter
+# blocks did not
+_GEMM_ROWS = 1024
 # the k < N coverage table's cost in the scan's point reads, fitted on flat
 # random data on a 2-CPU machine: a fixed _COVER_START, _COVER_READS per
 # joint entry and one per table entry and column; it holds 2**N floats, so
@@ -100,7 +105,6 @@ _REFINE_BLOCK = 8192
 _COVER_START = 1 << 16
 _COVER_READS = 24
 _COVER_BITS = 20
-_COVER_BLOCK = 1 << 14
 # each joint's coverage table, (keep, table, total), kept by _best_mask for
 # every later k < N it serves; a joint's p is read-only, so a table never
 # goes stale, and the entry goes when its joint does
@@ -264,13 +268,16 @@ def _coverage_table(p: np.ndarray, keep: int) -> tuple:
     equal to the sum of v_r - v_{r+1} over the r whose T_r meets S. So
     F(S) = total - G(U), where U is the complement of S and G(U) = sum over
     T inside U of h(T), h(T) the sum of the differences v_r - v_{r+1} of
-    the (point, r) with T_r = T. The rows are sorted in blocks of about
-    _COVER_BLOCK entries, or 2**N / 4 so that adding up the blocks'
-    2**N-entry tables costs at most 4 per joint entry, and each block's
-    differences of the ranks r <= keep are bincounted onto the bitmasks of
-    their T_r; Yates' zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto,
-    STOC 2007) then sums each entry over its subsets. O(M N log N + N 2**N)
-    work; memory is the 2**N table and a few block-sized arrays.
+    the (point, r) with T_r = T. The rows are sorted in blocks of
+    _BLOCK_BYTES / 64 joint entries, 64 bytes being about what a sorted
+    entry touches (its order, value, bitmask, running sum, difference and
+    the copies between them), or 2**N / 4 entries so that adding up the
+    blocks' 2**N-entry tables costs at most 4 per joint entry; the block's
+    rows depend on N alone, not on keep. Each block's differences of the
+    ranks r <= keep are bincounted onto the bitmasks of their T_r; Yates'
+    zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007) then
+    sums each entry over its subsets. O(M N log N + N 2**N) work; memory
+    is the 2**N table and one block's arrays.
 
     keep only bounds which entries hold G. A rank r lands on a bitmask of r
     columns, and the transform sums an entry over subsets, which have no
@@ -283,7 +290,7 @@ def _coverage_table(p: np.ndarray, keep: int) -> tuple:
     table = np.zeros(1 << n)
     total = 0.0
     bit = 1 << np.arange(n, dtype=np.int64)
-    rows = max(_COVER_BLOCK, (1 << n) >> 2) // n
+    rows = max(_BLOCK_BYTES // 64, (1 << n) >> 2) // n
     for lo in range(0, m, rows):
         block = p[lo:lo + rows]
         order = np.argsort(np.negative(block), axis=1)[:, :keep + 1]
@@ -648,10 +655,11 @@ def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray
     return score
 
 
-def _row_blocks(m: int) -> np.ndarray:
-    """Edges of balanced row blocks covering 0..m in order: every block has
-    at least _REFINE_BLOCK rows, or is all m rows when m is smaller."""
-    blocks = max(1, m // _REFINE_BLOCK)
+def _row_blocks(m: int, row_bytes: int) -> np.ndarray:
+    """Edges of balanced row blocks covering 0..m in order: each holds t to
+    2t - 1 rows, t = max(_GEMM_ROWS, _BLOCK_BYTES // row_bytes), or all m
+    rows when m < 2t."""
+    blocks = max(1, m // max(_GEMM_ROWS, _BLOCK_BYTES // row_bytes))
     return m * np.arange(blocks + 1) // blocks
 
 
@@ -669,19 +677,24 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     is not an int or is below 1. Impurity never increases between passes for
     entropy and Gini.
 
-    A pass scores the points in balanced row blocks of at least
-    _REFINE_BLOCK rows (see _row_blocks) against the same centroids, so it
-    holds O(_REFINE_BLOCK (N + K)) floats beside the joint instead of an
-    M x K score matrix. With OpenBLAS 0.3.31 a product over 1000 rows or
-    more has the bits of the whole-matrix product (shorter blocks did not),
-    so every partition, trace and impurity is that of one unblocked pass.
-    Fewer than 2 * _REFINE_BLOCK rows are scored as one block.
+    A pass scores the points in balanced row blocks against the same
+    centroids (see _row_blocks), instead of one M x K score matrix, and
+    frees a block's scores before it scores the next. A row costs about
+    8 (N + 2K + 5) bytes: its conditional row, its K scores, the K-wide
+    product for the blocked classes and a few per-point temporaries.
+    Blocks are sized to _BLOCK_BYTES at that rate, but hold at least
+    _GEMM_ROWS rows: with OpenBLAS 0.3.31 a product over 1000 rows or more
+    has the bits of the whole-matrix product (shorter blocks did not), so
+    every partition, trace and impurity is that of one unblocked pass.
+    Beside the joint and O(M + K N) floats, a pass so holds less than
+    twice the larger of the budget and _GEMM_ROWS rows at that rate,
+    whatever M is.
     """
     max_iters = check_max_iters(max_iters)
     assignment = np.array(start.assignment)
     k = start.k
     stats = compute_stats(jd, Partition(assignment, k), f)
-    edges = _row_blocks(jd.n_rows)
+    edges = _row_blocks(jd.n_rows, 8 * (jd.n_cols + 2 * k + 5))
     trace = [{"event": "init", "impurity": stats.impurity}]
     for _ in range(max_iters):
         labels = np.flatnonzero(stats.nonempty)
@@ -697,9 +710,11 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
             div = _divergences(cond, centroids, f)
             here = np.arange(hi - lo)
             current = assignment[lo:hi]
-            d_cur = div[here, column[current]]
             best = div.argmin(axis=1)
-            moves = div[here, best] < d_cur
+            moves = div[here, best] < div[here, column[current]]
+            # freed before the next block is scored, so two blocks of
+            # scores never coexist
+            del div
             changed += int(np.count_nonzero(moves))
             current[moves] = labels[best[moves]]
         if changed:

@@ -692,12 +692,24 @@ class TestRefineBlocks:
     """Row-blocked refinement against the whole-matrix passes of
     tests/helpers.refine_reference: equal bit for bit."""
 
-    def test_blocked_equals_whole_matrix_pass(self):
-        m = 2 * algorithms._REFINE_BLOCK + 777
+    @staticmethod
+    def block_rows(n, k):
+        """The rule's fewest rows per block at N = n, K = k."""
+        return max(algorithms._GEMM_ROWS,
+                   algorithms._BLOCK_BYTES // (8 * (n + 2 * k + 5)))
+
+    def test_blocked_equals_whole_matrix_pass(self, monkeypatch):
+        # the grid's cheapest row, N = 2 and K = 1, costs 8 (2 + 2 + 5)
+        # bytes, so at this budget every case is scored in blocks of the
+        # floor's rows: eight blocks of 1121 rows
+        monkeypatch.setattr(algorithms, "_BLOCK_BYTES",
+                            algorithms._GEMM_ROWS * 8 * (2 + 2 + 5))
+        m = 8 * algorithms._GEMM_ROWS + 777
         rng = np.random.default_rng(87)
         zero_centroids = 0
         for n in (2, 3, 7, 20, 64):
             for k in (1, 2, 5, 30, 100):
+                assert self.block_rows(n, k) == algorithms._GEMM_ROWS
                 for sparse in (False, True):
                     rows = sparse_rows(rng, m, n, density=0.4) if sparse \
                         else rng.random((m, n)) + 1e-9
@@ -723,14 +735,24 @@ class TestRefineBlocks:
 
     @pytest.mark.parametrize("m", [1, 8191, 8192, 16383, 16384, 50000])
     def test_block_edges_cover_the_rows(self, m):
-        edges = algorithms._row_blocks(m)
-        sizes = np.diff(edges)
-        assert edges[0] == 0 and edges[-1] == m
-        assert (sizes >= algorithms._REFINE_BLOCK).all() or sizes.tolist() == [m]
-        assert (sizes.size == 1) == (m < 2 * algorithms._REFINE_BLOCK)
+        # (N, K) where the budget gives 11915 rows, 8192 rows, 1542 rows
+        # (the refine workload's K = 30) and 65 rows, where the floor's
+        # 1024 rows bind
+        for n, k in ((2, 2), (3, 4), (20, 30), (20, 1000)):
+            rows = self.block_rows(n, k)
+            edges = algorithms._row_blocks(m, 8 * (n + 2 * k + 5))
+            sizes = np.diff(edges)
+            assert edges[0] == 0 and edges[-1] == m
+            if m < 2 * rows:
+                assert sizes.tolist() == [m]
+            else:
+                assert (sizes >= rows).all() and (sizes < 2 * rows).all()
 
     @pytest.mark.parametrize("m, calls", [(16383, 1), (16384, 2)])
     def test_one_scoring_call_per_block(self, monkeypatch, m, calls):
+        # at N = 3, K = 4 a row costs 128 bytes, so blocks hold 8192 rows:
+        # 2 * 8192 - 1 rows are one block and 2 * 8192 rows two
+        assert calls == max(1, m // self.block_rows(3, 4))
         seen = []
 
         def counting(cond, q, f):
@@ -754,6 +776,21 @@ class TestRefineBlocks:
         peak, res = peak_bytes(lambda: iterative_refine(jd, start, ENT, max_iters=2))
         assert len(res.trace) == 3
         assert peak < m * k * 8
+
+    @pytest.mark.parametrize("spec", [ENT, GINI], ids=["entropy", "gini"])
+    def test_memory_at_large_k_is_the_floors_block(self, spec):
+        # at K = 500 a row costs 8200 bytes, so blocks take the floor's
+        # 1024 rows: 8.0 MiB, beside eight M-long and eight K x N float
+        # arrays; blocks of 8192 rows or more would hold over 64 MiB. Rows
+        # this sparse leave zeros in the centroids, so entropy also takes
+        # the product for the blocked classes
+        m, n, k = 20000, 20, 500
+        rng = np.random.default_rng(90)
+        jd = build_joint(sparse_rows(rng, m, n, density=0.02))
+        start = random_partition(rng, m, k)
+        peak, res = peak_bytes(lambda: iterative_refine(jd, start, spec, max_iters=2))
+        assert len(res.trace) == 3
+        assert peak <= algorithms._GEMM_ROWS * 8 * (n + 2 * k + 5) + 8 * 8 * (m + k * n)
 
 
 class TestBregmanScore:

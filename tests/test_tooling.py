@@ -283,13 +283,25 @@ def test_one_loop_computes_the_coverage():
     assert owners == {"_fold", "_scan_mask"}
 
 
+def test_one_budget_sizes_every_blocked_loop():
+    # the coverage table's row blocks, refinement's row blocks, and the
+    # oracle's labelling blocks and subset-sum chunks read one budget of
+    # bytes; a block size counted in rows lets a loop's memory grow with K
+    owners = node_owners(lambda node: isinstance(node, ast.Name)
+                         and node.id == "_BLOCK_BYTES"
+                         and isinstance(node.ctx, ast.Load))
+    assert owners == [("algorithms", "_coverage_table"),
+                      ("algorithms", "_row_blocks"),
+                      ("algorithms", "exhaustive_oracle"),
+                      ("algorithms", "_subset_tables")]
+
+
 def test_one_function_turns_label_sums_into_statistics():
     # a second copy of the nonempty-total or conditional-row rules would
     # drift from stats_from_pxz's bits; the greedy states keep its stats
     assert calls_named("PartitionStats") == [("prob", "stats_from_pxz")]
     assert calls_named("weighted") == [("algorithms", "_merge_losses"),
-                                       ("algorithms", "_subset_tables"),
-                                       ("prob", "stats_from_pxz")]
+                                       ("algorithms", "_subset_tables")]
 
 
 def test_every_export_is_used_or_documented():
