@@ -92,7 +92,10 @@ ORACLE_TABLE_CAP = 1 << 32
 # of labellings and chunks of subset sums, refinement's row blocks and the
 # coverage table's row blocks are each sized to fit it, half of a 2 MiB L2
 # cache; 2**20 and 2**21 took the same time on the grid of shapes at the
-# oracle's caps in tests/oracle_shapes.py, and 2**20 took less memory
+# oracle's caps in tests/oracle_shapes.py, and 2**20 took less memory.
+# The coverage table adds up its blocks' tables, so a new budget changes
+# that table's bits and may change its candidate sets, though not the mask
+# picked: rerun tests/mask_shapes.py, whose digests must not move
 _BLOCK_BYTES = 1 << 20
 # the fewest rows of a refinement block: with OpenBLAS 0.3.31 a product over
 # 1000 rows or more has the bits of the whole-matrix product, and shorter
@@ -269,9 +272,10 @@ def _coverage_table(p: np.ndarray, keep: int) -> tuple:
     F(S) = total - G(U), where U is the complement of S and G(U) = sum over
     T inside U of h(T), h(T) the sum of the differences v_r - v_{r+1} of
     the (point, r) with T_r = T. The rows are sorted in blocks of
-    _BLOCK_BYTES / 64 joint entries, 64 bytes being about what a sorted
-    entry touches (its order, value, bitmask, running sum, difference and
-    the copies between them), or 2**N / 4 entries so that adding up the
+    _BLOCK_BYTES / 64 joint entries (a block's arrays peak at 10 to 39
+    bytes an entry under tracemalloc, from keep = 1 to N - 1; 64 is not
+    that price but keeps the 2**14-entry blocks with which the table's
+    cost was fitted), or 2**N / 4 entries so that adding up the
     blocks' 2**N-entry tables costs at most 4 per joint entry; the block's
     rows depend on N alone, not on keep. Each block's differences of the
     ranks r <= keep are bincounted onto the bitmasks of their T_r; Yates'

@@ -127,16 +127,20 @@ class ImpuritySpec:
         lo = np.clip(x - h, 0.0, 1.0)
         return (self.f_values(hi) - self.f_values(lo)) / (hi - lo)
 
-    def weighted(self, joint: np.ndarray) -> np.ndarray:
+    def weighted(self, joint: np.ndarray, cond=None) -> np.ndarray:
         """mass * sum_i f(row_i / mass) for each row of a joint matrix.
 
-        mass is the row sum; a row with zero mass contributes 0.
+        mass is the row sum; a row with zero mass contributes 0. A caller
+        that already holds the conditional rows row_i / mass passes them as
+        cond, and they are read instead of divided out again; only the rows
+        of nonzero mass are read.
         """
         mass = joint.sum(axis=1)
         out = np.zeros(mass.shape)
         occupied = mass > 0.0
         m = mass[occupied]
-        out[occupied] = m * self.f_values(joint[occupied] / m[:, None]).sum(axis=1)
+        rows = joint[occupied] / m[:, None] if cond is None else cond[occupied]
+        out[occupied] = m * self.f_values(rows).sum(axis=1)
         return out
 
     def l_value(self, x: float) -> float:

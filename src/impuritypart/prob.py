@@ -236,18 +236,17 @@ class PartitionStats:
 def stats_from_pxz(pxz: np.ndarray, f: ImpuritySpec) -> PartitionStats:
     """Statistics of a partition given its k x N joint p(x, z).
 
-    Every quantity is computed from pxz row by row, each once: a nonempty
-    row's impurity is pz * sum f(px_given_z), the bits of f.weighted(pxz).
-    The totals impurity and e_q sum the nonempty rows only, so empty labels
-    padding a partition leave their bits unchanged. pxz itself becomes the
-    read-only `pxz` field of the result.
+    Every quantity is computed from pxz row by row; f.weighted reads the
+    conditional rows built here instead of dividing again. The totals
+    impurity and e_q sum the nonempty rows only, so empty labels padding a
+    partition leave their bits unchanged. pxz itself becomes the read-only
+    `pxz` field of the result.
     """
     pz = pxz.sum(axis=1)
     nonempty = pz > 0.0
     px_given_z = np.zeros_like(pxz)
     px_given_z[nonempty] = pxz[nonempty] / pz[nonempty, None]
-    per = np.zeros_like(pz)
-    per[nonempty] = pz[nonempty] * f.f_values(px_given_z[nonempty]).sum(axis=1)
+    per = f.weighted(pxz, px_given_z)
     return PartitionStats(
         pz=_frozen(pz),
         pxz=_frozen(pxz),

@@ -1,6 +1,6 @@
 """Time iterative refinement on a grid of shapes up to large K.
 
-    python tests/refine_shapes.py SRC [--seed S] [--repeat R] [--budget B]
+    python tests/refine_shapes.py SRC [--seed S] [--repeat R]
 
 SRC is the `src` directory of the checkout to time, so the same script
 times two trees (a parent and a change, say) for a side-by-side reading.
@@ -12,9 +12,7 @@ R runs of iterative_refine and the tracemalloc peak of one more run.
 
 It then prints the total time, the slowest shape, the shape with the
 largest peak, and a digest of every shape's assignment and trace
-impurity bits, which two trees that agree share. --budget sets
-algorithms._BLOCK_BYTES, the working-set budget of the row blocks, for
-trees that have it.
+impurity bits, which two trees that agree share.
 
 The file does not match test_*.py, so pytest does not collect it.
 """
@@ -39,17 +37,11 @@ def main(argv=None):
     parser.add_argument("src", help="the src directory of the tree to time")
     parser.add_argument("--seed", type=int, default=30)
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--budget", type=int, default=None,
-                        help="algorithms._BLOCK_BYTES, in bytes")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    from impuritypart import (Partition, algorithms, build_joint,
-                              entropy_spec, gini_spec, iterative_refine)
+    from impuritypart import (Partition, build_joint, entropy_spec,
+                              gini_spec, iterative_refine)
 
-    if args.budget is not None:
-        if not hasattr(algorithms, "_BLOCK_BYTES"):
-            parser.error("this tree has no _BLOCK_BYTES")
-        algorithms._BLOCK_BYTES = args.budget
     specs = {"entropy": entropy_spec(), "gini": gini_spec()}
     results, total = [], 0.0
     slowest, largest = (0.0, None), (0, None)

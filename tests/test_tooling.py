@@ -301,7 +301,8 @@ def test_one_function_turns_label_sums_into_statistics():
     # drift from stats_from_pxz's bits; the greedy states keep its stats
     assert calls_named("PartitionStats") == [("prob", "stats_from_pxz")]
     assert calls_named("weighted") == [("algorithms", "_merge_losses"),
-                                       ("algorithms", "_subset_tables")]
+                                       ("algorithms", "_subset_tables"),
+                                       ("prob", "stats_from_pxz")]
 
 
 def test_every_export_is_used_or_documented():
