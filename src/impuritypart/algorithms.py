@@ -686,9 +686,12 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     frees a block's scores before it scores the next. A row costs about
     8 (N + 2K + 5) bytes: its conditional row, its K scores, the K-wide
     product for the blocked classes and a few per-point temporaries.
-    Blocks are sized to _BLOCK_BYTES at that rate, but hold at least
-    _GEMM_ROWS rows: with OpenBLAS 0.3.31 a product over 1000 rows or more
-    has the bits of the whole-matrix product (shorter blocks did not), so
+    Blocks are sized to _BLOCK_BYTES at that rate: in
+    tests/refine_shapes.py at M = 50000 their 1542 to 11915 rows mostly
+    beat blocks of _GEMM_ROWS rows at N = 2 and 20, K = 2 and 30, and lost
+    at N = 64, K = 2. They hold at least _GEMM_ROWS rows: with OpenBLAS
+    0.3.31 a product over 1000 rows or more has the bits of the
+    whole-matrix product (shorter blocks did not), so
     every partition, trace and impurity is that of one unblocked pass.
     Beside the joint and O(M + K N) floats, a pass so holds less than
     twice the larger of the budget and _GEMM_ROWS rows at that rate,
