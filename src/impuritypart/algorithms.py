@@ -92,10 +92,10 @@ ORACLE_TABLE_CAP = 1 << 32
 # of labellings and chunks of subset sums, refinement's row blocks and the
 # coverage table's row blocks are each sized to fit it, half of a 2 MiB L2
 # cache; 2**20 and 2**21 took the same time on the grid of shapes at the
-# oracle's caps in tests/oracle_shapes.py, and 2**20 took less memory.
+# oracle's caps in `tests/shapes.py oracle`, and 2**20 took less memory.
 # The coverage table adds up its blocks' tables, so a new budget changes
 # that table's bits and may change its candidate sets, though not the mask
-# picked: rerun tests/mask_shapes.py, whose digests must not move
+# picked: rerun `tests/shapes.py mask`, whose digests must not move
 _BLOCK_BYTES = 1 << 20
 # the fewest rows of a refinement block: with OpenBLAS 0.3.31 a product over
 # 1000 rows or more has the bits of the whole-matrix product, and shorter
@@ -634,7 +634,21 @@ def greedy_merge(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoResult:
     return next(greedy_walk(jd, base, f, [k], trace=[]))
 
 
-def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray:
+def _centroid_terms(q: np.ndarray, f: ImpuritySpec) -> tuple:
+    """The terms of _divergences that depend on the centroid rows q alone,
+    computed once per refinement pass: f'(q) transposed, 0 where it is
+    infinite; the offsets sum_i [f(q_i) - f'(q_i) q_i], one per centroid;
+    and, when f' is infinite anywhere, the transposed mask of where, as
+    floats, else None."""
+    fp = f.f_prime(q)
+    blocked = ~np.isfinite(fp)
+    fp = np.where(blocked, 0.0, fp)
+    offsets = (f.f_values(q) - fp * q).sum(axis=1)
+    return fp.T, offsets, blocked.T.astype(float) if blocked.any() else None
+
+
+def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec,
+                 terms: Optional[tuple] = None) -> np.ndarray:
     """M x K score ranking each centroid row of q for each point row of cond.
 
     The score is the Bregman divergence of the convex -sum f, less a term
@@ -646,16 +660,15 @@ def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec) -> np.ndarray
     divergence in bits (both rows sum to 1); for Gini it is the squared
     Euclidean distance |c - q|^2. A centroid where f' is infinite (entropy
     at q_i = 0) scores +inf for a point with c_i > 0, as KL does, and that
-    class adds nothing for a point with c_i = 0.
+    class adds nothing for a point with c_i = 0. `terms` is
+    _centroid_terms(q, f), computed here when not given: a caller scoring
+    several blocks of points against the same q computes it once.
     """
-    fp = f.f_prime(q)
-    blocked = ~np.isfinite(fp)
-    fp = np.where(blocked, 0.0, fp)
-    score = cond @ fp.T
-    score += (f.f_values(q) - fp * q).sum(axis=1)
-    if blocked.any():
-        hit = cond @ blocked.T.astype(float) > 0.0
-        score[hit] = np.inf
+    slopes, offsets, blocked = _centroid_terms(q, f) if terms is None else terms
+    score = cond @ slopes
+    score += offsets
+    if blocked is not None:
+        score[cond @ blocked > 0.0] = np.inf
     return score
 
 
@@ -683,11 +696,12 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
 
     A pass scores the points in balanced row blocks against the same
     centroids (see _row_blocks), instead of one M x K score matrix, and
-    frees a block's scores before it scores the next. A row costs about
+    frees a block's scores before it scores the next; the centroids' own
+    terms (_centroid_terms) are computed once per pass. A row costs about
     8 (N + 2K + 5) bytes: its conditional row, its K scores, the K-wide
     product for the blocked classes and a few per-point temporaries.
     Blocks are sized to _BLOCK_BYTES at that rate: in
-    tests/refine_shapes.py at M = 50000 their 1542 to 11915 rows mostly
+    `tests/shapes.py refine` at M = 50000 their 1542 to 11915 rows mostly
     beat blocks of _GEMM_ROWS rows at N = 2 and 20, K = 2 and 30, and lost
     at N = 64, K = 2. They hold at least _GEMM_ROWS rows: with OpenBLAS
     0.3.31 a product over 1000 rows or more has the bits of the
@@ -706,6 +720,7 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     for _ in range(max_iters):
         labels = np.flatnonzero(stats.nonempty)
         centroids = stats.px_given_z[labels]
+        terms = _centroid_terms(centroids, f)
         # every point's label holds it, so it is among the nonempty labels
         column = np.zeros(k, dtype=np.intp)
         column[labels] = np.arange(labels.size)
@@ -714,7 +729,7 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
             # C-ordered: the GEMM in _divergences rounds differently when
             # its left operand is column-major
             cond = np.divide(jd.p[lo:hi], jd.row_masses[lo:hi, None], order="C")
-            div = _divergences(cond, centroids, f)
+            div = _divergences(cond, centroids, f, terms)
             here = np.arange(hi - lo)
             current = assignment[lo:hi]
             best = div.argmin(axis=1)

@@ -1,6 +1,7 @@
 """Shared instance generators and independent reference computations."""
 
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -25,6 +26,12 @@ class Admitted(Exception):
 
 def admit(*args, **kwargs):
     raise Admitted
+
+
+def digest(obj) -> str:
+    """The first 16 hex digits of the sha256 of repr(obj): one digest for
+    every set of result bits the tests and tests/shapes.py compare."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 def peak_bytes(fn):

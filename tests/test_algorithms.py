@@ -751,19 +751,27 @@ class TestRefineBlocks:
     @pytest.mark.parametrize("m, calls", [(16383, 1), (16384, 2)])
     def test_one_scoring_call_per_block(self, monkeypatch, m, calls):
         # at N = 3, K = 4 a row costs 128 bytes, so blocks hold 8192 rows:
-        # 2 * 8192 - 1 rows are one block and 2 * 8192 rows two
+        # 2 * 8192 - 1 rows are one block and 2 * 8192 rows two, and the
+        # centroid terms are computed once for the pass
         assert calls == max(1, m // self.block_rows(3, 4))
-        seen = []
+        seen, passes = [], []
+        centroid_terms = algorithms._centroid_terms
 
-        def counting(cond, q, f):
+        def counting(cond, *args):
             seen.append(cond.shape[0])
-            return _divergences(cond, q, f)
+            return _divergences(cond, *args)
+
+        def once(q, f):
+            passes.append(q.shape[0])
+            return centroid_terms(q, f)
 
         monkeypatch.setattr(algorithms, "_divergences", counting)
+        monkeypatch.setattr(algorithms, "_centroid_terms", once)
         rng = np.random.default_rng(88)
         jd = random_joint(rng, m, 3)
         iterative_refine(jd, random_partition(rng, m, 4), GINI, max_iters=1)
         assert len(seen) == calls and sum(seen) == m
+        assert passes == [4]
 
     def test_memory_below_one_score_matrix(self):
         # one M x K float matrix is 11.4 MiB here; the whole-matrix pass

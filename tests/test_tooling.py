@@ -22,7 +22,10 @@ sums become statistics in one place: no function other than
 prob.stats_from_pxz may build a PartitionStats, and only it,
 algorithms._merge_losses and algorithms._subset_tables may call
 `.weighted(`. No function other than algorithms._result may build an
-AlgoResult.
+AlgoResult. Under tests/, only helpers.py may call hashlib, so every digest
+of result bits is helpers.digest's, and each grid of the timing driver
+tests/shapes.py runs on one small shape, so renaming a private name it
+reads breaks tier-1.
 """
 
 import ast
@@ -40,6 +43,8 @@ import numpy as np
 import impuritypart
 from impuritypart import ImpuritySpec, algorithms, cli, ingestion
 from impuritypart.cli import RunConfig
+
+import shapes
 
 TESTS = Path(__file__).resolve().parent
 TRACING = TESTS.parent / "perfbench" / "tracing.py"
@@ -371,3 +376,26 @@ def test_readme_choice_lists_match_the_code():
             bullet, count = re.subn(r"\([^()]*\)", "", bullet)
         sentence = re.split(r"\.\s", bullet, maxsplit=1)[0]
         assert re.findall(r"`(\w+)`", sentence) == list(choices), flag
+
+
+def test_one_function_builds_every_digest():
+    # a second digest recipe (any hashlib name, import or from-import)
+    # would give two trees that agree different digests, and the ones
+    # CHANGES.md records would stop matching
+    callers = [path.name for path in sorted(TESTS.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if "hashlib" in (getattr(node, "id", None),
+                                getattr(node, "module", None),
+                                getattr(node, "name", None))]
+    assert set(callers) == {"helpers.py"}
+
+
+def test_every_timing_grid_runs_on_a_small_shape(capsys):
+    # the driver reads _scan_mask, _coverage_table, _coverage_candidates,
+    # _best_mask and _COVER_TABLES by name
+    agree, *digests = shapes.mask(25, 1, ns=(6,), ms=(300,), named=())
+    digests += [shapes.oracle(29, 1, ks=(7,), ns=(2,), below=0),
+                shapes.refine(30, 1, ms=(2000,), ns=(2,), ks=(30,))]
+    assert agree
+    assert all(re.fullmatch("[0-9a-f]{16}", text) for text in digests)
+    assert capsys.readouterr().out.count("digest of") == 4
