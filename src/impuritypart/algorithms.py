@@ -647,9 +647,10 @@ def _centroid_terms(q: np.ndarray, f: ImpuritySpec) -> tuple:
     return fp.T, offsets, blocked.T.astype(float) if blocked.any() else None
 
 
-def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec,
-                 terms: Optional[tuple] = None) -> np.ndarray:
-    """M x K score ranking each centroid row of q for each point row of cond.
+def _divergences(cond: np.ndarray, terms: tuple) -> np.ndarray:
+    """M x K score ranking each centroid row q for each point row of cond,
+    given the centroids' terms, _centroid_terms(q, f), which a caller
+    scoring several blocks of points against the same q computes once.
 
     The score is the Bregman divergence of the convex -sum f, less a term
     that depends on the point alone:
@@ -660,11 +661,9 @@ def _divergences(cond: np.ndarray, q: np.ndarray, f: ImpuritySpec,
     divergence in bits (both rows sum to 1); for Gini it is the squared
     Euclidean distance |c - q|^2. A centroid where f' is infinite (entropy
     at q_i = 0) scores +inf for a point with c_i > 0, as KL does, and that
-    class adds nothing for a point with c_i = 0. `terms` is
-    _centroid_terms(q, f), computed here when not given: a caller scoring
-    several blocks of points against the same q computes it once.
+    class adds nothing for a point with c_i = 0.
     """
-    slopes, offsets, blocked = _centroid_terms(q, f) if terms is None else terms
+    slopes, offsets, blocked = terms
     score = cond @ slopes
     score += offsets
     if blocked is not None:
@@ -719,8 +718,7 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
     trace = [{"event": "init", "impurity": stats.impurity}]
     for _ in range(max_iters):
         labels = np.flatnonzero(stats.nonempty)
-        centroids = stats.px_given_z[labels]
-        terms = _centroid_terms(centroids, f)
+        terms = _centroid_terms(stats.px_given_z[labels], f)
         # every point's label holds it, so it is among the nonempty labels
         column = np.zeros(k, dtype=np.intp)
         column[labels] = np.arange(labels.size)
@@ -729,7 +727,7 @@ def iterative_refine(jd: JointDistribution, start: Partition, f: ImpuritySpec,
             # C-ordered: the GEMM in _divergences rounds differently when
             # its left operand is column-major
             cond = np.divide(jd.p[lo:hi], jd.row_masses[lo:hi, None], order="C")
-            div = _divergences(cond, centroids, f, terms)
+            div = _divergences(cond, terms)
             here = np.arange(hi - lo)
             current = assignment[lo:hi]
             best = div.argmin(axis=1)

@@ -15,8 +15,7 @@ from impuritypart import (
     compute_stats,
     max_likelihood_partition,
 )
-from impuritypart.algorithms import (_coverage_candidates, _coverage_table,
-                                     _divergences)
+from impuritypart import algorithms
 from impuritypart.prob import aggregate
 
 
@@ -187,7 +186,8 @@ def refine_reference(jd, start, f, max_iters=100):
     rows = np.arange(jd.n_rows)
     for _ in range(max_iters):
         labels = np.flatnonzero(stats.nonempty)
-        div = _divergences(cond, stats.px_given_z[labels], f)
+        terms = algorithms._centroid_terms(stats.px_given_z[labels], f)
+        div = algorithms._divergences(cond, terms)
         d_cur = div[rows, np.searchsorted(labels, assignment)]
         best = div.argmin(axis=1)
         moves = div[rows, best] < d_cur
@@ -228,8 +228,8 @@ def coverage_candidates(p, k, keep=None):
     table built for complements of at most `keep` columns (N - k, the
     shallowest that serves k, by default)."""
     m, n = p.shape
-    table, total = _coverage_table(p, n - k if keep is None else keep)
-    return _coverage_candidates(table, total, m, k)
+    table, total = algorithms._coverage_table(p, n - k if keep is None else keep)
+    return algorithms._coverage_candidates(table, total, m, k)
 
 
 def first_best_reference(p, masks):

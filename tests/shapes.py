@@ -182,8 +182,8 @@ def oracle(seed, repeat, ks=range(2, 8), ns=(2, 4, 12, 64, 512), below=2):
 
 
 def refine(seed, repeat, ms=(2000, 20000, 50000), ns=(2, 20, 64),
-           ks=(2, 30, 300, 1000), passes=2):
-    """`passes` passes of iterative_refine on M x N skewed counts,
+           ks=(2, 30, 300, 1000)):
+    """Two passes of iterative_refine on M x N skewed counts,
     floor(1000 U**4) + 1 as in the refine workload, M in ms and N in ns,
     from a seeded random labelling with K in ks labels, under entropy and
     Gini; one row per shape. Returns the digest of the assignments and
@@ -203,7 +203,7 @@ def refine(seed, repeat, ms=(2000, 20000, 50000), ns=(2, 20, 64),
                 for name, spec in specs.items():
                     shape = (m, n, k, name)
                     res, seconds[shape], peaks[shape] = timed(
-                        lambda: iterative_refine(jd, start, spec, passes), repeat)
+                        lambda: iterative_refine(jd, start, spec, 2), repeat)
                     results.append((shape, res.partition.assignment.tolist(),
                                     [e["impurity"].hex() for e in res.trace]))
                     print(f"{m:5d}  {n:2d}  {k:4d}  {name:7s}  {seconds[shape]:8.3f}"

@@ -32,8 +32,8 @@ from impuritypart import (
     max_likelihood_partition,
 )
 from impuritypart import algorithms
-from impuritypart.algorithms import (ORACLE_TABLE_CAP, _divergences, merge_states,
-                                     split_states)
+from impuritypart.algorithms import (ORACLE_TABLE_CAP, _centroid_terms, _divergences,
+                                     merge_states, split_states)
 
 from helpers import (
     Admitted,
@@ -755,15 +755,14 @@ class TestRefineBlocks:
         # centroid terms are computed once for the pass
         assert calls == max(1, m // self.block_rows(3, 4))
         seen, passes = [], []
-        centroid_terms = algorithms._centroid_terms
 
-        def counting(cond, *args):
+        def counting(cond, terms):
             seen.append(cond.shape[0])
-            return _divergences(cond, *args)
+            return _divergences(cond, terms)
 
         def once(q, f):
             passes.append(q.shape[0])
-            return centroid_terms(q, f)
+            return _centroid_terms(q, f)
 
         monkeypatch.setattr(algorithms, "_divergences", counting)
         monkeypatch.setattr(algorithms, "_centroid_terms", once)
@@ -811,7 +810,7 @@ class TestBregmanScore:
                        for lo, hi in ((5, 60), (2, 9), (1, 8)))
             cond = sparse_rows(rng, m, n)
             q = sparse_rows(rng, k, n, density=0.4)
-            score = _divergences(cond, q, spec)
+            score = _divergences(cond, _centroid_terms(q, spec))
             ref = divergence_reference(cond, q, spec.kind)
             assert score.shape == (m, k)
             assert not np.isnan(score).any()
