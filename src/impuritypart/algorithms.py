@@ -11,11 +11,14 @@ order, depth first, keeping only running maxima, one np.maximum per node of
 the mask tree and one sum per mask. It walks either every mask or the few
 whose value in one zeta-transformed table of subset sums over the 2**N
 column sets is within a stated rounding bound of the best, chosen from the
-input's size (see _best_mask). A joint keeps its table (_COVER_TABLES)
-for every later k it serves, so calls with increasing k, as the CLI makes
-them, build at most one table per joint, and the candidates, and so every
-result, are those of a table built for that k alone. The winning mask
-alone is labelled, by the running argmax that also labels the k >= N step.
+input's size (see _best_mask). A joint keeps its table, with the column
+count of every column set, in _COVER_TABLES, the one module-level state
+the search writes, for every later k it serves. Calls with increasing k,
+as the CLI makes them, build at most one table per joint, and any order
+of k at most two, since a table rebuilt for a deeper k serves every k;
+the candidates, and so every result, are those of a table built for that
+k alone. The winning mask alone is labelled, by the running argmax that
+also labels the k >= N step.
 The exhaustive oracle scores one labelling per partition, the
 restricted-growth one (point 0 at label 0, each later point at most one
 above the largest label before it), sum_{j <= k} S(m, j) labellings instead
@@ -108,12 +111,10 @@ _GEMM_ROWS = 1024
 _COVER_START = 1 << 16
 _COVER_READS = 24
 _COVER_BITS = 20
-# each joint's coverage table, (keep, table, total), kept by _best_mask for
-# every later k < N it serves; a joint's p is read-only, so a table never
-# goes stale, and the entry goes when its joint does
+# each joint's coverage table, (keep, table, total, sizes), kept by
+# _best_mask for every later k < N it serves; a joint's p is read-only, so
+# a table never goes stale, and the entry goes when its joint does
 _COVER_TABLES = weakref.WeakKeyDictionary()
-# the column counts of the 2**n column sets, one read-only array per n
-_COLUMN_COUNTS = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +199,16 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     each point's entries once and builds one table of subset sums over the
     2**n column sets, from which every mask's F is one lookup:
     O(M n log n + n 2**n) work, memory the table and row blocks of about
-    2**14 entries. The table is kept with jd, 2**n floats, and serves every
-    later call on jd whose n - k it reaches without being built again, so
-    a sweep of increasing k builds it once. The table's values only
-    propose candidates, and the walk over them gives the winner the walk
-    over every mask gives. No mask is labelled during
-    the walk: the maxima are exact, so folding the winner's columns
-    afterwards gives the labels a scan would have kept. masks_evaluated
-    counts all C(n, k) masks, which both walks cover. Each column read is
-    contiguous in the column-major joint.
+    2**14 entries. The table is kept with jd, 2**n floats and 2**n one-byte
+    column counts, and serves every later call on jd whose n - k it
+    reaches without being built again; a call it does not reach rebuilds
+    it for every k < n, so a sweep of increasing k builds it once and any
+    order of k at most twice. The table's values only propose candidates,
+    and the walk over them gives the winner the walk over every mask
+    gives. No mask is labelled during the walk: the maxima are exact, so
+    folding the winner's columns afterwards gives the labels a scan would
+    have kept. masks_evaluated counts all C(n, k) masks, which both walks
+    cover. Each column read is contiguous in the column-major joint.
     """
     k = check_k(k)
     n = jd.n_cols
@@ -240,31 +242,32 @@ def _best_mask(jd: JointDistribution, k: int) -> tuple:
     serves k, its candidates are walked without more ado. Otherwise the
     input's size alone decides: the table costs about _COVER_START +
     _COVER_READS * M N + N 2**N point reads and the walk over every mask
-    C(N, k) (M + 2048), the reads MASK_BUDGET counts; the table is built
-    with keep = N - k, and kept in _COVER_TABLES in place of a shallower
-    one, when its cost is not the larger and N <= _COVER_BITS. A joint's
-    first call therefore does the work it would do if no table were kept,
-    and calls with increasing k, as a CLI sweep makes them, build at most
-    one table per joint. Walking the candidates never costs more than walking
-    every mask, even on all-tie inputs such as identical columns, where
-    every mask is a candidate.
+    C(N, k) (M + 2048), the reads MASK_BUDGET counts; the table is built,
+    and kept in _COVER_TABLES, when its cost is not the larger and
+    N <= _COVER_BITS. A joint's first table has keep = N - k, so its first
+    call does the work it would do if no table were kept; a table that
+    replaces a shallower one has keep = N - 1 and serves every k < N. Calls
+    with increasing k, as a CLI sweep makes them, therefore build at most
+    one table per joint, and any order of k at most two. Walking the
+    candidates never costs more than walking every mask, even on all-tie
+    inputs such as identical columns, where every mask is a candidate.
     """
     p = jd.p
     m, n = p.shape
-    keep = n - k
     cover = _COVER_TABLES.get(jd)
-    if cover is None or cover[0] < keep:
+    if cover is None or cover[0] < n - k:
         if (n > _COVER_BITS or _COVER_START + _COVER_READS * m * n + (n << n)
                 > math.comb(n, k) * (m + 2048)):
             return _scan_mask(p, k)
+        keep = n - (k if cover is None else 1)
         cover = _COVER_TABLES[jd] = (keep, *_coverage_table(p, keep))
-    _, table, total = cover
-    return _scan_mask(p, k, _coverage_candidates(table, total, m, k))
+    return _scan_mask(p, k, _coverage_candidates(*cover[1:], m, k))
 
 
 def _coverage_table(p: np.ndarray, keep: int) -> tuple:
-    """(table, total): G(U), below, for every column set U of p with at
-    most keep columns, and total, the sum of every point's largest entry.
+    """(table, total, sizes): G(U), below, for every column set U of p
+    with at most keep columns, total, the sum of every point's largest
+    entry, and sizes, the number of columns in every U, one byte each.
 
     A point whose entries sorted in decreasing order are v_1 >= ... >= v_N,
     v_{N+1} = 0, with T_r its top r columns, has its largest entry in S
@@ -280,8 +283,9 @@ def _coverage_table(p: np.ndarray, keep: int) -> tuple:
     rows depend on N alone, not on keep. Each block's differences of the
     ranks r <= keep are bincounted onto the bitmasks of their T_r; Yates'
     zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007) then
-    sums each entry over its subsets. O(M N log N + N 2**N) work; memory
-    is the 2**N table and one block's arrays.
+    sums each entry over its subsets, and the same N doublings count each
+    U's columns. O(M N log N + N 2**N) work; memory is the 2**N table, the
+    2**N counts and one block's arrays.
 
     keep only bounds which entries hold G. A rank r lands on a bitmask of r
     columns, and the transform sums an entry over subsets, which have no
@@ -303,18 +307,21 @@ def _coverage_table(p: np.ndarray, keep: int) -> tuple:
         tops = np.cumsum(bit[order[:, :keep]], axis=1)
         table += np.bincount(tops.ravel(), (top[:, :-1] - top[:, 1:]).ravel(),
                              minlength=1 << n)
+    sizes = np.zeros(1, dtype=np.uint8)
     for i in range(n):
         pairs = table.reshape(-1, 2, 1 << i)
         pairs[:, 1] += pairs[:, 0]
-    return table, total
+        sizes = np.concatenate([sizes, sizes + 1])
+    return table, total, sizes
 
 
-def _coverage_candidates(table: np.ndarray, total: float, m: int,
-                         k: int) -> np.ndarray:
+def _coverage_candidates(table: np.ndarray, total: float, sizes: np.ndarray,
+                         m: int, k: int) -> np.ndarray:
     """The size-k column masks of an M-row joint that can hold the largest
     float coverage, as the rows of a C x k array of columns in
-    lexicographic order, from _coverage_table's (table, total) for a keep
-    of at least N - k: every such table gives the same candidates.
+    lexicographic order, from _coverage_table's (table, total, sizes) for
+    a keep of at least N - k: every such table gives the same candidates.
+    The complements of size N - k are read off sizes.
 
     The table only proposes masks. All its terms are nonnegative, so a
     float sum of them along an addition tree of height h is within
@@ -333,25 +340,12 @@ def _coverage_candidates(table: np.ndarray, total: float, m: int,
     F is among them.
     """
     n = table.size.bit_length() - 1
-    complements = np.flatnonzero(_column_counts(n) == n - k)
+    complements = np.flatnonzero(sizes == n - k)
     g = table[complements]
     delta = (2 * m + n + 2) * 2.0 ** -52 * total
     candidates = ((1 << n) - 1) ^ complements[g <= g.min() + 2 * delta]
     cols = np.nonzero((candidates[:, None] >> np.arange(n)) & 1)[1].reshape(-1, k)
     return cols[np.lexsort(cols.T[::-1])]
-
-
-def _column_counts(n: int) -> np.ndarray:
-    """The number of columns in each column set U of n columns, indexed by
-    U's bitmask: built once per n and kept, read-only, in _COLUMN_COUNTS."""
-    sizes = _COLUMN_COUNTS.get(n)
-    if sizes is None:
-        sizes = np.zeros(1, dtype=np.uint8)
-        for _ in range(n):
-            sizes = np.concatenate([sizes, sizes + 1])
-        sizes.setflags(write=False)
-        _COLUMN_COUNTS[n] = sizes
-    return sizes
 
 
 def _scan_mask(p: np.ndarray, k: int,

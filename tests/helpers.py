@@ -228,8 +228,13 @@ def coverage_candidates(p, k, keep=None):
     table built for complements of at most `keep` columns (N - k, the
     shallowest that serves k, by default)."""
     m, n = p.shape
-    table, total = algorithms._coverage_table(p, n - k if keep is None else keep)
-    return algorithms._coverage_candidates(table, total, m, k)
+    return algorithms._coverage_candidates(
+        *algorithms._coverage_table(p, n - k if keep is None else keep), m, k)
+
+
+def trace_impurities(result):
+    """The total impurity after each event of result's trace."""
+    return [event["impurity"] for event in result.trace]
 
 
 def first_best_reference(p, masks):

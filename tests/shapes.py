@@ -72,9 +72,10 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
     candidates, the walk over every mask, and _best_mask's pick with no
     table kept, all three timed; then max_likelihood_partition (Gini) at
     every admitted k < N in increasing order, from no kept table, as `ml
-    --k 1:<N-1>` runs; last, the `named` shapes' picks. Returns (whether
-    the searches agreed, the picks' digest, the sweep's masks' and e
-    bits' digest)."""
+    --k 1:<N-1>` runs, and again in decreasing order, from no kept table;
+    last, the `named` shapes' picks. Returns (whether the searches and
+    both sweep orders agreed, the picks' digest, the increasing sweep's
+    masks' and e bits' digest)."""
     from helpers import digest
     from impuritypart import (algorithms, build_joint, gini_spec,
                               max_likelihood_partition)
@@ -114,7 +115,8 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
     print(f"same mask from every search: {agree}")
     print("digest of the picks:", digest(picks))
 
-    gini, swept, seconds, results = gini_spec(), [], {}, []
+    gini, swept, seconds, down, results = gini_spec(), [], {}, {}, []
+    orders_agree = True
 
     def sweep(jd, ks):
         swept.clear()
@@ -135,13 +137,18 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
                       if math.comb(n, k) * (m + 2048) <= algorithms.MASK_BUDGET]
                 e_bits, seconds[n, m] = best_time(lambda: sweep(jd, ks), repeat)
                 results.append((n, m, swept[:], e_bits))
+                e_down, down[n, m] = best_time(lambda: sweep(jd, ks[::-1]), repeat)
+                orders_agree &= (swept[::-1], e_down[::-1]) == (results[-1][2], e_bits)
     finally:
         algorithms._best_mask = best_mask
-    slowest = max(seconds, key=seconds.get)
-    print(f"sweep of every admitted k < N, {len(results)} shapes: "
-          f"{sum(seconds.values()):.3f} s, slowest {seconds[slowest]:.3f} s "
-          f"at N, M = {slowest}")
+    for order, times in (("increasing", seconds), ("decreasing", down)):
+        slowest = max(times, key=times.get)
+        print(f"sweep of every admitted k < N in {order} order, {len(times)} "
+              f"shapes: {sum(times.values()):.3f} s, slowest "
+              f"{times[slowest]:.3f} s at N, M = {slowest}")
+    print(f"same masks and e bits in both orders: {orders_agree}")
     print("digest of the sweep's masks and e bits:", digest(results))
+    agree &= orders_agree
 
     rng = np.random.default_rng(seed)
     for what, m, n, k in named:

@@ -55,16 +55,13 @@ from helpers import (
     random_partition,
     refine_reference,
     sparse_rows,
+    trace_impurities,
     two_class_optimum,
 )
 
 ENT = entropy_spec()
 GINI = gini_spec()
 SQRT = ImpuritySpec(lambda x: math.sqrt(x) - x)
-
-
-def trace_impurities(result):
-    return [event["impurity"] for event in result.trace]
 
 
 def comparable(trace):
@@ -1460,15 +1457,31 @@ class TestCoverageTableCache:
         self.check_fresh(monkeypatch, jd, range(1, 12))
 
     def test_a_deeper_k_rebuilds_a_shallower_table_once(self, monkeypatch):
+        # the first table is as deep as its k needs; the rebuild serves
+        # every k < N
         rng = np.random.default_rng(88)
         jd = build_joint(self.certify_counts(rng, 5000))
         builds = self.recorded(monkeypatch, "_coverage_table")
         results = [(k, max_likelihood_partition(jd, k, GINI)) for k in (7, 5, 6, 7)]
-        assert [keep for (keep,), _ in builds] == [5, 7]
-        assert algorithms._COVER_TABLES[jd][0] == 7
+        assert [keep for (keep,), _ in builds] == [5, 11]
+        assert algorithms._COVER_TABLES[jd][0] == 11
         for k, res in results:
             TestExactSearchReference.check(res, jd, k, GINI,
                                            likelihood_reference(jd, k, GINI))
+
+    def test_decreasing_ks_build_at_most_two_tables(self, monkeypatch):
+        # certify's shape from k = N - 1 down: the rule picks the scan at
+        # k = 11 to 9, k = 8 builds the table it needs (keep 4), and k = 7
+        # rebuilds it at keep = N - 1, which serves every k below
+        rng = np.random.default_rng(90)
+        jd = build_joint(self.certify_counts(rng, 5000))
+        builds = self.recorded(monkeypatch, "_coverage_table")
+        for k in range(11, 0, -1):
+            max_likelihood_partition(jd, k, GINI)
+        assert [keep for (keep,), _ in builds] == [4, 11]
+        assert algorithms._COVER_TABLES[jd][0] == 11
+        monkeypatch.undo()
+        self.check_fresh(monkeypatch, jd, range(11, 0, -1))
 
     def test_a_table_goes_with_its_joint(self, monkeypatch):
         monkeypatch.setattr(algorithms, "_COVER_TABLES", weakref.WeakKeyDictionary())

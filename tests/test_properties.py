@@ -29,7 +29,8 @@ from impuritypart import (
 from impuritypart import algorithms
 from impuritypart.algorithms import split_states
 
-from helpers import best_mask_reference, coverage_candidates, leq, stats_reference
+from helpers import (best_mask_reference, coverage_candidates, leq, stats_reference,
+                     trace_impurities)
 
 SPECS = st.sampled_from([entropy_spec(), gini_spec()])
 PROPERTY = settings(max_examples=60, derandomize=True, database=None,
@@ -77,10 +78,6 @@ def tied_joints(draw, max_n=14):
     pad = np.zeros((1, n))
     pad[0, draw(column)] = 2.0 ** int(np.ceil(np.log2(total))) - total
     return build_joint(np.vstack([counts, pad]) if pad.any() else counts)
-
-
-def trace_impurities(result):
-    return [event["impurity"] for event in result.trace]
 
 
 def sandwiched(jd, stats, f):

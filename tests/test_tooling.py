@@ -22,10 +22,11 @@ sums become statistics in one place: no function other than
 prob.stats_from_pxz may build a PartitionStats, and only it,
 algorithms._merge_losses and algorithms._subset_tables may call
 `.weighted(`. No function other than algorithms._result may build an
-AlgoResult. Under tests/, only helpers.py may call hashlib, so every digest
-of result bits is helpers.digest's, and each grid of the timing driver
-tests/shapes.py runs on one small shape, so renaming a private name it
-reads breaks tier-1.
+AlgoResult. Only algorithms._best_mask may write into a module-level name,
+and only into _COVER_TABLES. Under tests/, only helpers.py may call hashlib,
+so every digest of result bits is helpers.digest's, and each grid of the
+timing driver tests/shapes.py runs on one small shape, so renaming a
+private name it reads breaks tier-1.
 """
 
 import ast
@@ -227,6 +228,57 @@ def calls_named(name):
     """call_owners of the calls of `name`, bare or as an attribute."""
     return call_owners(lambda call: getattr(call.func, "id", None) == name
                        or getattr(call.func, "attr", None) == name)
+
+
+# the method calls that change a list, dict or set in place
+MUTATORS = {"setdefault", "update", "clear", "pop", "append", "add"}
+
+
+def module_writes():
+    """(module, function, name) for each write, inside a function, into a
+    name assigned at the top level of its module (a subscript store or
+    del, or a MUTATORS call), and for each name of a `global` statement,
+    which makes a module-level name of its own."""
+    def root(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return getattr(node, "id", None)
+
+    def written(node):
+        if isinstance(node, ast.Global):
+            return node.names
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            return [root(node)]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            return [root(node.func.value)]
+        return []
+
+    def writes(node, owner, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from writes(child, child.name, names)
+                continue
+            if owner is not None:
+                yield from ((owner, name) for name in written(child)
+                            if name in names or isinstance(child, ast.Global))
+            yield from writes(child, owner, names)
+
+    found = []
+    for path in sorted(Path(impuritypart.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {target.id for node in tree.body
+                 for target in getattr(node, "targets", [getattr(node, "target", None)])
+                 if isinstance(target, ast.Name)}
+        found += [(path.stem, *write) for write in writes(tree, None, names)]
+    return found
+
+
+def test_one_function_writes_module_state():
+    # state that a call leaves in a module makes the next call's cost
+    # depend on the calls before it; the one such state left is each
+    # joint's kept coverage table, which only _best_mask writes
+    assert module_writes() == [("algorithms", "_best_mask", "_COVER_TABLES")]
 
 
 def test_only_post_init_sets_frozen_attributes():
