@@ -51,9 +51,11 @@ greedy_merge walk to one k and keep the trace, whose events are the states'
 own events, and the CLI walks a whole sweep of k without one. The decisions
 do not depend on k, so one trajectory serves every k of a sweep. Each state
 carries the PartitionStats that prob.stats_from_pxz gives for its label
-rows: a round re-aggregates only the labels it touches, rebuilds the
-statistics from the updated rows, and is bitwise equal to recomputing them
-from scratch. Every AlgoResult is built by _result.
+rows: a round re-sums only the rows of the labels it touches with
+prob.aggregate, which reduces the gathered row-major block in row order
+where it is wide enough, with the bits of compute_stats' bincounts,
+rebuilds the statistics from the updated rows, and is bitwise equal to
+recomputing them from scratch. Every AlgoResult is built by _result.
 """
 
 import itertools
@@ -446,10 +448,11 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     decisions do not depend on a target k, so one trajectory serves every k.
     When no partition has two points, a final "stop" state repeats the last
     partition and the generator ends, after at most M + 1 states. A round
-    re-aggregates only the source partition's members into its two rows,
-    O(|source| N), rebuilds the statistics of the K rows with
-    stats_from_pxz, O(K N), and scans and copies the labels, O(M). It
-    writes only into the new assignment and rows it makes.
+    sums only the source partition's members into its two rows, O(|source|
+    N), with prob.aggregate over their gathered row-major block (one
+    row-order reduce per label when N > 8), rebuilds the statistics of the
+    K rows with stats_from_pxz, O(K N), and scans and copies the labels,
+    O(M). It writes only into the new assignment and rows it makes.
     """
     p = jd.p
     assignment = base.partition.assignment
@@ -514,11 +517,13 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     triangle), a fresh array that no later round writes. Scoring every pair
     costs O(count^2 N) once, one partition against the partitions after it
     at a time. After a merge only the merged partition's members are
-    re-aggregated, the statistics of the count rows are rebuilt with
-    stats_from_pxz, and only the merged row and column of losses are
-    rescored, each O(count N); the relabelling is O(M) and the argmin and
-    matrix deletions touch O(count^2) floats. Memory is O(count N) beside
-    the O(count^2) loss matrix.
+    re-summed, O(|merged| N), with prob.aggregate over their gathered
+    row-major block (one row-order reduce when N > 4), the statistics of
+    the count rows are rebuilt with stats_from_pxz, and only the merged row
+    and column of losses are rescored, each O(count N); the relabelling is
+    O(M) and the argmin and matrix deletions touch O(count^2) floats.
+    Memory is O(count N) beside the O(count^2) loss matrix and the
+    O(|merged| N) gathered block.
     """
     p = jd.p
     used = np.flatnonzero(base.stats.nonempty)

@@ -1,6 +1,7 @@
-"""Time one tree's mask searches, oracle or refinement on a grid of shapes.
+"""Time one tree's mask searches, oracle, refinement or greedy walks on a
+grid of shapes.
 
-    python tests/shapes.py SRC {mask,oracle,refine} [--seed S] [--repeat R]
+    python tests/shapes.py SRC {mask,oracle,refine,walk} [--seed S] [--repeat R]
 
 SRC is the `src` directory of the checkout to time, so the same driver
 times two trees (a parent and a change, say) side by side. A time is the
@@ -12,6 +13,8 @@ one small shape (test_tooling).
 """
 
 import argparse
+import collections
+import itertools
 import math
 import sys
 import time
@@ -219,7 +222,57 @@ def refine(seed, repeat, ms=(2000, 20000, 50000), ns=(2, 20, 64),
                    "assignments and trace impurity bits", results)
 
 
-GRIDS = {"mask": (mask, 25), "oracle": (oracle, 29), "refine": (refine, 30)}
+def walk(seed, repeat, ms=(1000, 10000, 50000), ns=(4, 20, 64)):
+    """The greedy walks from the likelihood result at N on M x N skewed
+    counts, floor(1000 U**4) + 1 as in the sweep workload, M in ms and N in
+    ns, under entropy and Gini: merge_states from N labels down to 2 and
+    split_states up to 3N, each walked without keeping its states; one row
+    per shape. Returns the digest of every state's statistics bits."""
+    from helpers import digest, peak_bytes
+    from impuritypart import (build_joint, entropy_spec, gini_spec,
+                              max_likelihood_partition)
+    from impuritypart.algorithms import merge_states, split_states
+
+    specs = {"entropy": entropy_spec(), "gini": gini_spec()}
+    results, seconds, peaks = [], {}, {}
+
+    def bits(state):
+        stats = state.stats
+        return digest([getattr(stats, name).tobytes() for name in
+                       ("pz", "pxz", "px_given_z", "nonempty",
+                        "per_partition_impurity")]
+                      + [stats.impurity.hex(), stats.e_q.hex()])
+
+    print("    M   N  f        walk   states  time (s)  peak (MiB)")
+    for m in ms:
+        for n in ns:
+            rng = np.random.default_rng((seed, m, n))
+            jd = build_joint(np.floor(1000 * rng.random((m, n)) ** 4) + 1)
+            for name, spec in specs.items():
+                base = max_likelihood_partition(jd, n, spec)
+                # the init state, then count - 2 merges or 2N splits
+                walks = {"merge": (merge_states, int(base.stats.nonempty.sum()) - 1),
+                         "split": (split_states, 2 * n + 1)}
+                for what, (states, count) in walks.items():
+                    shape = (m, n, name, what)
+
+                    def walked():
+                        return itertools.islice(states(jd, base, spec), count)
+
+                    seconds[shape] = best_time(
+                        lambda: collections.deque(walked(), maxlen=0), repeat)[1]
+                    peaks[shape], kept = peak_bytes(lambda: list(map(bits, walked())))
+                    results.append((shape, kept))
+                    print(f"{m:5d}  {n:2d}  {name:7s}  {what:5s}  {len(kept):6d}"
+                          f"  {seconds[shape]:8.4f}  {peaks[shape] / 2 ** 20:10.2f}")
+    return summary("M, N, f, walk", seconds, peaks, "states' statistics bits",
+                   results)
+
+
+# grid name -> (function, default seed, default runs per time): single
+# runs of the fast walks spread widely, so they keep the best of five
+GRIDS = {"mask": (mask, 25, 1), "oracle": (oracle, 29, 1), "refine": (refine, 30, 1),
+         "walk": (walk, 33, 5)}
 
 
 def main(argv=None):
@@ -227,12 +280,14 @@ def main(argv=None):
     parser.add_argument("src", help="the src directory of the tree to time")
     parser.add_argument("grid", choices=GRIDS)
     parser.add_argument("--seed", type=int,
-                        help="the grid's seed (mask 25, oracle 29, refine 30)")
-    parser.add_argument("--repeat", type=int, default=1)
+                        help="the grid's seed (mask 25, oracle 29, refine 30, walk 33)")
+    parser.add_argument("--repeat", type=int,
+                        help="runs per time, the best kept (walk 5, the others 1)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    grid, seed = GRIDS[args.grid]
-    grid(seed if args.seed is None else args.seed, args.repeat)
+    grid, seed, repeat = GRIDS[args.grid]
+    grid(seed if args.seed is None else args.seed,
+         repeat if args.repeat is None else args.repeat)
 
 
 if __name__ == "__main__":

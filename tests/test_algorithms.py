@@ -28,6 +28,7 @@ from impuritypart import (
     gini_spec,
     greedy_merge,
     greedy_split,
+    ingest,
     iterative_refine,
     max_likelihood_partition,
 )
@@ -516,10 +517,26 @@ class TestGreedyTrajectories:
         # three points cannot fill many labels: the split trajectory stops
         yield build_joint([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
 
+    @staticmethod
+    def wide_instances(tmp_path):
+        """Joints whose walks sum wide row-major blocks, as the sweep's do:
+        one ingested from a count file whose -0 tokens fill a column and
+        more, and 5000 x 12 skewed counts whose merged labels hold thousands
+        of rows."""
+        rng = np.random.default_rng(53)
+        counts = np.floor(30 * rng.random((60, 10)) ** 3)
+        counts[np.arange(60), rng.integers(10, size=60)] += 1
+        counts[:, 3] = 0
+        path = tmp_path / "signed_zeros.csv"
+        path.write_text("\n".join(",".join("-0" if c == 0 else str(int(c)) for c in row)
+                                   for row in counts))
+        yield ingest(path, "counts")
+        yield build_joint(np.floor(1000 * rng.random((5000, 12)) ** 4) + 1)
+
     @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
-    def test_split_and_merge_equal_reference(self, spec):
+    def test_split_and_merge_equal_reference(self, spec, tmp_path):
         seen = set()
-        for jd in self.instances():
+        for jd in itertools.chain(self.instances(), self.wide_instances(tmp_path)):
             n = jd.n_cols
             base = max_likelihood_partition(jd, n, spec)
             if np.bincount(base.partition.assignment, minlength=n).min() == 0:

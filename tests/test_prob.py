@@ -1,5 +1,6 @@
 """Joint distribution containers and partition statistics."""
 
+import itertools
 import math
 import re
 
@@ -305,7 +306,10 @@ class TestEmptyLabelPadding:
 
 
 class TestAggregate:
-    def test_bitwise_equal_to_add_at(self):
+    @staticmethod
+    def inputs():
+        """(p, labels, k) for aggregate: random labellings, then the greedy
+        walks' blocks."""
         rng = np.random.default_rng(29)
         for trial in range(40):
             m = int(rng.integers(1, 300))
@@ -315,12 +319,29 @@ class TestAggregate:
             # labels come from a subset of 0..11, so some stay empty, and k
             # runs up to three past the largest label
             k = int(labels.max()) + 1 + trial % 4
+            yield rng.random((m, n)) ** 3, labels, k
+        # one or two labels, as the walks sum them, on both sides of the
+        # reduce's column rule, row-major and column-major, up to 20011
+        # rows; column 1 holds only -0.0, which both methods sum to +0.0
+        for m, n, k in itertools.product((1, 2, 300, 20011), (3, 5, 9, 20), (1, 2)):
             p = rng.random((m, n)) ** 3
+            p[:, 1] = -0.0
+            # at 300 rows label 1 is empty; the split passes a bool labelling
+            labels = rng.integers(k, size=m) * (m != 300)
+            for order in "CF":
+                block = np.array(p, order=order)
+                yield block, labels, k
+                if k == 2:
+                    yield block, labels == 1, k
+
+    def test_bitwise_equal_to_add_at(self):
+        for p, labels, k in self.inputs():
+            m, n = p.shape
             expected = np.zeros((k, n))
-            np.add.at(expected, labels, p)
+            np.add.at(expected, labels.astype(np.intp), p)
             got = aggregate(p, labels, k)
             assert got.shape == (k, n)
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == expected.tobytes(), (m, n, k, p.flags.c_contiguous)
 
 
 class TestMergeSplitMonotonicity:

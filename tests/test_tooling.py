@@ -447,7 +447,8 @@ def test_every_timing_grid_runs_on_a_small_shape(capsys):
     # _best_mask and _COVER_TABLES by name
     agree, *digests = shapes.mask(25, 1, ns=(6,), ms=(300,), named=())
     digests += [shapes.oracle(29, 1, ks=(7,), ns=(2,), below=0),
-                shapes.refine(30, 1, ms=(2000,), ns=(2,), ks=(30,))]
+                shapes.refine(30, 1, ms=(2000,), ns=(2,), ks=(30,)),
+                shapes.walk(33, 1, ms=(1000,), ns=(20,))]
     assert agree
     assert all(re.fullmatch("[0-9a-f]{16}", text) for text in digests)
-    assert capsys.readouterr().out.count("digest of") == 4
+    assert capsys.readouterr().out.count("digest of") == 5
