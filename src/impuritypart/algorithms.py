@@ -51,11 +51,12 @@ greedy_merge walk to one k and keep the trace, whose events are the states'
 own events, and the CLI walks a whole sweep of k without one. The decisions
 do not depend on k, so one trajectory serves every k of a sweep. Each state
 carries the PartitionStats that prob.stats_from_pxz gives for its label
-rows: a round re-sums only the rows of the labels it touches with
-prob.aggregate, which reduces the gathered row-major block in row order
-where it is wide enough, with the bits of compute_stats' bincounts,
-rebuilds the statistics from the updated rows, and is bitwise equal to
-recomputing them from scratch. Every AlgoResult is built by _result.
+rows: a round re-sums only the labels it touches, each from its rows
+gathered out of the joint in row order as one row-major block, which
+prob.aggregate reduces in row order where it is wide enough, with the bits
+of compute_stats' bincounts; it rebuilds the statistics from the updated
+rows, and is bitwise equal to recomputing them from scratch. Every
+AlgoResult is built by _result.
 """
 
 import itertools
@@ -449,10 +450,13 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     When no partition has two points, a final "stop" state repeats the last
     partition and the generator ends, after at most M + 1 states. A round
     sums only the source partition's members into its two rows, O(|source|
-    N), with prob.aggregate over their gathered row-major block (one
-    row-order reduce per label when N > 8), rebuilds the statistics of the
-    K rows with stats_from_pxz, O(K N), and scans and copies the labels,
-    O(M). It writes only into the new assignment and rows it makes.
+    N): the rows that stay and the rows that move are each gathered from
+    the joint in row order and summed as a one-label block by
+    prob.aggregate (one row-order reduce when N >= 4), so the round holds
+    at most one half of the source's rows at a time. It then rebuilds the
+    statistics of the K rows with stats_from_pxz, O(K N), and scans and
+    copies the labels, O(M). It writes only into the new assignment and
+    rows it makes.
     """
     p = jd.p
     assignment = base.partition.assignment
@@ -471,25 +475,29 @@ def split_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
         cond = stats.px_given_z[source]
         j_star = int(np.argmax(cond))
         members = np.flatnonzero(assignment == source)
-        attribution = p[members, j_star] / jd.row_masses[members]
+        # a gather from the contiguous column, cheaper than p[members, j_star]
+        attribution = p[:, j_star][members] / jd.row_masses[members]
         move = attribution > cond[j_star]
         # moving every member would only relabel the source
         fallback = not move.any() or bool(move.all())
         if fallback:
             move = np.arange(members.size) == int(np.argmax(attribution))
+        stay, moving = [members[np.flatnonzero(side)] for side in (~move, move)]
         target = counts.size
         assignment = assignment.copy()
-        assignment[members[move]] = target
-        halves = aggregate(p[members], move, 2)
-        pxz = np.vstack([stats.pxz, halves[1:]])
-        pxz[source] = halves[0]
+        assignment[moving] = target
+        # each half is gathered from the joint in row order and summed as
+        # its own block, so the round copies each source row once
+        sums = [aggregate(p[rows], np.zeros(rows.size, dtype=np.intp), 1)
+                for rows in (stay, moving)]
+        pxz = np.vstack([stats.pxz, sums[1]])
+        pxz[source] = sums[0][0]
         stats = stats_from_pxz(pxz, f)
-        moved = int(move.sum())
-        counts = np.append(counts, moved)
-        counts[source] -= moved
+        counts = np.append(counts, moving.size)
+        counts[source] -= moving.size
         yield GreedyState(assignment, stats,
                           {"event": "split", "source": source, "target": target,
-                           "moved": moved, "fallback": fallback})
+                           "moved": moving.size, "fallback": fallback})
 
 
 def _merge_losses(stats: PartitionStats, i: int, start: int,
@@ -518,7 +526,7 @@ def merge_states(jd: JointDistribution, base: AlgoResult, f: ImpuritySpec):
     costs O(count^2 N) once, one partition against the partitions after it
     at a time. After a merge only the merged partition's members are
     re-summed, O(|merged| N), with prob.aggregate over their gathered
-    row-major block (one row-order reduce when N > 4), the statistics of
+    row-major block (one row-order reduce when N >= 4), the statistics of
     the count rows are rebuilt with stats_from_pxz, and only the merged row
     and column of losses are rescored, each O(count N); the relabelling is
     O(M) and the argmin and matrix deletions touch O(count^2) floats.

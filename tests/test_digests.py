@@ -2,11 +2,15 @@
 
 Each written report, read back without its paths and records' wall_ms and
 hashed by helpers.digest, must equal the digest in report_digests.json for
-every plan of cli._outcomes under entropy and Gini. The file records the
-numpy and BLAS that made it, since refinement's GEMMs round by the BLAS; on
-another, the test skips. Bits changed on purpose are recorded with
+every plan of cli._outcomes under entropy and Gini, and the timing driver's
+walk grid on one small shape must print WALK, the digest of every greedy
+state's statistics. The file records the numpy and BLAS that made it, since
+refinement's GEMMs round by the BLAS; on another, both tests skip. Bits
+changed on purpose are recorded with
 
     PYTHONPATH=src python tests/test_digests.py
+
+and WALK with `python tests/shapes.py src walk`'s digest on that shape.
 """
 
 import json
@@ -20,9 +24,13 @@ import pytest
 from impuritypart import algorithms, cli
 from impuritypart.cli import RunConfig
 
+import shapes
 from helpers import digest
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
+# shapes.walk(33, 1, ms=(1000,), ns=(20,)): the merge and split walks on
+# 1000 x 20 skewed counts under entropy and Gini
+WALK = "fec5c37195251dbf"
 # (plan, input, RunConfig fields): at 2000 x 12, ml scans at k = 1 and 2
 # and builds the coverage table from k = 3, and the refined auto plan
 # merges, splits and stops both converged and at max_iters
@@ -68,10 +76,17 @@ def report_digests(directory: Path) -> dict:
     return digests
 
 
-def test_every_plan_gives_the_recorded_bits(tmp_path, monkeypatch):
+def recorded_here() -> dict:
+    """report_digests.json's digests, skipping the test on a numpy or BLAS
+    other than the one that made them."""
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     if machine() != recorded["machine"]:
         pytest.skip(f"digests made on {recorded['machine']}, this is {machine()}")
+    return recorded["digests"]
+
+
+def test_every_plan_gives_the_recorded_bits(tmp_path, monkeypatch):
+    recorded = recorded_here()
     # the k < N plan must walk every mask and a table's candidates, so a
     # change to _best_mask's rule cannot drop a search from the digests
     walks = []
@@ -82,9 +97,14 @@ def test_every_plan_gives_the_recorded_bits(tmp_path, monkeypatch):
         return scan_mask(p, k, candidates)
 
     monkeypatch.setattr(algorithms, "_scan_mask", spy)
-    assert report_digests(tmp_path) == recorded["digests"]
+    assert report_digests(tmp_path) == recorded
     assert len(walks) == 2 * 11
     assert set(walks) == {"every mask", "candidates"}
+
+
+def test_the_walk_grid_gives_the_recorded_bits():
+    recorded_here()
+    assert shapes.walk(33, 1, ms=(1000,), ns=(20,)) == WALK
 
 
 @pytest.mark.parametrize("show_config", [lambda: None, lambda mode: {}],
@@ -93,6 +113,8 @@ def test_another_numpy_skips(tmp_path, monkeypatch, show_config):
     monkeypatch.setattr(np, "show_config", show_config)
     with pytest.raises(pytest.skip.Exception, match="this is"):
         test_every_plan_gives_the_recorded_bits(tmp_path, monkeypatch)
+    with pytest.raises(pytest.skip.Exception, match="this is"):
+        test_the_walk_grid_gives_the_recorded_bits()
 
 
 if __name__ == "__main__":

@@ -320,13 +320,14 @@ class TestAggregate:
             # runs up to three past the largest label
             k = int(labels.max()) + 1 + trial % 4
             yield rng.random((m, n)) ** 3, labels, k
-        # one or two labels, as the walks sum them, on both sides of the
-        # reduce's column rule, row-major and column-major, up to 20011
-        # rows; column 1 holds only -0.0, which both methods sum to +0.0
-        for m, n, k in itertools.product((1, 2, 300, 20011), (3, 5, 9, 20), (1, 2)):
+        # one label, as the walks sum their blocks, on both sides of the
+        # reduce's column rule, and two, which take the bincounts, row-major
+        # and column-major, up to 20011 rows; column 1 holds only -0.0,
+        # which both methods sum to +0.0
+        for m, n, k in itertools.product((1, 2, 300, 20011), (3, 4, 5, 9, 20), (1, 2)):
             p = rng.random((m, n)) ** 3
             p[:, 1] = -0.0
-            # at 300 rows label 1 is empty; the split passes a bool labelling
+            # at 300 rows label 1 is empty; two labels also come as bools
             labels = rng.integers(k, size=m) * (m != 300)
             for order in "CF":
                 block = np.array(p, order=order)
