@@ -10,15 +10,13 @@ walk computes every float F (_scan_mask): it visits masks in lexicographic
 order, depth first, keeping only running maxima, one np.maximum per node of
 the mask tree and one sum per mask. It walks either every mask or the few
 whose value in one zeta-transformed table of subset sums over the 2**N
-column sets is within a stated rounding bound of the best, chosen from the
-input's size (see _best_mask). A joint keeps its table, with the column
-count of every column set, in _COVER_TABLES, the one module-level state
-the search writes, for every later k it serves. Calls with increasing k,
-as the CLI makes them, build at most one table per joint, and any order
-of k at most two, since a table rebuilt for a deeper k serves every k;
-the candidates, and so every result, are those of a table built for that
-k alone. The winning mask alone is labelled, by the running argmax that
-also labels the k >= N step.
+column sets is within a stated rounding bound of the best (see
+_best_mask). Until a joint has a table, the input's size picks the search
+for each k < N; a table it builds is kept, with the column count of every
+column set, in _COVER_TABLES, the one module-level state the search
+writes, and every later k < N on that joint walks its candidates. So any
+order of k builds at most one table per joint. The winning mask alone is
+labelled, by the running argmax that also labels the k >= N step.
 The exhaustive oracle scores one labelling per partition, the
 restricted-growth one (point 0 at label 0, each later point at most one
 above the largest label before it), sum_{j <= k} S(m, j) labellings instead
@@ -114,9 +112,9 @@ _GEMM_ROWS = 1024
 _COVER_START = 1 << 16
 _COVER_READS = 24
 _COVER_BITS = 20
-# each joint's coverage table, (keep, table, total, sizes), kept by
-# _best_mask for every later k < N it serves; a joint's p is read-only, so
-# a table never goes stale, and the entry goes when its joint does
+# each joint's coverage table, (table, total, sizes), kept by _best_mask
+# for every later k < N; a joint's p is read-only, so a table never goes
+# stale, and the entry goes when its joint does
 _COVER_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -196,22 +194,21 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
     node above the leaves keeps every point's running maximum over its
     columns, one np.maximum per node, and each mask takes one np.maximum
     of its last column onto its parent's maxima and one sum of those, its
-    F; its memory is k rows of M floats. _best_mask picks, from the
-    input's size, whether it walks every mask or the candidates of the
-    coverage table (_coverage_table, _coverage_candidates), which sorts
-    each point's entries once and builds one table of subset sums over the
-    2**n column sets, from which every mask's F is one lookup:
-    O(M n log n + n 2**n) work, memory the table and row blocks of about
-    2**14 entries. The table is kept with jd, 2**n floats and 2**n one-byte
-    column counts, and serves every later call on jd whose n - k it
-    reaches without being built again; a call it does not reach rebuilds
-    it for every k < n, so a sweep of increasing k builds it once and any
-    order of k at most twice. The table's values only propose candidates,
-    and the walk over them gives the winner the walk over every mask
-    gives. No mask is labelled during the walk: the maxima are exact, so
-    folding the winner's columns afterwards gives the labels a scan would
-    have kept. masks_evaluated counts all C(n, k) masks, which both walks
-    cover. Each column read is contiguous in the column-major joint.
+    F; its memory is k rows of M floats. _best_mask walks either every
+    mask or the candidates of the coverage table (_coverage_table,
+    _coverage_candidates), which sorts each point's entries once and
+    builds one table of subset sums over the 2**n column sets, from which
+    every mask's F is one lookup: O(M n log n + n 2**n) work, memory the
+    table and row blocks of about 2**14 entries. While jd has no table,
+    the input's size picks the walk; a table built is kept with jd, 2**n
+    floats and 2**n one-byte column counts, and every later k < n on jd
+    walks its candidates, so any order of k builds it at most once. The
+    table's values only propose candidates, and the walk over them gives
+    the winner the walk over every mask gives. No mask is labelled during
+    the walk: the maxima are exact, so folding the winner's columns
+    afterwards gives the labels a scan would have kept. masks_evaluated
+    counts all C(n, k) masks, which both walks cover. Each column read is
+    contiguous in the column-major joint.
     """
     k = check_k(k)
     n = jd.n_cols
@@ -240,37 +237,35 @@ def _best_mask(jd: JointDistribution, k: int) -> tuple:
     strictly the largest; k is below the column count.
 
     _scan_mask walks either every mask or the candidates of the joint's
-    coverage table (_coverage_candidates). A table built for a complement
-    size keep serves every k with N - k <= keep, so once jd has one that
-    serves k, its candidates are walked without more ado. Otherwise the
-    input's size alone decides: the table costs about _COVER_START +
+    coverage table (_coverage_candidates). Once jd has a table, every k
+    walks its candidates, whatever the rule below would pick. Otherwise the
+    input's size decides: the table costs about _COVER_START +
     _COVER_READS * M N + N 2**N point reads and the walk over every mask
     C(N, k) (M + 2048), the reads MASK_BUDGET counts; the table is built,
     and kept in _COVER_TABLES, when its cost is not the larger and
-    N <= _COVER_BITS. A joint's first table has keep = N - k, so its first
-    call does the work it would do if no table were kept; a table that
-    replaces a shallower one has keep = N - 1 and serves every k < N. Calls
-    with increasing k, as a CLI sweep makes them, therefore build at most
-    one table per joint, and any order of k at most two. Walking the
-    candidates never costs more than walking every mask, even on all-tie
-    inputs such as identical columns, where every mask is a candidate.
+    N <= _COVER_BITS. So any order of k builds at most one table per
+    joint. Walking the candidates never costs more np.maximum calls than
+    walking every mask, even on all-tie inputs such as identical columns,
+    where every mask is a candidate; but selecting them reads all 2**N
+    column counts, so a kept table can lose where the rule would pick the
+    scan: at N = 20, M = 20, k = 19 it took 0.41-0.51 ms against the
+    scan's 0.19-0.31 ms on a 2-CPU machine.
     """
     p = jd.p
     m, n = p.shape
     cover = _COVER_TABLES.get(jd)
-    if cover is None or cover[0] < n - k:
+    if cover is None:
         if (n > _COVER_BITS or _COVER_START + _COVER_READS * m * n + (n << n)
                 > math.comb(n, k) * (m + 2048)):
             return _scan_mask(p, k)
-        keep = n - (k if cover is None else 1)
-        cover = _COVER_TABLES[jd] = (keep, *_coverage_table(p, keep))
-    return _scan_mask(p, k, _coverage_candidates(*cover[1:], m, k))
+        cover = _COVER_TABLES[jd] = _coverage_table(p)
+    return _scan_mask(p, k, _coverage_candidates(*cover, m, k))
 
 
-def _coverage_table(p: np.ndarray, keep: int) -> tuple:
+def _coverage_table(p: np.ndarray) -> tuple:
     """(table, total, sizes): G(U), below, for every column set U of p
-    with at most keep columns, total, the sum of every point's largest
-    entry, and sizes, the number of columns in every U, one byte each.
+    but the full one, total, the sum of every point's largest entry, and
+    sizes, the number of columns in every U, one byte each.
 
     A point whose entries sorted in decreasing order are v_1 >= ... >= v_N,
     v_{N+1} = 0, with T_r its top r columns, has its largest entry in S
@@ -278,24 +273,16 @@ def _coverage_table(p: np.ndarray, keep: int) -> tuple:
     F(S) = total - G(U), where U is the complement of S and G(U) = sum over
     T inside U of h(T), h(T) the sum of the differences v_r - v_{r+1} of
     the (point, r) with T_r = T. The rows are sorted in blocks of
-    _BLOCK_BYTES / 64 joint entries (a block's arrays peak at 10 to 39
-    bytes an entry under tracemalloc, from keep = 1 to N - 1; 64 is not
-    that price but keeps the 2**14-entry blocks with which the table's
-    cost was fitted), or 2**N / 4 entries so that adding up the
-    blocks' 2**N-entry tables costs at most 4 per joint entry; the block's
-    rows depend on N alone, not on keep. Each block's differences of the
-    ranks r <= keep are bincounted onto the bitmasks of their T_r; Yates'
+    _BLOCK_BYTES / 64 joint entries (a block's arrays peak at 39 bytes an
+    entry under tracemalloc; 64 is not that price but keeps the
+    2**14-entry blocks with which the table's cost was fitted), or
+    2**N / 4 entries so that adding up the blocks' 2**N-entry tables
+    costs at most 4 per joint entry. Each block's differences of the
+    ranks r < N are bincounted onto the bitmasks of their T_r; Yates'
     zeta transform (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007) then
     sums each entry over its subsets, and the same N doublings count each
     U's columns. O(M N log N + N 2**N) work; memory is the 2**N table, the
     2**N counts and one block's arrays.
-
-    keep only bounds which entries hold G. A rank r lands on a bitmask of r
-    columns, and the transform sums an entry over subsets, which have no
-    more columns, so ranks above |U| never reach G(U): every table with
-    keep >= |U| holds G(U) with the same bits, each bincount and transform
-    sum taking the same terms in the same order, and total does not depend
-    on keep either. Entries of more than keep columns hold partial sums.
     """
     m, n = p.shape
     table = np.zeros(1 << n)
@@ -304,10 +291,10 @@ def _coverage_table(p: np.ndarray, keep: int) -> tuple:
     rows = max(_BLOCK_BYTES // 64, (1 << n) >> 2) // n
     for lo in range(0, m, rows):
         block = p[lo:lo + rows]
-        order = np.argsort(np.negative(block), axis=1)[:, :keep + 1]
+        order = np.argsort(np.negative(block), axis=1)
         top = np.take_along_axis(block, order, axis=1)
         total += float(top[:, 0].sum())
-        tops = np.cumsum(bit[order[:, :keep]], axis=1)
+        tops = np.cumsum(bit[order[:, :-1]], axis=1)
         table += np.bincount(tops.ravel(), (top[:, :-1] - top[:, 1:]).ravel(),
                              minlength=1 << n)
     sizes = np.zeros(1, dtype=np.uint8)
@@ -322,8 +309,7 @@ def _coverage_candidates(table: np.ndarray, total: float, sizes: np.ndarray,
                          m: int, k: int) -> np.ndarray:
     """The size-k column masks of an M-row joint that can hold the largest
     float coverage, as the rows of a C x k array of columns in
-    lexicographic order, from _coverage_table's (table, total, sizes) for
-    a keep of at least N - k: every such table gives the same candidates.
+    lexicographic order, from _coverage_table's (table, total, sizes).
     The complements of size N - k are read off sizes.
 
     The table only proposes masks. All its terms are nonnegative, so a
@@ -332,15 +318,14 @@ def _coverage_candidates(table: np.ndarray, total: float, sizes: np.ndarray,
     (Higham, Accuracy and Stability of Numerical Algorithms, 4.2). A term
     of G meets one rounding in its difference, at most one per row of its
     block in the bincount (a row's T_r differ in size, so one bin takes at
-    most one of them, whatever keep is), one per block and N in the
-    transform, height M + N + 2 at most; the float F of a mask, numpy's
-    pairwise sum of M entries, has height below M. Both errors are at most
-    their gamma times total, so the float winner's G lies within 2 delta of
-    the smallest G over the complements of size N - k, delta =
-    (2M + N + 2) 2**-52 total bounding gamma_M + gamma_{M+N+2} with room
-    for total's own rounding; delta does not depend on keep. Every mask
-    within 2 delta is a candidate, and every mask with the winner's float
-    F is among them.
+    most one of them), one per block and N in the transform, height
+    M + N + 2 at most; the float F of a mask, numpy's pairwise sum of M
+    entries, has height below M. Both errors are at most their gamma times
+    total, so the float winner's G lies within 2 delta of the smallest G
+    over the complements of size N - k, delta = (2M + N + 2) 2**-52 total
+    bounding gamma_M + gamma_{M+N+2} with room for total's own rounding.
+    Every mask within 2 delta is a candidate, and every mask with the
+    winner's float F is among them.
     """
     n = table.size.bit_length() - 1
     complements = np.flatnonzero(sizes == n - k)

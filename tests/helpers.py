@@ -223,13 +223,10 @@ def best_mask_reference(p, k):
     return first_best_reference(p, masks), len(masks)
 
 
-def coverage_candidates(p, k, keep=None):
-    """The coverage table's candidates for the size-k masks of p, from a
-    table built for complements of at most `keep` columns (N - k, the
-    shallowest that serves k, by default)."""
-    m, n = p.shape
-    return algorithms._coverage_candidates(
-        *algorithms._coverage_table(p, n - k if keep is None else keep), m, k)
+def coverage_candidates(p, k):
+    """The coverage table's candidates for the size-k masks of p."""
+    return algorithms._coverage_candidates(*algorithms._coverage_table(p),
+                                           p.shape[0], k)
 
 
 def trace_impurities(result):

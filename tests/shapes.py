@@ -5,11 +5,13 @@ grid of shapes.
 
 SRC is the `src` directory of the checkout to time, so the same driver
 times two trees (a parent and a change, say) side by side. A time is the
-best of R runs, a peak the tracemalloc peak of one more run. Each grid
-prints helpers.digest of its results' bits, which two trees that agree
-share; its function's docstring says what it times. The file does not
-match test_*.py, so pytest does not collect it; tier-1 runs each grid on
-one small shape (test_tooling).
+best of R runs, a peak the tracemalloc peak of one more run. Single runs
+spread widely: eight `mask` runs of one tree read its picks total
+4.85-6.02 s, so a verdict between two trees needs several alternating
+runs. Each grid prints helpers.digest of its results' bits, which two
+trees that agree share; its function's docstring says what it times. The
+file does not match test_*.py, so pytest does not collect it; tier-1 runs
+each grid on one small shape (test_tooling).
 """
 
 import argparse
@@ -71,24 +73,24 @@ def summary(axes, seconds, peaks, what, results):
 def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
          named=NAMED):
     """Flat random M x N shapes, N in ns and M in ms, at every k < N whose
-    scan costs at most WORK: the table for k and the walk over its
+    scan costs at most WORK: the joint's one table and the walk over its
     candidates, the walk over every mask, and _best_mask's pick with no
     table kept, all three timed; then max_likelihood_partition (Gini) at
     every admitted k < N in increasing order, from no kept table, as `ml
-    --k 1:<N-1>` runs, and again in decreasing order, from no kept table;
-    last, the `named` shapes' picks. Returns (whether the searches and
-    both sweep orders agreed, the picks' digest, the increasing sweep's
-    masks' and e bits' digest)."""
+    --k 1:<N-1>` runs, and again in decreasing order, from no kept table,
+    each order counting the tables it built; last, the `named` shapes'
+    picks. Returns (whether the searches and both sweep orders agreed, the
+    picks' digest, the increasing sweep's masks' and e bits' digest)."""
     from helpers import digest
     from impuritypart import (algorithms, build_joint, gini_spec,
                               max_likelihood_partition)
 
     kept, best_mask = algorithms._COVER_TABLES, algorithms._best_mask
+    build = algorithms._coverage_table
 
     def table(jd, k):
-        m, n = jd.p.shape
         return algorithms._scan_mask(jd.p, k, algorithms._coverage_candidates(
-            *algorithms._coverage_table(jd.p, n - k), m, k))
+            *build(jd.p), jd.n_rows, k))
 
     def pick(jd, k):
         kept.clear()
@@ -118,11 +120,12 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
     print(f"same mask from every search: {agree}")
     print("digest of the picks:", digest(picks))
 
-    gini, swept, seconds, down, results = gini_spec(), [], {}, {}, []
-    orders_agree = True
+    gini, swept, built, seconds, down, results = gini_spec(), [], [], {}, {}, []
+    tables, orders_agree = {"increasing": 0, "decreasing": 0}, True
 
     def sweep(jd, ks):
         swept.clear()
+        built.clear()
         kept.clear()
         return [max_likelihood_partition(jd, k, gini).e_max_achieved.hex()
                 for k in ks]
@@ -131,7 +134,11 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
         swept.append(best_mask(*pair))
         return swept[-1]
 
-    algorithms._best_mask = recorded
+    def counted(p):
+        built.append(p.shape)
+        return build(p)
+
+    algorithms._best_mask, algorithms._coverage_table = recorded, counted
     try:
         for n in ns:
             for m in ms:
@@ -140,15 +147,18 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
                       if math.comb(n, k) * (m + 2048) <= algorithms.MASK_BUDGET]
                 e_bits, seconds[n, m] = best_time(lambda: sweep(jd, ks), repeat)
                 results.append((n, m, swept[:], e_bits))
+                tables["increasing"] += len(built)
                 e_down, down[n, m] = best_time(lambda: sweep(jd, ks[::-1]), repeat)
+                tables["decreasing"] += len(built)
                 orders_agree &= (swept[::-1], e_down[::-1]) == (results[-1][2], e_bits)
     finally:
-        algorithms._best_mask = best_mask
+        algorithms._best_mask, algorithms._coverage_table = best_mask, build
     for order, times in (("increasing", seconds), ("decreasing", down)):
         slowest = max(times, key=times.get)
         print(f"sweep of every admitted k < N in {order} order, {len(times)} "
               f"shapes: {sum(times.values()):.3f} s, slowest "
-              f"{times[slowest]:.3f} s at N, M = {slowest}")
+              f"{times[slowest]:.3f} s at N, M = {slowest}, "
+              f"{tables[order]} tables built")
     print(f"same masks and e bits in both orders: {orders_agree}")
     print("digest of the sweep's masks and e bits:", digest(results))
     agree &= orders_agree

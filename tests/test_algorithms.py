@@ -1427,8 +1427,8 @@ class TestMaskSearches:
 
 class TestCoverageTableCache:
     """One coverage table per joint, kept in algorithms._COVER_TABLES and
-    walked for every later k < N it serves: each result equals that of a
-    fresh joint, bit for bit, whatever order the ks come in."""
+    walked for every later k < N: each result equals that of a fresh
+    joint, bit for bit, whatever order the ks come in."""
 
     @staticmethod
     def certify_counts(rng, m):
@@ -1482,47 +1482,28 @@ class TestCoverageTableCache:
                 ks = rng.permutation(ks).tolist()
             self.check_fresh(monkeypatch, jd, ks)
 
-    def test_increasing_ks_build_one_table(self, monkeypatch):
-        # at 2000 x 12 the rule picks the table from k = 3 to 9; k = 10 and
-        # 11, where it picks the scan, walk the k = 3 table's candidates
-        rng = np.random.default_rng(87)
-        jd = build_joint(self.certify_counts(rng, 2000))
-        builds = self.recorded(monkeypatch, "_coverage_table")
-        walks = self.recorded(monkeypatch, "_scan_mask")
-        for k in range(1, 12):
-            max_likelihood_partition(jd, k, GINI)
-        assert [keep for (keep,), _ in builds] == [9]
-        assert [len(rest) == 2 for rest, _ in walks] == [False] * 2 + [True] * 9
-        assert algorithms._COVER_TABLES[jd][0] == 9
-        monkeypatch.undo()
-        self.check_fresh(monkeypatch, jd, range(1, 12))
-
-    def test_a_deeper_k_rebuilds_a_shallower_table_once(self, monkeypatch):
-        # the first table is as deep as its k needs; the rebuild serves
-        # every k < N
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    def test_any_order_of_k_builds_one_table(self, monkeypatch, order):
+        # certify's 5000 x 12 shape: the first k for which the rule picks
+        # the table (k = 4 to 8) builds it, and every later k walks its
+        # candidates, where the rule alone would pick the scan too
         rng = np.random.default_rng(88)
         jd = build_joint(self.certify_counts(rng, 5000))
+        ks = list(range(1, 12))
+        if order == "decreasing":
+            ks.reverse()
+        elif order == "shuffled":
+            ks = rng.permutation(ks).tolist()
         builds = self.recorded(monkeypatch, "_coverage_table")
-        results = [(k, max_likelihood_partition(jd, k, GINI)) for k in (7, 5, 6, 7)]
-        assert [keep for (keep,), _ in builds] == [5, 11]
-        assert algorithms._COVER_TABLES[jd][0] == 11
-        for k, res in results:
-            TestExactSearchReference.check(res, jd, k, GINI,
-                                           likelihood_reference(jd, k, GINI))
-
-    def test_decreasing_ks_build_at_most_two_tables(self, monkeypatch):
-        # certify's shape from k = N - 1 down: the rule picks the scan at
-        # k = 11 to 9, k = 8 builds the table it needs (keep 4), and k = 7
-        # rebuilds it at keep = N - 1, which serves every k below
-        rng = np.random.default_rng(90)
-        jd = build_joint(self.certify_counts(rng, 5000))
-        builds = self.recorded(monkeypatch, "_coverage_table")
-        for k in range(11, 0, -1):
+        walks = self.recorded(monkeypatch, "_scan_mask")
+        for k in ks:
             max_likelihood_partition(jd, k, GINI)
-        assert [keep for (keep,), _ in builds] == [4, 11]
-        assert algorithms._COVER_TABLES[jd][0] == 11
+        assert len(builds) == 1
+        assert algorithms._COVER_TABLES[jd] is builds[0][1]
+        if order == "increasing":
+            assert [len(rest) == 2 for rest, _ in walks] == [False] * 3 + [True] * 8
         monkeypatch.undo()
-        self.check_fresh(monkeypatch, jd, range(11, 0, -1))
+        self.check_fresh(monkeypatch, jd, ks)
 
     def test_a_table_goes_with_its_joint(self, monkeypatch):
         monkeypatch.setattr(algorithms, "_COVER_TABLES", weakref.WeakKeyDictionary())
