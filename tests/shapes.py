@@ -1,25 +1,35 @@
-"""Time one tree's mask searches, oracle, refinement or greedy walks on a
-grid of shapes.
+"""Time one tree's mask searches, oracle, refinement, greedy walks or
+dense reads on a grid of shapes, or two trees' in alternating runs.
 
-    python tests/shapes.py SRC {mask,oracle,refine,walk} [--seed S] [--repeat R]
+    python tests/shapes.py SRC {mask,oracle,refine,walk,read} [--seed S]
+        [--repeat R] [--against SRC2 [--rounds R]]
 
-SRC is the `src` directory of the checkout to time, so the same driver
-times two trees (a parent and a change, say) side by side. A time is the
-best of R runs, a peak the tracemalloc peak of one more run. Single runs
-spread widely: eight `mask` runs of one tree read its picks total
-4.85-6.02 s, so a verdict between two trees needs several alternating
-runs. Each grid prints helpers.digest of its results' bits, which two
-trees that agree share; its function's docstring says what it times. The
-file does not match test_*.py, so pytest does not collect it; tier-1 runs
-each grid on one small shape (test_tooling).
+SRC is the `src` directory of the checkout to time. A time is the best of
+R runs, a peak the tracemalloc peak of one more run; each grid prints its
+totals as `total ...: X s` lines and helpers.digest of its results' bits,
+which two trees that agree share. Its function's docstring says what it
+times. Single runs spread widely: eight `mask` runs of one tree read its
+picks total 4.85-6.02 s. So a verdict between two trees comes from
+--against, which runs the grid on SRC and SRC2 in fresh processes, one
+each per round, the first tree first in odd rounds and second in even
+ones, and prints each total's value per round, its median and the rounds
+each tree won, and whether every run printed the same digests. The file
+does not match test_*.py, so pytest does not collect it; tier-1 runs each
+grid on one small shape and --against on canned runs (test_tooling).
 """
 
 import argparse
 import collections
 import itertools
 import math
+import os
+import re
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -63,7 +73,7 @@ def summary(axes, seconds, peaks, what, results):
     from helpers import digest
 
     slowest, largest = max(seconds, key=seconds.get), max(peaks, key=peaks.get)
-    print(f"all {len(seconds)} shapes: {sum(seconds.values()):.3f} s")
+    print(f"total of {len(seconds)} shapes: {sum(seconds.values()):.3f} s")
     print(f"slowest {seconds[slowest]:.3f} s at {axes} = {slowest}")
     print(f"largest peak {peaks[largest] / 2 ** 20:.3f} MiB at {axes} = {largest}")
     print(f"digest of the {what}:", digest(results))
@@ -113,9 +123,10 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
                 faster = min(found["table"][1], found["scan"][1])
                 totals["faster"] += faster
                 worst = max(worst, (found["pick"][1] / faster, (n, m, k)))
-    print(f"shapes {len(picks)}: table {totals['table']:.3f} s, "
-          f"scan {totals['scan']:.3f} s, picks {totals['pick']:.3f} s, "
-          f"the faster on each {totals['faster']:.3f} s")
+    print(f"{len(picks)} shapes")
+    for name, what in (("table", "the table's walks"), ("scan", "the scans"),
+                       ("pick", "the picks"), ("faster", "the faster search on each")):
+        print(f"total of {what}: {totals[name]:.3f} s")
     print(f"worst pick {worst[0]:.2f}x the faster search at N, M, k = {worst[1]}")
     print(f"same mask from every search: {agree}")
     print("digest of the picks:", digest(picks))
@@ -155,10 +166,10 @@ def mask(seed, repeat, ns=range(4, 21, 2), ms=(20, 300, 3000, 30000, 200000),
         algorithms._best_mask, algorithms._coverage_table = best_mask, build
     for order, times in (("increasing", seconds), ("decreasing", down)):
         slowest = max(times, key=times.get)
-        print(f"sweep of every admitted k < N in {order} order, {len(times)} "
-              f"shapes: {sum(times.values()):.3f} s, slowest "
-              f"{times[slowest]:.3f} s at N, M = {slowest}, "
-              f"{tables[order]} tables built")
+        print(f"total of the sweeps of every admitted k < N in {order} order: "
+              f"{sum(times.values()):.3f} s")
+        print(f"  {len(times)} shapes, slowest {times[slowest]:.3f} s at N, M = "
+              f"{slowest}, {tables[order]} tables built")
     print(f"same masks and e bits in both orders: {orders_agree}")
     print("digest of the sweep's masks and e bits:", digest(results))
     agree &= orders_agree
@@ -279,10 +290,71 @@ def walk(seed, repeat, ms=(1000, 10000, 50000), ns=(4, 20, 64)):
                    results)
 
 
+def read(seed, repeat, ms=(1000, 10000, 50000), ns=(4, 20, 64)):
+    """ingest ("counts") on M x N skewed counts, floor(1000 U**4) written
+    with %d as the perfbench workloads write them, M in ms and N in ns;
+    one row per shape. Rows that are all zero are dropped, as ingest drops
+    them, without its warning. Returns the digest of the joints' bytes,
+    taken a column at a time so that no repr of a whole joint is built."""
+    from helpers import digest
+    from impuritypart import IngestWarning, ingest
+
+    results, seconds, peaks = [], {}, {}
+    print("    M   N  time (s)  peak (MiB)")
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
+        warnings.simplefilter("ignore", IngestWarning)
+        for m in ms:
+            for n in ns:
+                rng = np.random.default_rng((seed, m, n))
+                path = os.path.join(work, f"{m}x{n}.csv")
+                np.savetxt(path, np.floor(1000 * rng.random((m, n)) ** 4),
+                           fmt="%d", delimiter=",")
+                shape = (m, n)
+                jd, seconds[shape], peaks[shape] = timed(
+                    lambda: ingest(path, "counts"), repeat)
+                results.append((shape, [digest(column.tobytes()) for column in jd.p.T]))
+                print(f"{m:5d}  {n:2d}  {seconds[shape]:8.4f}  "
+                      f"{peaks[shape] / 2 ** 20:10.2f}")
+    return summary("M, N", seconds, peaks, "joints' bytes", results)
+
+
 # grid name -> (function, default seed, default runs per time): single
-# runs of the fast walks spread widely, so they keep the best of five
+# runs of the fast walks and reads spread widely, so they keep the best of
+# five and three
 GRIDS = {"mask": (mask, 25, 1), "oracle": (oracle, 29, 1), "refine": (refine, 30, 1),
-         "walk": (walk, 33, 5)}
+         "walk": (walk, 33, 5), "read": (read, 36, 3)}
+
+
+def against(run, trees, rounds):
+    """Call run(tree) for each of the two trees once a round, the first
+    tree first in odd rounds and second in even ones, and read the
+    `total ...: X s` and `digest of ...: D` lines of what it returns.
+    Print each total's value per round for both trees, its medians and the
+    rounds each tree won (the lower time), and whether every run printed
+    the same digests; return (medians, wins) by total, each a pair in the
+    order of `trees`, and that agreement."""
+    totals, digests = collections.defaultdict(lambda: ([], [])), set()
+    for index in range(rounds):
+        order = (0, 1) if index % 2 == 0 else (1, 0)
+        for which in order:
+            out = run(trees[which])
+            for what, seconds in re.findall(r"^total (.+): ([0-9.]+) s$", out, re.M):
+                totals[what][which].append(float(seconds))
+            digests.add(tuple(re.findall(r"^digest of .+: ([0-9a-f]{16})$", out, re.M)))
+    print(f"A = {trees[0]}\nB = {trees[1]}")
+    medians, wins = {}, {}
+    for what, (first, second) in totals.items():
+        medians[what] = (statistics.median(first), statistics.median(second))
+        won = sum(a < b for a, b in zip(first, second))
+        wins[what] = (won, sum(b < a for a, b in zip(first, second)))
+        print(f"total {what} (s), A / B by round:")
+        for index, (a, b) in enumerate(zip(first, second), start=1):
+            print(f"  {index:3d}  {a:9.3f}  {b:9.3f}")
+        print(f"  median {medians[what][0]:.3f} / {medians[what][1]:.3f}, "
+              f"rounds won {wins[what][0]} / {wins[what][1]}")
+    agree = len(digests) == 1
+    print(f"same digests in every run: {agree}", *sorted(digests))
+    return medians, wins, agree
 
 
 def main(argv=None):
@@ -290,14 +362,31 @@ def main(argv=None):
     parser.add_argument("src", help="the src directory of the tree to time")
     parser.add_argument("grid", choices=GRIDS)
     parser.add_argument("--seed", type=int,
-                        help="the grid's seed (mask 25, oracle 29, refine 30, walk 33)")
+                        help="the grid's seed (mask 25, oracle 29, refine 30, "
+                             "walk 33, read 36)")
     parser.add_argument("--repeat", type=int,
-                        help="runs per time, the best kept (walk 5, the others 1)")
+                        help="runs per time, the best kept (walk 5, read 3, "
+                             "the others 1)")
+    parser.add_argument("--against", metavar="SRC2",
+                        help="a second src directory: time both trees in "
+                             "alternating fresh processes")
+    parser.add_argument("--rounds", type=int, default=5,
+                        help="--against's rounds, each running both trees once")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
     grid, seed, repeat = GRIDS[args.grid]
-    grid(seed if args.seed is None else args.seed,
-         repeat if args.repeat is None else args.repeat)
+    seed = seed if args.seed is None else args.seed
+    repeat = repeat if args.repeat is None else args.repeat
+    if args.against:
+        def run(src):
+            return subprocess.run(
+                [sys.executable, __file__, src, args.grid, "--seed", str(seed),
+                 "--repeat", str(repeat)],
+                check=True, stdout=subprocess.PIPE, text=True).stdout
+
+        against(run, (args.src, args.against), args.rounds)
+        return
+    sys.path.insert(0, args.src)
+    grid(seed, repeat)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """File ingestion formats, round-tripping, and error reporting."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impuritypart import (
     DimensionMismatch,
@@ -18,7 +21,7 @@ from impuritypart import (
     ingest,
 )
 from impuritypart import ingestion
-from impuritypart.ingestion import _read_dense
+from impuritypart.ingestion import _read_dense, _read_lines
 
 from helpers import peak_bytes, random_joint
 
@@ -300,3 +303,134 @@ class TestErrors:
             with pytest.raises(ParseError,
                                match="^line 0: file contains no data rows$"):
                 ingest(path, input_format)
+
+
+# the fields of a dense file: numbers as written, then ASCII token shapes
+# (underscores, signs, exponents, 17+ digit decimals, subnormals, -0,
+# non-finite spellings, an empty field, embedded NUL), then shapes only
+# the line reader reads or names (a BOM mid-file, Arabic-Indic digits, a
+# byte that is not UTF-8, written through surrogateescape)
+NUMBERS = st.one_of(st.integers(0, 10 ** 20).map(str), st.floats().map(repr))
+ASCII_FIELDS = ("1_000", "1__0", "_1", "+3", "-2", "-0", "-0.0", "+.5", "1e5",
+                "1E-5", "2.5e+3", "1e", "0.30000000000000004",
+                "1.00000000000000011102230246251565404", "5e-324",
+                "2.2250738585072011e-308", "1e400", "nan", "-NaN", "inf",
+                "Infinity", "", "1\x00", "0x10", "abc")
+OTHER_FIELDS = ("\ufeff1", "\u0661\u0662", "\udcff")
+# padding around a field: ASCII whitespace, then non-ASCII whitespace
+ASCII_PADS = ("", "", " ", "\t", "\x0b", "\x0c")
+OTHER_PADS = ("\xa0", "\x85")
+# line ends: LF, CRLF, blank and whitespace-only lines, then a lone \r
+# and a \x1c or \x1f at a line end, which str.strip strips and float
+# does not
+ASCII_ENDS = ("\n", "\n", "\r\n", "\n\n", " \n", "\r\r\n", "\n \t\n")
+OTHER_ENDS = ("\r", "\r", "\x1c\n", "\x1f\r\n")
+
+
+@st.composite
+def dense_texts(draw):
+    """A dense file's text: rows of padded fields, of the first row's
+    width unless the file is ragged, with an optional leading BOM. Odd
+    field shapes, and non-ASCII whitespace with odd line ends, are each
+    drawn for some files only, so that most files read."""
+    fields, pads, ends = NUMBERS, ASCII_PADS, ASCII_ENDS
+    if draw(st.booleans()):
+        fields = st.one_of(NUMBERS, st.sampled_from(ASCII_FIELDS + OTHER_FIELDS))
+    if draw(st.booleans()):
+        pads, ends = pads + OTHER_PADS, ends + OTHER_ENDS
+    width = draw(st.integers(1, 4))
+    drift = draw(st.sampled_from(((0,), (0,), (0, 1, -1))))
+    text = draw(st.sampled_from(("", "", "\ufeff", "\n")))
+    for _ in range(draw(st.integers(1, 6))):
+        n = width + draw(st.sampled_from(drift))
+        padded = st.tuples(st.sampled_from(pads), fields, st.sampled_from(pads))
+        text += ",".join(map("".join, draw(st.lists(padded, min_size=n,
+                                                    max_size=n))))
+        text += draw(st.sampled_from(ends))
+    return text
+
+
+def outcome(read, path):
+    """(shape, bytes) of what read(path) returns, or the (type, message)
+    of what it raises."""
+    try:
+        arr = read(path)
+    except ValueError as exc:  # ParseError and UnicodeDecodeError among them
+        return type(exc), str(exc)
+    return arr.shape, arr.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(text=dense_texts(), block=st.sampled_from((1, 16, ingestion._LINE_BLOCK_BYTES)))
+def test_dense_reader_equals_the_line_reader(tmp_path_factory, text, block):
+    # a block of 1 byte reads one line at a time, so rows of other widths
+    # and blank-only blocks meet block boundaries
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with mock.patch.object(ingestion, "_LINE_BLOCK_BYTES", block):
+        assert outcome(_read_dense, path) == outcome(_read_lines, path)
+
+
+class TestLineReaderSeam:
+    """_read_dense parses plain ASCII itself and hands every other file to
+    _read_lines, the specification, once and from the start."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def read_lines(path):
+            calls.append(path)
+            return _read_lines(path)
+
+        monkeypatch.setattr(ingestion, "_read_lines", read_lines)
+        return calls
+
+    def test_plain_counts_never_reach_the_line_reader(self, tmp_path, monkeypatch):
+        # a fast path that always fell back would fail here
+        def refuse(path):
+            raise AssertionError("read by the line reader")
+
+        monkeypatch.setattr(ingestion, "_read_lines", refuse)
+        counts = np.random.default_rng(36).integers(0, 1000, size=(3000, 7))
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\xef\xbb\xbf\n" + b"\r\n".join(
+            b",".join(b"%d" % v for v in row) for row in counts) + b"\r\n\n")
+        arr = _read_dense(path)
+        assert arr.tobytes() == counts.astype(float).tobytes()
+        assert ingest(path, "counts").p.tobytes() == build_joint(counts).p.tobytes()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\x1c\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("\u0661,2\n3,\u0664\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n3,4,5\n6\n", "line 2: expected 2 columns, got 3"),
+        ("1,2\r,3\n", "line 2: not a number in ',3'"),
+        ("1,2\n\n3,x\n", "line 3: not a number in '3,x'"),
+    ])
+    def test_other_files_reach_the_line_reader_once(self, tmp_path, monkeypatch,
+                                                    text, expected):
+        # the last two rows of the cancelling-width file hold as many
+        # tokens as two rows of two, and as bytes "1,2\r,3" is one row of
+        # three numbers
+        calls = self.counted(monkeypatch)
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as info:
+                _read_dense(path)
+            assert str(info.value) == expected
+        else:
+            assert _read_dense(path).tobytes() == np.array(expected).tobytes()
+        assert calls == [path]
+
+    def test_lone_cr_file_is_not_split_whole(self, tmp_path, monkeypatch):
+        # a lone-\r file is one long b"\n" line; its token list would take
+        # about 100 bytes a row, the line reader's matrix 16
+        calls = self.counted(monkeypatch)
+        rows = 50_000
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"12,34\r" * rows)
+        peak, arr = peak_bytes(lambda: _read_dense(path))
+        assert arr.shape == (rows, 2) and calls == [path]
+        assert peak < 40 * rows

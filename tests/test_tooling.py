@@ -26,7 +26,8 @@ AlgoResult. Only algorithms._best_mask may write into a module-level name,
 and only into _COVER_TABLES. Under tests/, only helpers.py may call hashlib,
 so every digest of result bits is helpers.digest's, and each grid of the
 timing driver tests/shapes.py runs on one small shape, so renaming a
-private name it reads breaks tier-1.
+private name it reads breaks tier-1, and its --against mode runs on
+canned runs.
 """
 
 import ast
@@ -448,7 +449,30 @@ def test_every_timing_grid_runs_on_a_small_shape(capsys):
     agree, *digests = shapes.mask(25, 1, ns=(6,), ms=(300,), named=())
     digests += [shapes.oracle(29, 1, ks=(7,), ns=(2,), below=0),
                 shapes.refine(30, 1, ms=(2000,), ns=(2,), ks=(30,)),
-                shapes.walk(33, 1, ms=(1000,), ns=(20,))]
+                shapes.walk(33, 1, ms=(1000,), ns=(20,)),
+                shapes.read(36, 1, ms=(1000,), ns=(4,))]
     assert agree
     assert all(re.fullmatch("[0-9a-f]{16}", text) for text in digests)
-    assert capsys.readouterr().out.count("digest of") == 5
+    out = capsys.readouterr().out
+    assert out.count("digest of") == 6
+    # every grid prints a total that --against can read
+    assert len(re.findall(r"^total (.+): ([0-9.]+) s$", out, re.M)) == 10
+
+
+def test_against_alternates_trees_and_counts_rounds(capsys):
+    # canned runs: tree "b" is faster in every round but the third, and
+    # its third run prints another digest
+    calls = []
+    times = {"a": iter([1.0, 1.2, 0.9, 1.1]), "b": iter([0.8, 1.0, 1.5, 1.0])}
+
+    def run(tree):
+        calls.append(tree)
+        bits = "0123456789abcdef" if len(calls) != 6 else "fedcba9876543210"
+        return (f"total of 3 shapes: {next(times[tree]):.3f} s\n"
+                f"digest of the bits: {bits}\n")
+
+    medians, wins, agree = shapes.against(run, ("a", "b"), 4)
+    assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
+    assert medians == {"of 3 shapes": (1.05, 1.0)}
+    assert wins == {"of 3 shapes": (1, 3)} and not agree
+    assert "rounds won 1 / 3" in capsys.readouterr().out
