@@ -152,11 +152,9 @@ def _result(part: Partition, stats: PartitionStats, masks_evaluated: int,
 def _fold(column: np.ndarray, d: int, label: np.ndarray, top: np.ndarray) -> None:
     """Fold the d-th column into a running argmax, in place: a point whose
     entry strictly exceeds its running maximum `top` takes label d, so on
-    ties the earlier column keeps the point, as np.argmax does. The first
-    column (d = 0) is compared with -inf, so `top` is not read then."""
-    before = top if d else -np.inf
-    np.putmask(label, column > before, d)
-    np.maximum(before, column, out=top)
+    ties the earlier column keeps the point, as np.argmax does."""
+    np.putmask(label, column > top, d)
+    np.maximum(top, column, out=top)
 
 
 def max_likelihood_partition(jd: JointDistribution, k: int,
@@ -223,7 +221,7 @@ def max_likelihood_partition(jd: JointDistribution, k: int,
         cols = _best_mask(jd, k)
     # the winning columns fold into one running argmax, without a row-major
     # copy of p; a point whose entries there are all zero keeps label 0
-    top = np.empty(jd.n_rows)
+    top = np.full(jd.n_rows, -np.inf)
     label = np.zeros(jd.n_rows, dtype=np.intp)
     for d, j in enumerate(cols):
         _fold(p[:, j], d, label, top)
@@ -755,13 +753,15 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     those k**m assignments, the ones the search covers. Refuses instances
     with k**m above ORACLE_CAP by raising InstanceTooLarge, the refusal the
     mask search of max_likelihood_partition also uses, before any work; k == 1
-    is never refused. When tables would be built, 2**m * N above
-    ORACLE_TABLE_CAP raises InstanceTooLarge too, before the tables.
+    is never refused. For k >= 2, 2**m * N above ORACLE_TABLE_CAP raises
+    InstanceTooLarge too, before the tables.
 
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
     O(2**m N) work and two tables of 2**m floats. Each labelling then costs
-    k lookups in each table, O(k sum_{j <= k} S(m, j)) in all. A block
+    min(k, m) lookups in each table, O(min(k, m) sum_{j <= k} S(m, j)) in
+    all: no label from m on holds a point, and its empty subset would add
+    +0.0 to both sums, which start from +0.0 and keep their bits. A block
     fixes a restricted-growth prefix of the leading points and scores its
     valid continuations over the last `tail` points, at most k**tail of
     them; they depend only on the prefix's largest label, so each table of
@@ -771,19 +771,19 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
     impurity sums. tail is the largest, at least 1, whose k**tail
     labellings fit _BLOCK_BYTES at that rate. Blocks are scored in
     lexicographic order and each sum keeps its terms and their order, so
-    the result does not depend on the budget. With k == 1 or m == 1 there
-    is one labelling, all points at label 0, and it is scored directly,
-    with no table.
+    the result does not depend on the budget. With k == 1 there is one
+    labelling, all points at label 0, and it is scored directly, with no
+    table.
     """
     k = check_k(k)
     m = jd.n_rows
+    if k == 1:
+        part = Partition(np.zeros(m, dtype=np.intp), k)
+        return _result(part, compute_stats(jd, part, f), 1)
     # past the cap's bit length, m is over it without building k**m
-    if k > 1 and (m > ORACLE_CAP.bit_length() or k ** m > ORACLE_CAP):
+    if m > ORACLE_CAP.bit_length() or k ** m > ORACLE_CAP:
         raise InstanceTooLarge(
             f"{k}**{m} assignments exceed cap {ORACLE_CAP}")
-    if k == 1 or m == 1:
-        part = Partition(np.zeros(m, dtype=np.intp), k)
-        return _result(part, compute_stats(jd, part, f), k ** m)
     if (1 << m) * jd.n_cols > ORACLE_TABLE_CAP:
         raise InstanceTooLarge(
             f"2**{m}*{jd.n_cols} table sums exceed cap {ORACLE_TABLE_CAP}")
@@ -806,7 +806,7 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
         table = trailing[highs[block]]
         e_vals = np.zeros(table.shape[1])
         imps = np.zeros(table.shape[1])
-        for label in range(k):
+        for label in range(min(k, m)):
             subset = table[label] + leading[label, block]
             e_vals += top[subset]
             imps += weighted[subset]

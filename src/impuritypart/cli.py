@@ -178,7 +178,7 @@ def _record(config: RunConfig, jd, f, k, name, result):
         "n_nonempty": stats.n_nonempty,
     })
     if config.emit_assignment:
-        record["assignment"] = [int(label) for label in result.partition.assignment]
+        record["assignment"] = result.partition.assignment.tolist()
     return record
 
 

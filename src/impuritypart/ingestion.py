@@ -204,5 +204,5 @@ def emit(jd: JointDistribution, path) -> None:
     """Write the joint matrix as dense CSV with shortest round-trip decimals."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in jd.p:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")

@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -882,6 +883,23 @@ class TestExhaustiveOracle:
         assert abs(res.stats.impurity - expected) <= 1e-12
         assert res.masks_evaluated == 3
 
+    @pytest.mark.parametrize("spec", [ENT, GINI, SQRT], ids=["entropy", "gini", "sqrt"])
+    def test_a_single_point_scores_like_the_all_zero_labelling(self, spec):
+        # one point has one restricted-growth labelling, all at label 0
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 7, 40):
+            jd = random_joint(rng, 1, n)
+            for k in (2, 3, 5, 12):
+                res = exhaustive_oracle(jd, k, spec)
+                stats = compute_stats(jd, Partition(np.zeros(1, dtype=np.intp), k), spec)
+                assert res.partition.assignment.tolist() == [0]
+                assert res.partition.k == k
+                assert res.masks_evaluated == k
+                for field in fields(stats):
+                    assert (np.asarray(getattr(res.stats, field.name)).tobytes()
+                            == np.asarray(getattr(stats, field.name)).tobytes())
+                assert res.e_max_achieved.hex() == stats.e_q.hex()
+
     def test_matches_second_enumeration_order(self):
         rng = np.random.default_rng(55)
         jd = dyadic_joint(rng, 8, 3)
@@ -926,7 +944,7 @@ class TestExhaustiveOracle:
             exhaustive_oracle(jd, 2, ENT)
         with pytest.raises(KTooSmall):
             exhaustive_oracle(jd, 0, ENT)
-        # one row is refused past the cap too, before its table-free path
+        # one row is refused past the cap too
         k = ORACLE_CAP + 1
         message = rf"^{k}\*\*1 assignments exceed cap {ORACLE_CAP}$"
         with pytest.raises(InstanceTooLarge, match=message):
@@ -954,14 +972,11 @@ class TestExhaustiveOracle:
 
     def test_instance_cap_admits_k_to_the_m_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(algorithms, "_subset_tables", admit)
+        # one row too: every k >= 2 builds the subset tables
         for m in range(1, 26):
             jd = build_joint(np.ones((m, 2)))
             for k in range(2, 6):
                 refused = k ** m > ORACLE_CAP
-                if m == 1:
-                    # one row is scored without subset tables
-                    assert exhaustive_oracle(jd, k, ENT).masks_evaluated == k
-                    continue
                 with pytest.raises(InstanceTooLarge if refused else Admitted):
                     exhaustive_oracle(jd, k, ENT)
 
@@ -978,10 +993,12 @@ class TestExhaustiveOracle:
             # one label builds no table, so past the edge it still runs
             assert exhaustive_oracle(jd, 1, ENT).masks_evaluated == 1
 
-    def test_table_cap_never_refuses_one_label_or_one_row(self, monkeypatch):
+    def test_table_cap_refuses_one_row_but_never_one_label(self, monkeypatch):
         monkeypatch.setattr(algorithms, "_subset_tables", admit)
         monkeypatch.setattr(algorithms, "ORACLE_TABLE_CAP", 0)
-        assert exhaustive_oracle(build_joint(np.ones((1, 3))), 4, ENT).masks_evaluated == 4
+        with pytest.raises(InstanceTooLarge, match=r"^2\*\*1\*3 table sums exceed cap 0$"):
+            exhaustive_oracle(build_joint(np.ones((1, 3))), 4, ENT)
+        assert exhaustive_oracle(build_joint(np.ones((1, 3))), 1, ENT).masks_evaluated == 1
         assert exhaustive_oracle(build_joint(np.ones((5, 3))), 1, ENT).masks_evaluated == 1
         with pytest.raises(InstanceTooLarge, match="table sums"):
             exhaustive_oracle(build_joint(np.ones((2, 2))), 2, ENT)
@@ -1053,7 +1070,7 @@ class TestExactSearchReference:
                 res = exhaustive_oracle(jd, k, spec)
                 # 1000-assignment reference blocks: a final block is partial
                 self.check(res, jd, k, spec, oracle_reference(jd, k, spec, block=1000))
-        # one row takes the table-free path
+        # one row has one labelling
         for n in (2, 3, 7):
             jd = random_joint(rng, 1, n)
             for k in (2, 3, 7, 40):

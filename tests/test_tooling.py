@@ -9,9 +9,9 @@ name it never uses or define a private module-level name that nothing in
 the package loads, the README's report schema must name the config fields,
 input keys and record keys the CLI writes, the README's `--format`,
 `--impurity` and `--algorithm` bullets must name exactly the choices the
-CLI accepts, and the README's work caps must give the values the code
-uses. Frozen objects must be complete at
-construction: no function other than a __post_init__ may call
+CLI accepts, the README's work caps must give the values the code uses,
+and `python -m impuritypart` must run the CLI. Frozen objects must be
+complete at construction: no function other than a __post_init__ may call
 object.__setattr__, and no exported dataclass (nor cli.RunConfig) may take a
 private field as a constructor argument. A partition count k is checked in
 one place: no function other than prob.check_k may build a KTooSmall. Every
@@ -32,6 +32,7 @@ canned runs.
 
 import ast
 import importlib.util
+import json
 import math
 import os
 import re
@@ -132,6 +133,21 @@ def test_package_import_loads_no_cli_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_module_entry_point_writes_a_report(tmp_path):
+    # `python -m impuritypart` runs cli.main and exits with its code
+    src = str(Path(impuritypart.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data = tmp_path / "data.csv"
+    data.write_text("3,1\n1,3\n2,2\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    done = subprocess.run([sys.executable, "-m", "impuritypart", "--input", str(data),
+                           "--format", "counts", "--k", "2", "--output", str(report)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(report.read_text(encoding="utf-8"))["schema"] == cli.SCHEMA
 
 
 def test_every_exported_error_is_raised_in_some_test():
