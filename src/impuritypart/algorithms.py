@@ -758,17 +758,17 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
 
     A label's impurity and e depend only on the subset of points it holds,
     so both are tabulated once for all 2**m subsets (see _subset_tables):
-    O(2**m N) work and two tables of 2**m floats. Each labelling then costs
-    min(k, m) lookups in each table, O(min(k, m) sum_{j <= k} S(m, j)) in
-    all: no label from m on holds a point, and its empty subset would add
-    +0.0 to both sums, which start from +0.0 and keep their bits. A block
-    fixes a restricted-growth prefix of the leading points and scores its
-    valid continuations over the last `tail` points, at most k**tail of
-    them; they depend only on the prefix's largest label, so each table of
-    them (see _rgs_tables) is built once. A block touches about 8 (k + 5)
-    bytes per labelling: its k-row int64 column of the continuation table,
-    the subset indices, the two rows gathered from the tables and the e and
-    impurity sums. tail is the largest, at least 1, whose k**tail
+    O(2**m N) work and two tables of 2**m floats. m points fill at most
+    L = min(k, m) labels, so the labellings are built over L labels only,
+    and each costs L lookups in each table, O(L sum_{j <= k} S(m, j)) in
+    all. A block fixes a restricted-growth prefix of the leading points and
+    scores its valid continuations over the last `tail` points, at most
+    L**tail of them; they depend only on the prefix's largest label, one
+    below its count of nonempty labels, so each table of them (see
+    _rgs_tables) is built once. A block touches about 8 (L + 5) bytes per
+    labelling: its L-row int64 column of the continuation table, the subset
+    indices, the two rows gathered from the tables and the e and impurity
+    sums. tail is the largest, at least 1 and at most m, whose L**tail
     labellings fit _BLOCK_BYTES at that rate. Blocks are scored in
     lexicographic order and each sum keeps its terms and their order, so
     the result does not depend on the budget. With k == 1 there is one
@@ -788,25 +788,26 @@ def exhaustive_oracle(jd: JointDistribution, k: int, f: ImpuritySpec) -> AlgoRes
         raise InstanceTooLarge(
             f"2**{m}*{jd.n_cols} table sums exceed cap {ORACLE_TABLE_CAP}")
     weighted, top = _subset_tables(jd.p, f)
+    # m points fill at most m labels
+    labels = min(k, m)
     # a label's subset is its bits among the last `tail` points plus its
     # bits among the leading ones
     tail = 1
-    while tail < m and k ** (tail + 1) * 8 * (k + 5) <= _BLOCK_BYTES:
+    while tail < m and labels ** (tail + 1) * 8 * (labels + 5) <= _BLOCK_BYTES:
         tail += 1
-    leading = _rgs_tables(k, range(m - tail), [-1])[-1]
+    leading = _rgs_tables(labels, range(m - tail), [-1])[-1]
     # the continuations of a prefix depend only on its largest label (-1
-    # when no point leads), and from k - 2 up every labelling is one
-    highs = np.minimum(
-        ((leading != 0) * np.arange(1, k + 1)[:, None]).max(axis=0) - 1,
-        k - 2).tolist()
-    trailing = _rgs_tables(k, range(m - tail, m), highs)
+    # when no point leads), one below its count of nonempty labels, and from
+    # labels - 2 up every labelling is one
+    highs = np.minimum((leading != 0).sum(axis=0) - 1, labels - 2).tolist()
+    trailing = _rgs_tables(labels, range(m - tail, m), highs)
     best_imp = math.inf
     best_e = -math.inf
     for block in range(leading.shape[1]):
         table = trailing[highs[block]]
         e_vals = np.zeros(table.shape[1])
         imps = np.zeros(table.shape[1])
-        for label in range(min(k, m)):
+        for label in range(labels):
             subset = table[label] + leading[label, block]
             e_vals += top[subset]
             imps += weighted[subset]

@@ -938,6 +938,29 @@ class TestExhaustiveOracle:
                     e_all = all_assignment_e_values(jd.p, k)[1]
                     assert res.e_max_achieved.hex() == float(e_all.max()).hex()
 
+    @pytest.mark.parametrize("spec", [ENT, GINI], ids=["entropy", "gini"])
+    def test_label_tables_hold_only_usable_labels(self, monkeypatch, spec):
+        # a restricted-growth labelling of m points uses at most m labels,
+        # so the tables have min(k, m) rows and score what k = max(m, 2) does
+        build = algorithms._rgs_tables
+        rng = np.random.default_rng(67)
+        for m, k in ((1, 2000), (2, 1414), (3, 9), (5, 8)):
+            jd = random_joint(rng, m, 4)
+            expected = exhaustive_oracle(jd, max(m, 2), spec)
+            calls = []
+
+            def record(labels, points, highs):
+                tables = build(labels, points, highs)
+                calls.append((labels, {table.shape[0] for table in tables.values()}))
+                return tables
+
+            monkeypatch.setattr(algorithms, "_rgs_tables", record)
+            res = exhaustive_oracle(jd, k, spec)
+            monkeypatch.undo()
+            assert calls and all(call == (min(k, m), {min(k, m)}) for call in calls)
+            assert res.partition.assignment.tolist() == expected.partition.assignment.tolist()
+            assert res.e_max_achieved.hex() == expected.e_max_achieved.hex()
+
     def test_instance_cap(self):
         jd = build_joint(np.ones((30, 2)))
         with pytest.raises(InstanceTooLarge):
@@ -1087,6 +1110,12 @@ class TestExactSearchReference:
         jd = random_joint(rng, 11, 4)
         res = exhaustive_oracle(jd, 3, ENT)
         self.check(res, jd, 3, ENT, oracle_reference(jd, 3, ENT))
+        # more labels than points: the reference also scores the empty ones
+        for m, k in ((4, 6), (4, 7), (6, 7)):
+            jd = random_joint(rng, m, 3)
+            for spec in (ENT, GINI, SQRT):
+                res = exhaustive_oracle(jd, k, spec)
+                self.check(res, jd, k, spec, oracle_reference(jd, k, spec))
 
     @pytest.mark.parametrize("chunk", [1, 40, 300])
     def test_oracle_tables_built_in_chunks(self, monkeypatch, chunk):
@@ -1142,7 +1171,7 @@ class TestExactSearchReference:
         assert res.e_max_achieved == np.ascontiguousarray(jd.p).sum(axis=0).max()
 
     def test_oracle_single_row_builds_no_label_table(self):
-        # a k x k table of labellings would take 61 MiB at k = 2000
+        # one point at k = 2000 builds 1 x 1 label tables and stays under 1 MiB
         jd = random_joint(np.random.default_rng(66), 1, 3)
         peak, res = peak_bytes(lambda: exhaustive_oracle(jd, 2000, ENT))
         assert res.masks_evaluated == 2000

@@ -10,11 +10,12 @@ the package loads, the README's report schema must name the config fields,
 input keys and record keys the CLI writes, the README's `--format`,
 `--impurity` and `--algorithm` bullets must name exactly the choices the
 CLI accepts, the README's work caps must give the values the code uses,
-and `python -m impuritypart` must run the CLI. Frozen objects must be
-complete at construction: no function other than a __post_init__ may call
-object.__setattr__, and no exported dataclass (nor cli.RunConfig) may take a
-private field as a constructor argument. A partition count k is checked in
-one place: no function other than prob.check_k may build a KTooSmall. Every
+and `python -m impuritypart` and `python -m impuritypart.cli` must run the
+CLI. Frozen objects must be complete at construction: no function other
+than a __post_init__ may call object.__setattr__, and no exported dataclass
+(nor cli.RunConfig) may take a private field as a constructor argument. A
+partition count k is checked in one place: no function other than
+prob.check_k may build a KTooSmall. Every
 count argument follows one integer type rule: no function other than
 prob.is_int may name np.integer, and no function other than
 prob.check_max_iters may build a `max_iters must be ...` message. Label
@@ -42,6 +43,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import impuritypart
 from impuritypart import ImpuritySpec, algorithms, cli, ingestion
@@ -135,15 +137,17 @@ def test_package_import_loads_no_cli_modules():
     assert out.strip() == "[]"
 
 
-def test_module_entry_point_writes_a_report(tmp_path):
-    # `python -m impuritypart` runs cli.main and exits with its code
+@pytest.mark.parametrize("module", ["impuritypart", "impuritypart.cli"])
+def test_module_entry_point_writes_a_report(tmp_path, module):
+    # `python -m` on the package or on its cli module runs cli.main and
+    # exits with its code
     src = str(Path(impuritypart.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     data = tmp_path / "data.csv"
     data.write_text("3,1\n1,3\n2,2\n", encoding="utf-8")
     report = tmp_path / "r.json"
-    done = subprocess.run([sys.executable, "-m", "impuritypart", "--input", str(data),
+    done = subprocess.run([sys.executable, "-m", module, "--input", str(data),
                            "--format", "counts", "--k", "2", "--output", str(report)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
